@@ -20,14 +20,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, ScenarioConfig, parse_a_values, parse_config,
-                     parse_radii, parse_recipe)
+from .config import (ScenarioConfig, parse_a_values, parse_config, parse_radii,
+                     parse_recipe)
 from .grid import GridError, RadialGrid, pair_from_arrays
 from .groundstate import (GroundStateBundle, apply_symmetry, build_bundle,
                           bundle_to_rows, elliptic_residual, transform_T,
                           verify_elliptic, _interp_component)
-from .functionals import (check_inequalities, conserved_set, energy, gap_delta,
-                          hamiltonian, interaction, variational_constants)
+from .functionals import energy, hamiltonian, variational_constants
 from .linops import build_block_E
 from .spectrum import (SpectrumError, SpectralResult, coercivity_sample,
                        dense_cross_check, eigenpair_e, lambda1_inverse_iteration,
@@ -340,7 +339,7 @@ def scenario_modulate(cfg: ScenarioConfig, outdir: str) -> dict:
     bundle = build_bundle(grid, cfg.physics.kappa)
     recipes = cfg.sweep.recipes or ("qscale:1.002",)
     rec = parse_recipe(recipes[0])
-    initial, _ = _initial_from_recipe(rec, cfg, bundle)
+    initial, bundle = _initial_from_recipe(rec, cfg, bundle)
     ecfg = _evo_config(cfg, snapshot_stride=max(1, cfg.evolution.snapshot_stride or 5))
     h_q = hamiltonian(bundle.q_vec)
     record = run(initial, ecfg, reference_H=h_q)
@@ -433,7 +432,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output_dir = args.out
         cfg.validate()
-    except (OSError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:   # ConfigError, malformed JSON, a recipe's number
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     outdir = cfg.output_dir

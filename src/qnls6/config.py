@@ -55,7 +55,6 @@ class EvolutionBlock:
 @dataclass
 class SpectrumBlock:
     n: int = 1024
-    eig_residual_tol: float = 1e-6
     clip_rel: float = 1e-10
     refine_check: bool = True
     cross_check_n: int = 256
@@ -98,16 +97,24 @@ class ScenarioConfig:
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if self.physics.kappa <= 0:
+        if not self.physics.kappa > 0:
             raise ConfigError("kappa must be positive")
         if self.grid.n < 5:
             raise ConfigError("grid n too small")
         if self.grid.mapping not in ("uniform", "algebraic"):
             raise ConfigError(f"unknown grid mapping {self.grid.mapping!r}")
-        if self.evolution.dt <= 0:
+        if not self.evolution.dt > 0:
             raise ConfigError("dt must be positive")
+        if not self.evolution.blowup_H_factor > 1:
+            raise ConfigError("blowup_H_factor must exceed 1")
+        if self.evolution.scheme not in ("strang-split", "crank-nicolson"):
+            raise ConfigError(f"unknown scheme {self.evolution.scheme!r}")
+        if self.evolution.system not in ("original", "transformed"):
+            raise ConfigError(f"unknown system {self.evolution.system!r}")
         for rec in self.sweep.recipes:
             parse_recipe(rec)
+        parse_radii(self.evolution.virial_radii)
+        parse_a_values(self.special.a_values)
         return self
 
 
@@ -123,7 +130,9 @@ _SECTION_TYPES = {
 _TOP_KEYS = ("scenario", "seed", "output_dir")
 
 
-def _coerce(value: str, target_type):
+def _coerce(value, target_type):
+    """A key's value (text, or a JSON scalar) as the type of its default."""
+    value = str(value)
     if target_type is bool:
         low = value.strip().lower()
         if low in ("true", "1", "yes", "on"):
@@ -164,12 +173,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if section is None:
             if key not in _TOP_KEYS:
                 raise ConfigError(f"line {lineno}: unknown top-level key {key!r}")
-            if key == "seed":
-                cfg.seed = int(value)
-            elif key == "scenario":
-                cfg.scenario = value
-            else:
-                cfg.output_dir = value
+            _set(cfg, key, value, f"line {lineno}")
             continue
         if section == "sweep":
             if key != "recipe":
@@ -177,33 +181,39 @@ def parse_config(text: str) -> ScenarioConfig:
             recipes.append(value)
             continue
         block = getattr(cfg, section)
-        valid = {f.name: f.type for f in fields(block)}
-        if key not in valid:
+        if key not in {f.name for f in fields(block)}:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        ftype = type(getattr(block, key))
-        try:
-            setattr(block, key, _coerce(value, ftype))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        _set(block, key, value, f"line {lineno}")
     cfg.sweep = SweepBlock(recipes=tuple(recipes))
     return cfg.validate()
+
+
+def _set(obj, key: str, value, where: str) -> None:
+    try:
+        setattr(obj, key, _coerce(value, type(getattr(obj, key))))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
 def _from_json(obj: dict) -> ScenarioConfig:
     cfg = ScenarioConfig()
     for key, val in obj.items():
         if key in _TOP_KEYS:
-            setattr(cfg, "output_dir" if key == "output_dir" else key, val)
+            _set(cfg, key, val, "top level")
         elif key == "sweep":
-            cfg.sweep = SweepBlock(recipes=tuple(val.get("recipes", ()))
-                                   if isinstance(val, dict) else tuple(val))
+            recipes = val.get("recipes", ()) if isinstance(val, dict) else val
+            if not (isinstance(recipes, (list, tuple)) and all(isinstance(r, str) for r in recipes)):
+                raise ConfigError("sweep recipes must be a list of strings")
+            cfg.sweep = SweepBlock(recipes=tuple(recipes))
         elif key in _SECTION_TYPES:
+            if not isinstance(val, dict):
+                raise ConfigError(f"section {key!r} must be an object")
             block = getattr(cfg, key)
             valid = {f.name for f in fields(block)}
             for k2, v2 in val.items():
                 if k2 not in valid:
                     raise ConfigError(f"unknown key {k2!r} in section {key!r}")
-                setattr(block, k2, v2)
+                _set(block, k2, v2, f"section {key!r}")
         else:
             raise ConfigError(f"unknown top-level key {key!r}")
     return cfg.validate()

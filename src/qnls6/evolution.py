@@ -47,11 +47,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .grid import FieldPair, GridError, RadialGrid, pair_from_arrays
+from .grid import GRID_CACHE_SIZE, FieldPair, GridError, RadialGrid, pair_from_arrays
 from .functionals import VirialWeight, virial_F, virial_I, mass_type_vr
 from .groundstate import Q_SCALE2
 
@@ -65,6 +66,13 @@ L4_BALL_RADIUS = math.sqrt(Q_SCALE2)
 # Q that G+- is built on, so closer data cannot be told from threshold data.
 THRESHOLD_E_BAND = 1e-3
 
+# Adaptive stepping: a step whose max-norm grows by more than GROWTH_LIMIT is
+# halved; once the step falls below DT_MIN the run ends as a blow-up.
+GROWTH_LIMIT = 1.15
+DT_MIN = 1e-9
+# The sponge ramps in over the outer 1 - SPONGE_START_FRAC of the box.
+SPONGE_START_FRAC = 0.8
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -77,13 +85,9 @@ class EvolutionConfig:
     snapshot_stride: int = 0           # in monitor points; 0 disables
     snapshot_times: tuple = ()         # explicit times (override stride)
     adapt: bool = False
-    dt_min: float = 1e-9
-    growth_limit: float = 1.15         # per-step max-norm growth before halving
     sponge: bool = False
     sponge_strength: float = 5.0
-    sponge_start_frac: float = 0.8
     virial_radii: tuple = ()           # R values (math.inf allowed)
-    vr_component_weights: tuple | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -134,24 +138,22 @@ class TrajectoryRecord:
             yield (t, self.H[i], self.P[i], self.E[i], self.mass[i], self.delta[i])
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _laplacian_eigh(grid: RadialGrid):
+    """Eigenpairs of the symmetrized Delta_h, shared by every propagator on the grid."""
+    diag, off = grid.symmetrized_tridiag()
+    return eigh_tridiagonal(diag, off)
+
+
 class RadialPropagator:
     """Spectral data of the discrete radial Laplacian shared by trajectories."""
-
-    _MEMO: dict = {}
 
     def __init__(self, grid: RadialGrid, kappa: float):
         self.grid = grid
         self.kappa = kappa
-        key = (grid.n, grid.r_max, grid.mapping, grid.stretch)
-        if key not in RadialPropagator._MEMO:
-            diag, off = grid.symmetrized_tridiag()
-            evals, vecs = eigh_tridiagonal(diag, off)
-            RadialPropagator._MEMO[key] = (evals, vecs)
-        self.evals, self.vecs = RadialPropagator._MEMO[key]
+        self.evals, self.vecs = _laplacian_eigh(grid)
         self.sm = np.sqrt(grid.cell_masses)
         self.w_op = np.pi ** 3 * grid.cell_masses
-        sub, d2, sup, _ = grid.laplacian_tridiag("dirichlet")
-        self._tri = (sub, d2, sup)
         self._cache: dict = {}
 
     # -- linear flow ------------------------------------------------------
@@ -188,17 +190,11 @@ class RadialPropagator:
 
     # -- discrete functionals ----------------------------------------------
 
-    def apply_lap(self, x: np.ndarray) -> np.ndarray:
-        sub, d2, sup = self._tri
-        out = d2 * x
-        out[:-1] += sup * x[1:]
-        out[1:] += sub * x[:-1]
-        return out
-
     def discrete_H(self, u, v, system: str = "original") -> float:
         cv = self.kappa if system == "transformed" else 0.5 * self.kappa
-        t1 = -np.real(np.sum(self.w_op * np.conj(u) * self.apply_lap(u)))
-        t2 = -np.real(np.sum(self.w_op * np.conj(v) * self.apply_lap(v)))
+        lap = self.grid.apply_laplacian
+        t1 = -np.real(np.sum(self.w_op * np.conj(u) * lap(u)))
+        t2 = -np.real(np.sum(self.w_op * np.conj(v) * lap(v)))
         return float(t1 + cv * t2)
 
     def discrete_P(self, u, v) -> float:
@@ -244,7 +240,7 @@ def _rk4(u, v, dt, c1):
 
 def _sponge_profile(grid: RadialGrid, cfg: EvolutionConfig) -> np.ndarray:
     r = grid.nodes
-    r0 = cfg.sponge_start_frac * grid.r_max
+    r0 = SPONGE_START_FRAC * grid.r_max
     ramp = np.clip((r - r0) / (grid.r_max - r0), 0.0, None)
     return cfg.sponge_strength * ramp ** 2
 
@@ -291,7 +287,7 @@ def run(u0: FieldPair, cfg: EvolutionConfig, reference_H: float | None = None,
             for R, wgt in weights.items():
                 i_r[R].append(virial_I(pair, wgt))
                 f_r[R].append(virial_F(pair, wgt))
-                v_r[R].append(mass_type_vr(pair, wgt, cfg.vr_component_weights))
+                v_r[R].append(mass_type_vr(pair, wgt))
         want_snap = False
         if cfg.snapshot_stride and (len(times) - 1) % cfg.snapshot_stride == 0:
             want_snap = True
@@ -334,10 +330,10 @@ def run(u0: FieldPair, cfg: EvolutionConfig, reference_H: float | None = None,
                 un, vn = prop.apply_linear(un, vn, dt_cur / 2)
             peak_old = max(np.max(np.abs(u)), np.max(np.abs(v)))
             peak_new = max(np.max(np.abs(un)), np.max(np.abs(vn)))
-            if cfg.adapt and (not np.isfinite(peak_new) or peak_new > cfg.growth_limit * peak_old):
+            if cfg.adapt and (not np.isfinite(peak_new) or peak_new > GROWTH_LIMIT * peak_old):
                 dt_cur = 0.5 * dt_cur
                 min_dt = min(min_dt, abs(dt_cur))
-                if abs(dt_cur) < cfg.dt_min:
+                if abs(dt_cur) < DT_MIN:
                     termination, diagnostic = "blowup", "step collapse"
                     break
                 continue
@@ -392,27 +388,21 @@ def run(u0: FieldPair, cfg: EvolutionConfig, reference_H: float | None = None,
 
 def _make_cn_stepper(prop: RadialPropagator, c1: float):
     """Crank-Nicolson with fixed-point nonlinear midpoint; banded solves."""
-    sub, d2, sup = prop._tri
-    n = len(d2)
+    grid = prop.grid
+    sub, d2, sup = grid.dirichlet_tridiag
 
     def banded(dt, coeff):
-        ab = np.zeros((3, n), dtype=complex)
+        ab = np.zeros((3, grid.n), dtype=complex)
         ab[0, 1:] = -0.5j * dt * coeff * sup
         ab[1, :] = 1.0 - 0.5j * dt * coeff * d2
         ab[2, :-1] = -0.5j * dt * coeff * sub
         return ab
 
-    def apply_half(x, dt, coeff):
-        out = (1.0 + 0.5j * dt * coeff * d2) * x
-        out[:-1] += 0.5j * dt * coeff * sup * x[1:]
-        out[1:] += 0.5j * dt * coeff * sub * x[:-1]
-        return out
-
     def stepper(u, v, dt):
         ab_u = banded(dt, 1.0)
         ab_v = banded(dt, prop.kappa)
-        rhs_u0 = apply_half(u, dt, 1.0)
-        rhs_v0 = apply_half(v, dt, prop.kappa)
+        rhs_u0 = u + 0.5j * dt * grid.apply_laplacian(u)
+        rhs_v0 = v + 0.5j * dt * prop.kappa * grid.apply_laplacian(v)
         un, vn = u, v
         for _ in range(3):
             um = 0.5 * (u + un)
@@ -523,16 +513,20 @@ def detect(record: TrajectoryRecord, delta0: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: header (n:u64, r_max:f64, kappa:f64, t:f64) then per
-# component n little-endian (re, im) float64 pairs, u block first.
+# checkpoint format: header (magic "QNLS6CK" + version byte, then the grid's
+# identity n:u64, r_max:f64, mapping:16 ASCII bytes, stretch:f64, then
+# kappa:f64, t:f64), then per component n little-endian (re, im) float64
+# pairs, u block first.
 
-_MAGIC = struct.Struct("<Qddd")
+_MAGIC = b"QNLS6CK\x01"
+_HEADER = struct.Struct("<8sQd16sddd")
 
 
 def write_checkpoint(path: str, pair: FieldPair, t: float) -> None:
     g = pair.grid
     with open(path, "wb") as fh:
-        fh.write(_MAGIC.pack(g.n, g.r_max, pair.kappa, t))
+        fh.write(_HEADER.pack(_MAGIC, g.n, g.r_max, g.mapping.encode("ascii"),
+                              g.stretch, pair.kappa, t))
         for comp in (pair.u, pair.v):
             buf = np.empty(2 * g.n)
             buf[0::2] = comp.real
@@ -542,11 +536,17 @@ def write_checkpoint(path: str, pair: FieldPair, t: float) -> None:
 
 def read_checkpoint(path: str, grid: RadialGrid) -> tuple[FieldPair, float]:
     with open(path, "rb") as fh:
-        n, r_max, kappa, t = _MAGIC.unpack(fh.read(_MAGIC.size))
-        if n != grid.n or abs(r_max - grid.r_max) > 1e-12 * grid.r_max:
-            raise GridError(f"checkpoint grid (n={n}, r_max={r_max}) does not match")
-        comps = []
-        for _ in range(2):
-            buf = np.frombuffer(fh.read(16 * n), dtype="<f8")
-            comps.append(buf[0::2] + 1j * buf[1::2])
-    return pair_from_arrays(grid, comps[0], comps[1], kappa), t
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise GridError(f"checkpoint {path} is truncated")
+    magic, n, r_max, mapping, stretch, kappa, t = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise GridError(f"{path} is not a qnls6 checkpoint of format version {_MAGIC[-1]}")
+    if len(data) < _HEADER.size + 32 * n:
+        raise GridError(f"checkpoint {path} is truncated")
+    saved = RadialGrid(n=n, r_max=r_max, mapping=mapping.rstrip(b"\0").decode("ascii"),
+                       stretch=stretch)
+    if saved != grid:
+        raise GridError(f"checkpoint grid {saved} does not match {grid}")
+    buf = np.frombuffer(data, dtype="<f8", count=4 * n, offset=_HEADER.size).reshape(2, n, 2)
+    return pair_from_arrays(grid, *(buf[..., 0] + 1j * buf[..., 1]), kappa), t

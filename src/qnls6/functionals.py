@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (FieldPair, RadialGrid, h1dot_norm, integrate6_samples,
-                   radial_derivative)
+from .grid import FieldPair, RadialGrid, integrate6_samples, radial_derivative
 from .groundstate import GroundStateBundle
 
 
@@ -51,9 +50,6 @@ class ConservedSet:
     E: float
     mass: float
     momentum: np.ndarray  # identically zero for radial states
-
-    def csv_row(self, t: float, delta: float) -> tuple:
-        return (t, self.H, self.P, self.E, self.mass, delta)
 
 
 def _grad_sq(u: FieldPair):
@@ -271,7 +267,3 @@ def mass_type_vr(u: FieldPair, weight: VirialWeight,
 def f_infinity_gap(u: FieldPair, bundle: GroundStateBundle) -> float:
     """F_inf on the threshold manifold: equals 8 kappa (H(Q) - H(u)) when E(u)=E(Q)."""
     return 8.0 * u.kappa * (hamiltonian(bundle.q_vec) - hamiltonian(u))
-
-
-def h1dot_distance(a: FieldPair, b: FieldPair) -> float:
-    return h1dot_norm(a - b)

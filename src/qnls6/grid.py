@@ -39,6 +39,12 @@ class GridError(ValueError):
     pass
 
 
+# Bound of the per-grid caches (lru_cache keyed by the grid).  A scenario
+# touches at most three grids, so 8 never evicts within a run, while a long
+# session keeps at most 8 sets of n x n eigenvectors (32 MB at n = 2048).
+GRID_CACHE_SIZE = 8
+
+
 def _algebraic_map(s: np.ndarray, r_max: float, stretch: float) -> np.ndarray:
     # r(s) = r_max * s / (1 + c(1-s)): spacing ~ (r_max + c r)^2, clustering at 0
     return r_max * s / (1.0 + stretch * (1.0 - s))
@@ -53,14 +59,17 @@ class RadialGrid:
     origin (spacing grows like (r_max + c r)^2 / ((1+c) r_max n)) so that the
     slowly decaying r^-4 ground-state tail fits in a large box without
     starving the core.
+
+    Equality and hashing compare (n, r_max, mapping, stretch), which fix the
+    nodes; per-grid caches are keyed on that identity.
     """
 
     n: int
     r_max: float
     mapping: str = "algebraic"
     stretch: float = 29.0
-    nodes: np.ndarray = field(init=False, repr=False)
-    edges: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 5:
@@ -160,6 +169,22 @@ class RadialGrid:
             raise GridError(f"unknown boundary rule {boundary!r}")
         return sub, diag, sup, corner
 
+    @cached_property
+    def dirichlet_tridiag(self):
+        """(sub, diag, super) of the order-2 operator under the dirichlet rule."""
+        sub, diag, sup, _ = self.laplacian_tridiag("dirichlet")
+        for a in (sub, diag, sup):
+            a.setflags(write=False)
+        return sub, diag, sup
+
+    def apply_laplacian(self, x: np.ndarray) -> np.ndarray:
+        """Delta_h x under the dirichlet rule (real or complex x)."""
+        sub, diag, sup = self.dirichlet_tridiag
+        out = diag * x
+        out[:-1] += sup * x[1:]
+        out[1:] += sub * x[:-1]
+        return out
+
     def laplacian_matrix(self, boundary: str = "dirichlet", order: int = 2) -> sp.csr_matrix:
         if order == 2:
             sub, diag, sup, corner = self.laplacian_tridiag(boundary)
@@ -226,14 +251,12 @@ class RadialGrid:
                 rows.append(i); cols.append(j_col); vals.append(wgt)
         return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    def symmetrized_tridiag(self, boundary: str = "dirichlet"):
+    def symmetrized_tridiag(self):
         """(diag, offdiag) of D^{1/2} Delta_h D^{-1/2}, D = diag(cell masses).
 
-        Exactly symmetric for the dirichlet rule; use with eigh_tridiagonal.
+        Exactly symmetric (dirichlet rule); use with eigh_tridiagonal.
         """
-        if boundary != "dirichlet":
-            raise GridError("symmetrized form requires the dirichlet rule")
-        sub, diag, sup, _ = self.laplacian_tridiag("dirichlet")
+        sub, diag, sup = self.dirichlet_tridiag
         off = np.sqrt(sub * sup)
         return diag, off
 
@@ -281,7 +304,7 @@ class FieldPair:
     kappa: float
 
     def __post_init__(self):
-        if self.first.grid is not self.second.grid and not _same_grid(self.first.grid, self.second.grid):
+        if self.first.grid != self.second.grid:
             raise GridError("components live on different grids")
         if self.kappa <= 0:
             raise GridError("kappa must be positive")
@@ -313,10 +336,6 @@ class FieldPair:
 
     def conj(self) -> "FieldPair":
         return self.with_values(np.conj(self.u), np.conj(self.v))
-
-
-def _same_grid(a: RadialGrid, b: RadialGrid) -> bool:
-    return a.n == b.n and a.r_max == b.r_max and a.mapping == b.mapping and a.stretch == b.stretch
 
 
 def pair_from_arrays(grid: RadialGrid, u, v, kappa: float) -> FieldPair:
@@ -363,7 +382,7 @@ def integrate6_samples(grid: RadialGrid, samples: np.ndarray):
 
 def h1dot_inner(f: FieldPair, g: FieldPair) -> float:
     """Re int grad f1 . grad g1~ + grad f2 . grad g2~  (plain product norm)."""
-    if not _same_grid(f.grid, g.grid):
+    if f.grid != g.grid:
         raise GridError("inner product requires a shared grid")
     df1 = radial_derivative(f.first).values
     df2 = radial_derivative(f.second).values
@@ -375,7 +394,3 @@ def h1dot_inner(f: FieldPair, g: FieldPair) -> float:
 
 def h1dot_norm(f: FieldPair) -> float:
     return float(np.sqrt(max(h1dot_inner(f, f), 0.0)))
-
-
-def l2_norm(grid: RadialGrid, samples: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(grid.quad_weights * np.abs(samples) ** 2)))

@@ -26,16 +26,18 @@ obstruction and is reported, not hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import splu
 
-from .grid import (FieldPair, GridError, RadialField, RadialGrid, h1dot_inner,
-                   integrate6_samples, laplacian6, pair_from_arrays,
-                   radial_derivative)
+from .grid import (GRID_CACHE_SIZE, FieldPair, RadialField, RadialGrid,
+                   laplacian6, pair_from_arrays, radial_derivative)
 
 
 # The r^2 scale of Q(r) = (1 + r^2/Q_SCALE2)^{-2}; sqrt(Q_SCALE2) is the
@@ -86,10 +88,11 @@ def lambda_profile(f: RadialField) -> RadialField:
     return RadialField(f.grid, 2.0 * f.values + f.grid.nodes * df.values)
 
 
-_REFINE_CACHE: dict = {}
+REFINE_MAX_ITER = 30
 
 
-def refine_discrete(grid: RadialGrid, max_iter: int = 30) -> tuple[np.ndarray, float]:
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def refine_discrete(grid: RadialGrid) -> tuple[np.ndarray, float]:
     """Stationary profile of the discrete operator: Delta_h q + q^2 ~ 0.
 
     Returns (q, kernel_residual) where kernel_residual is the weighted
@@ -97,22 +100,13 @@ def refine_discrete(grid: RadialGrid, max_iter: int = 30) -> tuple[np.ndarray, f
     Newton steps solve on the orthogonal complement of the quasi-kernel of
     Delta_h + 2q (found among the top eigenpairs: the potential well carries
     one positive bound state and the broken scaling mode near zero; the rest
-    of the spectrum is negative).
+    of the spectrum is negative).  The result is cached per grid and shared
+    (read-only) by every caller.
     """
-    key = (grid.n, grid.r_max, grid.mapping, grid.stretch)
-    if key in _REFINE_CACHE:
-        return _REFINE_CACHE[key]
     m = grid.cell_masses
     sm = np.sqrt(m)
     diag, off = grid.symmetrized_tridiag()
-    sub, d2, sup, _ = grid.laplacian_tridiag("dirichlet")
     n = grid.n
-
-    def apply_lap(q):
-        out = d2 * q
-        out[:-1] += sup * q[1:]
-        out[1:] += sub * q[:-1]
-        return out
 
     def deflated_step(q, F):
         evals, vecs = eigh_tridiagonal(diag + 2.0 * q, off,
@@ -127,8 +121,8 @@ def refine_discrete(grid: RadialGrid, max_iter: int = 30) -> tuple[np.ndarray, f
 
     q = q_closed_form(grid.nodes)
     best = (np.inf, q.copy())
-    for _ in range(max_iter):
-        F = apply_lap(q) + q * q
+    for _ in range(REFINE_MAX_ITER):
+        F = grid.apply_laplacian(q) + q * q
         resn = np.linalg.norm(F * sm)
         if resn < best[0]:
             best = (resn, q.copy())
@@ -139,9 +133,9 @@ def refine_discrete(grid: RadialGrid, max_iter: int = 30) -> tuple[np.ndarray, f
             break
         q = q + dq
     q = best[1]
-    F = apply_lap(q) + q * q
+    q.setflags(write=False)
+    F = grid.apply_laplacian(q) + q * q
     rel = float(np.linalg.norm(F * sm) / np.linalg.norm(q * q * sm))
-    _REFINE_CACHE[key] = (q, rel)
     return q, rel
 
 
@@ -152,16 +146,11 @@ def _bordered_tridiag_solve(diag, off, v0, rhs):
     well conditioned even when T is nearly singular along v0; the multiplier
     y absorbs any leftover v0-component of the right-hand side.
     """
-    import scipy.sparse as _sp
-    import scipy.sparse.linalg as _spla
-    n = len(diag)
-    T = _sp.diags([off, diag, off], [-1, 0, 1], format="lil")
-    M = _sp.lil_matrix((n + 1, n + 1))
-    M[:n, :n] = T
-    M[:n, n] = v0[:, None]
-    M[n, :n] = v0[None, :]
-    sol = _spla.splu(M.tocsc()).solve(np.concatenate([rhs, [0.0]]))
-    return sol[:n]
+    T = sp.diags([off, diag, off], [-1, 0, 1])
+    col = sp.csc_matrix(v0[:, None])
+    M = sp.bmat([[T, col], [col.T, None]], format="csc")
+    sol = splu(M).solve(np.concatenate([rhs, [0.0]]))
+    return sol[:len(diag)]
 
 
 @dataclass(frozen=True)
@@ -232,9 +221,20 @@ def elliptic_residual(qf: RadialField, order: int = 4, boundary: str = "decay4")
     return float(np.sqrt(np.sum(grid.quad_weights * res ** 2) / nrm2))
 
 
+# Samples below this magnitude are interpolated as zero: PCHIP divides node
+# spacings by secant slopes, which overflows between samples at the edge of
+# the float range (Gaussian tails reach subnormals ~1e-314).  After the flush
+# every nonzero secant is >= 2^-52 * 1e-280 / spacing, far from overflow.
+_INTERP_FLUSH = 1e-280
+
+
 def _interp_component(grid: RadialGrid, values: np.ndarray, r_query: np.ndarray,
                       tail_power: float = 4.0) -> np.ndarray:
     """Monotone-cubic interpolation with even extension at 0 and r^-4 tail."""
+    values = np.asarray(values, dtype=complex)
+    re, im = (np.where(np.abs(part) < _INTERP_FLUSH, 0.0, part)
+              for part in (values.real, values.imag))
+    values = re + 1j * im
     r = grid.nodes
     # even quadratic value at r = 0 from the first two nodes
     f0 = values[0] + (values[1] - values[0]) * (0.0 - r[0] ** 2) / (r[1] ** 2 - r[0] ** 2)
@@ -283,16 +283,6 @@ def build_directions(bundle: GroundStateBundle) -> dict:
         "t_lambda_q": bundle.t_lambda_q,
     }
     return dirs
-
-
-def orthogonality_report(bundle: GroundStateBundle) -> dict:
-    """Mutual Hdot1 pairings among {Q, Lambda Q}; (Q, Lambda Q) vanishes."""
-    q, lq = bundle.q_vec, bundle.lambda_q
-    return {
-        "q_lambda_q": h1dot_inner(q, lq),
-        "q_q": h1dot_inner(q, q),
-        "lambda_lambda": h1dot_inner(lq, lq),
-    }
 
 
 def bundle_to_rows(bundle: GroundStateBundle) -> Iterable[tuple]:

@@ -55,10 +55,6 @@ class PairOperator:
     def apply(self, stacked: np.ndarray) -> np.ndarray:
         return self.mat @ stacked
 
-    def apply_pair(self, p: FieldPair) -> FieldPair:
-        out = self.mat @ np.concatenate([p.u, p.v])
-        return p.with_values(out[: self.n], out[self.n:])
-
     def op_weights(self) -> np.ndarray:
         m = self.grid.cell_masses
         return np.pi ** 3 * np.concatenate([m, m])

@@ -48,10 +48,6 @@ class ModulationPoint:
     h_norm: float
     converged: bool
 
-    def csv_row(self):
-        return (self.t, self.theta, self.lam, self.alpha, self.delta,
-                self.h_norm, int(self.converged))
-
 
 class ModulationFrame:
     """Cached operators and reference quantities for repeated decompositions."""

@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .grid import FieldPair, h1dot_norm, pair_from_arrays
 from .groundstate import GroundStateBundle, transform_T
-from .functionals import energy, hamiltonian, hamiltonian_n
+from .functionals import energy, hamiltonian
 from .linops import BlockOperatorE, bilinear_N, build_block_E
 from .spectrum import SpectralResult
 from .evolution import EvolutionConfig, RadialPropagator, TrajectoryRecord, run

@@ -71,6 +71,15 @@ class TestParse:
         cfg = parse_config(MINIMAL + "# a comment\n; another\n")
         assert cfg.physics.kappa == 0.5
 
+    def test_json_values_typed_like_key_value(self):
+        obj = {"scenario": "evolve", "seed": "7", "physics": {"kappa": "0.5"},
+               "grid": {"n": "64", "r_max": 60}, "evolution": {"adapt": "yes"}}
+        text = ("scenario = evolve\nseed = 7\n[physics]\nkappa = 0.5\n"
+                "[grid]\nn = 64\nr_max = 60\n[evolution]\nadapt = yes\n")
+        cfg = parse_config(json.dumps(obj))
+        assert cfg == parse_config(text)
+        assert isinstance(cfg.grid.n, int) and isinstance(cfg.grid.r_max, float)
+
 
 class TestRecipes:
     def test_qscale(self):
@@ -201,6 +210,29 @@ kappa = 0.5
         cfg = self._write(tmp_path, "scenario = evolve\n[physics]\nkappa = -2\n")
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nblowup_H_factor = 0.5\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nscheme = bogus\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nsystem = bogus\n",
+        "scenario = evolve\nseed = abc\n[physics]\nkappa = 0.5\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[sweep]\nrecipe = qscale:abc\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nvirial_radii = 5, abc\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[special]\na_values = 1, x\n",
+        "scenario = evolve\n[physics]\nkappa = nan\n",
+        '{"scenario": "evolve", "physics": {"kappa": 0.5}, "grid": {"n": "sixty-four"}}',
+        '{"scenario": "evolve", "physics": {"kappa": 0.5}, "evolution": {"n": [64]}}',
+        '{"scenario": "evolve", "physics": {"kappa": 0.5}, "evolution": {"blowup_H_factor": 0.5}}',
+        '{"scenario": "evolve", "physics": {"kappa": 0.5}, "sweep": "qscale:1"}',
+        '{"scenario": "evolve", "physics": {"kappa": 0.5},',
+    ], ids=["blowup-factor", "scheme", "system", "seed", "recipe-number", "virial-radii",
+            "a-values", "kappa-nan", "json-text-int",
+            "json-list-int", "json-blowup-factor", "json-recipes-string", "json-malformed"])
+    def test_bad_input_is_one_config_error_line(self, tmp_path, capsys, text):
+        cfg = self._write(tmp_path, text)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_numerical_failure_exit_2(self, tmp_path, monkeypatch):
         import qnls6.cli as cli_mod
         from qnls6.spectrum import SpectrumError
@@ -285,6 +317,47 @@ recipe = qscale:1.01
         assert summary["converged_fraction"] > 0.9
         assert summary["comparability_band"] < 10
         assert os.path.exists(os.path.join(out, "modulation.csv"))
+
+    def test_modulate_threshold_recipe_tracked_against_its_q(self, tmp_path, monkeypatch):
+        # G- is built on the discrete-background Q; its modulation gap
+        # delta = |H(u) - H(Q)| must be taken against that Q
+        import qnls6.cli as cli_mod
+        from qnls6.functionals import gap_delta
+        real = cli_mod._initial_from_recipe
+        built = []
+
+        def keep(*args):
+            built.append(real(*args))
+            return built[-1]
+        monkeypatch.setattr(cli_mod, "_initial_from_recipe", keep)
+        cfg = self._write(tmp_path, """
+scenario = modulate
+[grid]
+n = 128
+r_max = 60
+stretch = 9
+[physics]
+kappa = 0.5
+[evolution]
+dt = 0.002
+t_end = 0.2
+monitor_stride = 10
+snapshot_stride = 2
+[special]
+order = 2
+dt = 0.004
+data_eps = 0.05
+n_snapshots = 24
+[sweep]
+recipe = gminus
+""")
+        out = tmp_path / "modg"
+        assert main(["modulate", "--config", cfg, "--out", str(out)]) == 0
+        initial, bundle = built[0]
+        assert bundle.background == "discrete"
+        rows = np.loadtxt(out / "modulation.csv", delimiter=",", skiprows=2, ndmin=2)
+        assert rows[0, 0] == 0.0
+        assert rows[0, 4] == pytest.approx(gap_delta(initial, bundle), rel=1e-12)
 
     def test_dichotomy_scenario(self, tmp_path):
         cfg = self._write(tmp_path, """

@@ -381,3 +381,22 @@ class TestCheckpoint:
         other = RadialGrid(n=64, r_max=120.0, stretch=19.0)
         with pytest.raises(GridError):
             read_checkpoint(str(p), other)
+
+    def test_stretch_mismatch(self, tmp_path):
+        # same n and r_max: only the stretch in the header tells them apart
+        g3 = RadialGrid(n=64, r_max=60.0, stretch=3.0)
+        g9 = RadialGrid(n=64, r_max=60.0, stretch=9.0)
+        p = tmp_path / "state.chk"
+        write_checkpoint(str(p), gaussian_pair(g3), 0.0)
+        with pytest.raises(GridError, match="does not match"):
+            read_checkpoint(str(p), g9)
+        loaded, _ = read_checkpoint(str(p), RadialGrid(n=64, r_max=60.0, stretch=3.0))
+        assert loaded.grid == g3
+
+    @pytest.mark.parametrize("keep", [10, -3, -16])
+    def test_truncated(self, evo_grid, tmp_path, keep):
+        p = tmp_path / "state.chk"
+        write_checkpoint(str(p), gaussian_pair(evo_grid), 0.0)
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(GridError, match="truncated"):
+            read_checkpoint(str(p), evo_grid)
