@@ -99,8 +99,14 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if not self.physics.kappa > 0:
             raise ConfigError("kappa must be positive")
-        if self.grid.n < 5:
-            raise ConfigError("grid n too small")
+        sizes = {"grid n": self.grid.n, "spectrum n": self.spectrum.n,
+                 "spectrum cross_check_n": self.spectrum.cross_check_n,
+                 "special n": self.special.n}
+        if self.evolution.n != 0:
+            sizes["evolution n"] = self.evolution.n
+        for key, n in sizes.items():
+            if n < 5:
+                raise ConfigError(f"{key} too small: {n} (a grid needs at least 5 nodes)")
         if self.grid.mapping not in ("uniform", "algebraic"):
             raise ConfigError(f"unknown grid mapping {self.grid.mapping!r}")
         if not self.evolution.dt > 0:

@@ -40,8 +40,8 @@ class GridError(ValueError):
 
 
 # Bound of the per-grid caches (lru_cache keyed by the grid).  A scenario
-# touches at most three grids, so 8 never evicts within a run, while a long
-# session keeps at most 8 sets of n x n eigenvectors (32 MB at n = 2048).
+# touches at most three grids, so 8 never evicts within a run; an entry is
+# O(n) (the refined Q), so a long session holds at most 8 of them.
 GRID_CACHE_SIZE = 8
 
 
@@ -254,7 +254,7 @@ class RadialGrid:
     def symmetrized_tridiag(self):
         """(diag, offdiag) of D^{1/2} Delta_h D^{-1/2}, D = diag(cell masses).
 
-        Exactly symmetric (dirichlet rule); use with eigh_tridiagonal.
+        Exactly symmetric (dirichlet rule).
         """
         sub, diag, sup = self.dirichlet_tridiag
         off = np.sqrt(sub * sup)

@@ -121,6 +121,7 @@ def refine_discrete(grid: RadialGrid) -> tuple[np.ndarray, float]:
 
     q = q_closed_form(grid.nodes)
     best = (np.inf, q.copy())
+    last_step = np.inf
     for _ in range(REFINE_MAX_ITER):
         F = grid.apply_laplacian(q) + q * q
         resn = np.linalg.norm(F * sm)
@@ -129,8 +130,12 @@ def refine_discrete(grid: RadialGrid) -> tuple[np.ndarray, float]:
         if resn < 1e-14 * np.linalg.norm(q * q * sm):
             break
         dq, _ = deflated_step(q, F)
-        if np.linalg.norm(dq * sm) < 1e-15 * np.linalg.norm(q * sm):
+        step = np.linalg.norm(dq * sm)
+        if step >= last_step:
+            # stagnation: past quadratic convergence the steps only wander
+            # at roundoff (3-4 steps from the closed form)
             break
+        last_step = step
         q = q + dq
     q = best[1]
     q.setflags(write=False)

@@ -233,6 +233,20 @@ kappa = 0.5
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("scenario,section,key", [
+        ("evolve", "evolution", "n"),
+        ("spectrum", "spectrum", "n"),
+        ("spectrum", "spectrum", "cross_check_n"),
+        ("special", "special", "n"),
+    ], ids=["evolution-n", "spectrum-n", "spectrum-cross-check-n", "special-n"])
+    def test_grid_size_below_five_is_config_error(self, tmp_path, capsys, scenario, section, key):
+        cfg = self._write(tmp_path, f"scenario = {scenario}\n[physics]\nkappa = 0.5\n"
+                                    f"[{section}]\n{key} = 3\n")
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert key in err
+
     def test_numerical_failure_exit_2(self, tmp_path, monkeypatch):
         import qnls6.cli as cli_mod
         from qnls6.spectrum import SpectrumError

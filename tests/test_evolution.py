@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from qnls6.evolution import (L4_BALL_RADIUS, THRESHOLD_E_BAND, EvolutionConfig,
-                             RadialPropagator, TrajectoryRecord, check_virial_identity, detect,
-                             dynamical_verdict, l4_decay_ratio, linear_propagator,
+from qnls6.evolution import (FACTOR_CACHE_SIZE, L4_BALL_RADIUS, PADE_POLES,
+                             THRESHOLD_E_BAND, EvolutionConfig, RadialPropagator,
+                             TrajectoryRecord, _shifted_factors, check_virial_identity,
+                             detect, dynamical_verdict, l4_decay_ratio, linear_propagator,
                              nonlinear_substep, read_checkpoint, reconcile, run,
                              variational_prediction, vr_identity_defect,
                              write_checkpoint)
@@ -55,6 +57,37 @@ class TestLinearPropagator:
             core = r < 30.0
             # discrete-vs-continuum propagator gap is O(h^2) ~ 1e-3 here
             assert np.max(np.abs(comp[core] - exact[core])) < 5e-3
+
+    @pytest.mark.parametrize("t", [5e-4, 0.05, 0.37])
+    def test_matches_eigenbasis_exponential(self, evo_grid, t):
+        # independent oracle: exp(i c t A) from the eigenpairs of the
+        # symmetrized Delta_h, mapped back through the cell-mass scaling
+        lam, vecs = eigh_tridiagonal(*evo_grid.symmetrized_tridiag())
+        sm = np.sqrt(evo_grid.cell_masses)
+        u = gaussian_pair(evo_grid)
+        out = linear_propagator(u, t)
+        for comp, x, c in ((out.u, u.u, 1.0), (out.v, u.v, u.kappa)):
+            exact = vecs @ (np.exp(1j * c * t * lam) * (vecs.T @ (sm * x))) / sm
+            err = np.linalg.norm(sm * (comp - exact)) / np.linalg.norm(sm * exact)
+            assert err <= 1e-7
+
+
+class TestFactorCache:
+    def test_bounded_through_step_halving(self, evo_grid, evo_bundle):
+        from qnls6.functionals import hamiltonian
+        _shifted_factors.cache_clear()
+        cfg = EvolutionConfig(dt=1e-3, t_end=40.0, adapt=True, monitor_stride=20)
+        rec = run(1.1 * evo_bundle.q_vec, cfg, reference_H=hamiltonian(evo_bundle.q_vec))
+        assert rec.termination == "blowup" and rec.min_dt < cfg.dt
+        assert 0 < _shifted_factors.cache_info().currsize <= FACTOR_CACHE_SIZE
+        # more step sizes than the bound: the oldest factors are evicted
+        u = gaussian_pair(evo_grid)
+        for k in range(FACTOR_CACHE_SIZE):
+            linear_propagator(u, (k + 1) * 1.01e-4)
+        assert _shifted_factors.cache_info().currsize == FACTOR_CACHE_SIZE
+        # an entry is O(n): the LU factors of one tridiagonal matrix
+        entry = _shifted_factors(evo_grid, 5e-4, PADE_POLES[0])
+        assert sum(a.nbytes for a in entry) <= 5 * 16 * evo_grid.n
 
 
 class TestNonlinearSubstep:
