@@ -31,8 +31,8 @@ from .linops import build_block_E
 from .spectrum import (SpectrumError, SpectralResult, coercivity_sample,
                        dense_cross_check, eigenpair_e, lambda1_inverse_iteration,
                        shifted_solve_conditioning)
-from .special import (ShootingError, approx_profiles, construct_g, control_leg,
-                      default_fit_window, residual_eps_k, shoot_w,
+from .special import (ShootingError, approx_profiles, construct_g, default_fit_window,
+                      residual_eps_k, shoot_legs, shoot_w,
                       time_translation_mismatch)
 from .evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict,
                         l4_decay_ratio, reconcile, run, variational_prediction,
@@ -213,15 +213,13 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     lam = spectral.lambda1
     a_values = parse_a_values(spc.a_values)
     t_far = math.log(1.0 / spc.data_eps) / lam
-    snap = tuple(np.linspace(t_far, 0.0, spc.n_snapshots))
-    ctrl = control_leg(bundle, t_far, spc.dt, snap)
+    sols = {a: approx_profiles(bundle, spectral, a, spc.order) for a in a_values}
+    _, legs = shoot_legs(bundle, spectral, sols.values(), t_far, dt=spc.dt,
+                         n_snapshots=spc.n_snapshots)
+    shots = dict(zip(sols, legs))
     summary = {"scenario": "special", "lambda1": lam, "t_far": t_far, "k": spc.order}
-    shots = {}
     for a in a_values:
-        shot = shoot_w(bundle, spectral, a, spc.order, dt=spc.dt,
-                       data_eps=spc.data_eps, n_snapshots=spc.n_snapshots,
-                       t_far=t_far, control=ctrl)
-        shots[a] = shot
+        shot = shots[a]
         tag = f"a{a:+g}"
         summary[f"{tag}_env_margin_k_half"] = shot.envelope_margin(
             spc.order + 0.5, shot.dev_wk, spc.window_lo, spc.window_hi)
@@ -232,8 +230,7 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
         write_csv(os.path.join(outdir, f"shot_{tag}.csv"),
                   ("t", "dev_wk", "dev_wk_raw", "dev_first", "hn_gap"),
                   zip(shot.times, shot.dev_wk, shot.dev_wk_raw, shot.dev_first, shot.hn_gap))
-        sol = approx_profiles(bundle, spectral, a, spc.order)
-        fit = residual_eps_k(sol, bundle, default_fit_window(lam))
+        fit = residual_eps_k(sols[a], bundle, default_fit_window(lam))
         summary[f"{tag}_epsk_slope_l2"] = fit["slope_l2"]
         summary[f"{tag}_epsk_slope_h1"] = fit["slope_h1"]
         summary[f"{tag}_epsk_target"] = fit["target_slope"]

@@ -177,9 +177,14 @@ def _shifted_factors(grid: RadialGrid, s: float, pole: complex):
 
 
 def _shifted_solve(grid: RadialGrid, s: float, pole: complex, b: np.ndarray) -> np.ndarray:
-    """(i s A - pole)^{-1} b."""
-    x, _ = zgttrs(*_shifted_factors(grid, s, pole), b)
-    return x
+    """(i s A - pole)^{-1} b for b of shape (n,) or (B, n), one system per row.
+
+    The rows of a C-order (B, n) array are the columns of its Fortran-order
+    transpose, so zgttrs takes b.T as its n x B right-hand side uncopied and
+    solves each column as it would solve it alone.
+    """
+    x, _ = zgttrs(*_shifted_factors(grid, s, pole), b.T)
+    return x.T
 
 
 class RadialPropagator:
@@ -200,28 +205,40 @@ class RadialPropagator:
         return y / self.sm
 
     def apply_linear(self, u: np.ndarray, v: np.ndarray, dt: float):
-        """One Pade [2/2] step of (e^{i dt Delta_h} u, e^{i kappa dt Delta_h} v)."""
+        """One Pade [2/2] step of (e^{i dt Delta_h} u, e^{i kappa dt Delta_h} v).
+
+        u, v of shape (n,), or (B, n) to step B states with one solve per
+        pole and component.
+        """
         return self._pade(u, dt), self._pade(v, self.kappa * dt)
 
     # -- discrete functionals ----------------------------------------------
+    # u, v of shape (n,) give a float, of shape (B, n) one value per row; a
+    # row's value equals the float of that row alone bit for bit (numpy sums
+    # each contiguous row pairwise, as it sums a 1-D array).
 
-    def discrete_H(self, u, v, system: str = "original") -> float:
+    def discrete_H(self, u, v, system: str = "original"):
         cv = self.kappa if system == "transformed" else 0.5 * self.kappa
         lap = self.grid.apply_laplacian
-        t1 = -np.real(np.sum(self.w_op * np.conj(u) * lap(u)))
-        t2 = -np.real(np.sum(self.w_op * np.conj(v) * lap(v)))
-        return float(t1 + cv * t2)
+        t1 = -np.real(np.sum(self.w_op * np.conj(u) * lap(u), axis=-1))
+        t2 = -np.real(np.sum(self.w_op * np.conj(v) * lap(v), axis=-1))
+        return _per_row(t1 + cv * t2)
 
-    def discrete_P(self, u, v) -> float:
-        return float(np.real(np.sum(self.w_op * u * u * np.conj(v))))
+    def discrete_P(self, u, v):
+        return _per_row(np.real(np.sum(self.w_op * u * u * np.conj(v), axis=-1)))
 
-    def discrete_E(self, u, v, system: str = "original") -> float:
+    def discrete_E(self, u, v, system: str = "original"):
         if system == "transformed":
             return 0.5 * self.discrete_H(u, v, system) - self.discrete_P(u, v)
         return 0.5 * (self.discrete_H(u, v, system) - self.discrete_P(u, v))
 
-    def discrete_mass(self, u, v) -> float:
-        return float(np.sum(self.w_op * (np.abs(u) ** 2 + np.abs(v) ** 2)))
+    def discrete_mass(self, u, v):
+        return _per_row(np.sum(self.w_op * (np.abs(u) ** 2 + np.abs(v) ** 2), axis=-1))
+
+
+def _per_row(x):
+    """A float for a single state, the array of row values for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def linear_propagator(u: FieldPair, dt: float, prop: RadialPropagator | None = None) -> FieldPair:
@@ -266,91 +283,148 @@ def _sponge_profile(grid: RadialGrid, cfg: EvolutionConfig) -> np.ndarray:
     return cfg.sponge_strength * ramp ** 2
 
 
+class _Series:
+    """Monitor series and snapshots of one batch member; its record at the end."""
+
+    _KEYS = ("times", "H", "P", "E", "mass", "delta", "l4_density")
+
+    def __init__(self, radii):
+        self.cols = {key: [] for key in self._KEYS}
+        self.virial = {name: {R: [] for R in radii} for name in ("I_R", "F_R", "V_R")}
+        self.snapshots = []
+
+    def append(self, *values) -> None:
+        """One monitor point: the values of _KEYS in order."""
+        for key, val in zip(self._KEYS, values):
+            self.cols[key].append(val)
+
+    def finish(self, final: FieldPair, termination: str, diagnostic: str,
+               steps: int, min_dt: float) -> TrajectoryRecord:
+        return TrajectoryRecord(
+            **{key: np.array(s) for key, s in self.cols.items()},
+            **{name: {R: np.array(s) for R, s in d.items()} for name, d in self.virial.items()},
+            termination=termination, final_state=final, final_time=self.cols["times"][-1],
+            snapshots=self.snapshots, steps=steps, min_dt=min_dt, diagnostic=diagnostic)
+
+
 def run(u0: FieldPair, cfg: EvolutionConfig, reference_H: float | None = None,
         t0: float = 0.0) -> TrajectoryRecord:
     """Integrate from t0 to cfg.t_end (backward if t_end < t0); record monitors."""
-    prop = RadialPropagator(u0.grid, u0.kappa)
+    return run_batch([u0], cfg, reference_H, t0)[0]
+
+
+def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
+              t0: float = 0.0) -> list[TrajectoryRecord]:
+    """``run`` for each state of u0s (one grid and kappa): one record each.
+
+    The fused Strang loop advances the members as the rows of one (B, n)
+    state, and each record equals the member's own ``run`` bit for bit; a
+    member that blows up or turns non-finite leaves the batch at that
+    monitor point.  Adaptive and Crank-Nicolson members run one at a time
+    (B = 1), since a step halving shared by the batch would change a
+    member's result.
+    """
+    u0s = list(u0s)
+    if not u0s:
+        raise ValueError("empty batch")
+    grid, kappa = u0s[0].grid, u0s[0].kappa
+    if any(p.grid != grid or p.kappa != kappa for p in u0s):
+        raise ValueError("batch members must share one grid and kappa")
     duration = cfg.t_end - t0
     if duration == 0:
         raise ValueError("empty integration interval")
+    unfused = cfg.adapt or cfg.scheme == "crank-nicolson"
+    if unfused and len(u0s) > 1:
+        return [run(u0, cfg, reference_H, t0) for u0 in u0s]
+    prop = RadialPropagator(grid, kappa)
     sgn = 1.0 if duration > 0 else -1.0
     dt = sgn * cfg.dt
-    nsteps = max(1, int(round(abs(duration) / cfg.dt)))
     c1 = _c1(cfg.system)
-    sponge = _sponge_profile(u0.grid, cfg) if cfg.sponge else None
+    sponge = _sponge_profile(grid, cfg) if cfg.sponge else None
 
-    m_l4 = int(np.searchsorted(u0.grid.nodes, L4_BALL_RADIUS))
+    m_l4 = int(np.searchsorted(grid.nodes, L4_BALL_RADIUS))
     w_l4 = prop.w_op[:m_l4]
-    weights = {}
-    for R in cfg.virial_radii:
-        weights[R] = VirialWeight.build(u0.grid, R)
+    weights = {R: VirialWeight.build(grid, R) for R in cfg.virial_radii}
 
-    times, Hs, Ps, Es, ms, dls, l4s = [], [], [], [], [], [], []
-    i_r = {R: [] for R in weights}
-    f_r = {R: [] for R in weights}
-    v_r = {R: [] for R in weights}
-    snapshots = []
+    series = [_Series(weights) for _ in u0s]
+    records = [None] * len(u0s)
     snap_due = sorted(cfg.snapshot_times, reverse=(sgn < 0))
     snap_idx = 0
+    n_points = 0
 
-    def record(t, u, v):
-        nonlocal snap_idx
-        H = prop.discrete_H(u, v, cfg.system)
-        P = prop.discrete_P(u, v)
-        E = prop.discrete_E(u, v, cfg.system)
-        times.append(t); Hs.append(H); Ps.append(P); Es.append(E)
-        ms.append(prop.discrete_mass(u, v))
-        dls.append(abs(H - reference_H) if reference_H is not None else math.nan)
-        l4s.append(float(np.sum(w_l4 * (np.abs(u[:m_l4]) ** 4 + np.abs(v[:m_l4]) ** 4))))
-        pair = None
-        if weights:
-            pair = pair_from_arrays(u0.grid, u, v, u0.kappa)
-            for R, wgt in weights.items():
-                i_r[R].append(virial_I(pair, wgt))
-                f_r[R].append(virial_F(pair, wgt))
-                v_r[R].append(mass_type_vr(pair, wgt))
-        want_snap = False
-        if cfg.snapshot_stride and (len(times) - 1) % cfg.snapshot_stride == 0:
-            want_snap = True
+    def record(t, U, V):
+        """Monitors of the running members (the rows of U, V) at t; their H."""
+        nonlocal snap_idx, n_points
+        H = prop.discrete_H(U, V, cfg.system)
+        P = prop.discrete_P(U, V)
+        E = prop.discrete_E(U, V, cfg.system)
+        mass = prop.discrete_mass(U, V)
+        l4 = np.sum(w_l4 * (np.abs(U[:, :m_l4]) ** 4 + np.abs(V[:, :m_l4]) ** 4), axis=-1)
+        want_snap = bool(cfg.snapshot_stride) and n_points % cfg.snapshot_stride == 0
         while snap_idx < len(snap_due) and (t - snap_due[snap_idx]) * sgn >= -0.25 * cfg.dt:
             want_snap = True
             snap_idx += 1
-        if want_snap:
-            if pair is None:
-                pair = pair_from_arrays(u0.grid, u, v, u0.kappa)
-            snapshots.append((t, pair))
+        n_points += 1
+        for j, b in enumerate(rows):
+            s = series[b]
+            h = float(H[j])
+            s.append(t, h, float(P[j]), float(E[j]), float(mass[j]),
+                     abs(h - reference_H) if reference_H is not None else math.nan,
+                     float(l4[j]))
+            pair = None
+            if weights:
+                pair = pair_from_arrays(grid, U[j], V[j], kappa)
+                for R, wgt in weights.items():
+                    s.virial["I_R"][R].append(virial_I(pair, wgt))
+                    s.virial["F_R"][R].append(virial_F(pair, wgt))
+                    s.virial["V_R"][R].append(mass_type_vr(pair, wgt))
+            if want_snap:
+                if pair is None:
+                    pair = pair_from_arrays(grid, U[j], V[j], kappa)
+                s.snapshots.append((t, pair))
         return H
 
-    u, v = u0.u.copy(), u0.v.copy()
-    H0 = record(t0, u, v)
-    H_ref = reference_H if reference_H is not None else abs(H0)
-    termination, diagnostic = "completed", ""
-    min_dt = abs(dt)
-    steps = 0
+    def end(mask, termination, diagnostic, steps, min_dt):
+        """Close the records of the running members in mask; drop them from the batch."""
+        nonlocal U, V, rows, H_ref
+        for j in np.flatnonzero(mask):
+            records[rows[j]] = series[rows[j]].finish(
+                pair_from_arrays(grid, U[j], V[j], kappa), termination, diagnostic,
+                steps, min_dt)
+        if np.any(mask):
+            keep = ~mask
+            U, V, rows, H_ref = U[keep], V[keep], rows[keep], H_ref[keep]
 
-    if cfg.scheme == "crank-nicolson":
-        stepper = _make_cn_stepper(prop, c1)
-    else:
-        stepper = None
+    # members are the C-order rows of U and V; rows[j] is row j's member
+    U = np.array([p.u for p in u0s])
+    V = np.array([p.v for p in u0s])
+    rows = np.arange(len(u0s))
+    H0 = record(t0, U, V)
+    H_ref = np.abs(H0) if reference_H is None else np.full(len(u0s), float(reference_H))
+    blowup = f"H exceeded {cfg.blowup_H_factor} x reference"
 
-    if cfg.adapt or cfg.scheme == "crank-nicolson":
-        # plain (unfused) stepping with optional step halving
+    if unfused:
+        # plain (unfused) stepping with optional step halving, B = 1
+        stepper = _make_cn_stepper(prop, c1) if cfg.scheme == "crank-nicolson" else None
+        termination, diagnostic = "completed", ""
+        min_dt = abs(dt)
+        steps = 0
         t = t0
         dt_cur = dt
         while (cfg.t_end - t) * sgn > 0.25 * cfg.dt:
             if abs(cfg.t_end - t) < abs(dt_cur):
                 dt_cur = cfg.t_end - t
             if stepper is not None:
-                un, vn = stepper(u, v, dt_cur)
+                Un, Vn = stepper(U, V, dt_cur)
             else:
-                un, vn = prop.apply_linear(u, v, dt_cur / 2)
-                un, vn = _rk4(un, vn, dt_cur, c1)
+                Un, Vn = prop.apply_linear(U, V, dt_cur / 2)
+                Un, Vn = _rk4(Un, Vn, dt_cur, c1)
                 if sponge is not None:
                     damp = np.exp(-sponge * abs(dt_cur))
-                    un *= damp; vn *= damp
-                un, vn = prop.apply_linear(un, vn, dt_cur / 2)
-            peak_old = max(np.max(np.abs(u)), np.max(np.abs(v)))
-            peak_new = max(np.max(np.abs(un)), np.max(np.abs(vn)))
+                    Un *= damp; Vn *= damp
+                Un, Vn = prop.apply_linear(Un, Vn, dt_cur / 2)
+            peak_old = max(np.max(np.abs(U)), np.max(np.abs(V)))
+            peak_new = max(np.max(np.abs(Un)), np.max(np.abs(Vn)))
             if cfg.adapt and (not np.isfinite(peak_new) or peak_new > GROWTH_LIMIT * peak_old):
                 dt_cur = 0.5 * dt_cur
                 min_dt = min(min_dt, abs(dt_cur))
@@ -358,53 +432,45 @@ def run(u0: FieldPair, cfg: EvolutionConfig, reference_H: float | None = None,
                     termination, diagnostic = "blowup", "step collapse"
                     break
                 continue
-            u, v = un, vn
+            U, V = Un, Vn
             t += dt_cur
             steps += 1
             if not np.isfinite(peak_new):
                 termination, diagnostic = "instability", "non-finite state"
                 break
             if steps % cfg.monitor_stride == 0 or (cfg.t_end - t) * sgn <= 0.25 * cfg.dt:
-                H = record(t, u, v)
-                if H > cfg.blowup_H_factor * H_ref:
-                    termination, diagnostic = "blowup", f"H exceeded {cfg.blowup_H_factor} x reference"
+                H = record(t, U, V)
+                if H[0] > cfg.blowup_H_factor * H_ref[0]:
+                    termination, diagnostic = "blowup", blowup
                     break
-    else:
-        # fused Strang: L(dt/2) [N L(dt)]^* N L(dt/2) with re-splits at monitors
-        t = t0
-        u, v = prop.apply_linear(u, v, dt / 2)
-        for i in range(nsteps):
-            u, v = _rk4(u, v, dt, c1)
-            if sponge is not None:
-                damp = np.exp(-sponge * abs(dt))
-                u *= damp; v *= damp
-            t = t0 + (i + 1) * dt
-            steps += 1
-            last = i == nsteps - 1
-            at_monitor = ((i + 1) % cfg.monitor_stride == 0) or last
-            if at_monitor:
-                u, v = prop.apply_linear(u, v, dt / 2)
-                if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                    termination, diagnostic = "instability", "non-finite state"
-                    break
-                H = record(t, u, v)
-                if H > cfg.blowup_H_factor * H_ref:
-                    termination, diagnostic = "blowup", f"H exceeded {cfg.blowup_H_factor} x reference"
-                    break
-                if not last:
-                    u, v = prop.apply_linear(u, v, dt / 2)
-            else:
-                u, v = prop.apply_linear(u, v, dt)
+        end(np.ones(1, bool), termination, diagnostic, steps, min_dt)
+        return records
 
-    final = pair_from_arrays(u0.grid, u, v, u0.kappa)
-    return TrajectoryRecord(
-        times=np.array(times), H=np.array(Hs), P=np.array(Ps), E=np.array(Es),
-        mass=np.array(ms), delta=np.array(dls), l4_density=np.array(l4s),
-        I_R={R: np.array(s) for R, s in i_r.items()},
-        F_R={R: np.array(s) for R, s in f_r.items()},
-        V_R={R: np.array(s) for R, s in v_r.items()},
-        termination=termination, final_state=final, final_time=times[-1],
-        snapshots=snapshots, steps=steps, min_dt=min_dt, diagnostic=diagnostic)
+    # fused Strang: L(dt/2) [N L(dt)]^* N L(dt/2) with re-splits at monitors
+    nsteps = max(1, int(round(abs(duration) / cfg.dt)))
+    damp = np.exp(-sponge * abs(dt)) if sponge is not None else None
+    U, V = prop.apply_linear(U, V, dt / 2)
+    for i in range(nsteps):
+        U, V = _rk4(U, V, dt, c1)
+        if damp is not None:
+            U *= damp; V *= damp
+        t = t0 + (i + 1) * dt
+        last = i == nsteps - 1
+        if (i + 1) % cfg.monitor_stride and not last:
+            U, V = prop.apply_linear(U, V, dt)
+            continue
+        U, V = prop.apply_linear(U, V, dt / 2)
+        finite = np.all(np.isfinite(U), axis=1) & np.all(np.isfinite(V), axis=1)
+        end(~finite, "instability", "non-finite state", i + 1, abs(dt))
+        if rows.size:
+            H = record(t, U, V)
+            end(H > cfg.blowup_H_factor * H_ref, "blowup", blowup, i + 1, abs(dt))
+        if not rows.size:
+            break
+        if not last:
+            U, V = prop.apply_linear(U, V, dt / 2)
+    end(np.ones(rows.size, bool), "completed", "", nsteps, abs(dt))
+    return records
 
 
 def _make_cn_stepper(prop: RadialPropagator, c1: float):

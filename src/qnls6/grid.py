@@ -178,11 +178,12 @@ class RadialGrid:
         return sub, diag, sup
 
     def apply_laplacian(self, x: np.ndarray) -> np.ndarray:
-        """Delta_h x under the dirichlet rule (real or complex x)."""
+        """Delta_h x under the dirichlet rule (real or complex x of shape (n,),
+        or (B, n) for B states at once)."""
         sub, diag, sup = self.dirichlet_tridiag
         out = diag * x
-        out[:-1] += sup * x[1:]
-        out[1:] += sub * x[:-1]
+        out[..., :-1] += sup * x[..., 1:]
+        out[..., 1:] += sub * x[..., :-1]
         return out
 
     def laplacian_matrix(self, boundary: str = "dirichlet", order: int = 2) -> sp.csr_matrix:

@@ -40,7 +40,7 @@ from .groundstate import GroundStateBundle, transform_T
 from .functionals import energy, hamiltonian
 from .linops import BlockOperatorE, bilinear_N, build_block_E
 from .spectrum import SpectralResult
-from .evolution import EvolutionConfig, RadialPropagator, TrajectoryRecord, run
+from .evolution import EvolutionConfig, RadialPropagator, TrajectoryRecord, run_batch
 
 
 class ShootingError(RuntimeError):
@@ -235,55 +235,62 @@ class SpecialTrajectory:
         return float(-np.polyfit(self.times[m], np.log(np.abs(self.hn_gap[m])), 1)[0])
 
 
-def _leg_config(dt: float, snap_times: tuple, monitor_stride: int = 50) -> EvolutionConfig:
-    return EvolutionConfig(dt=dt, t_end=0.0, system="transformed",
-                           monitor_stride=monitor_stride, snapshot_times=snap_times,
-                           blowup_H_factor=1e6)
+def _leg_config(dt: float, snap_times: tuple) -> EvolutionConfig:
+    return EvolutionConfig(dt=dt, t_end=0.0, system="transformed", monitor_stride=50,
+                           snapshot_times=snap_times, blowup_H_factor=1e6)
+
+
+def _run_legs(bundle: GroundStateBundle, prop: RadialPropagator, data: list, t_far: float,
+              dt: float, snap_times: tuple) -> list:
+    """Backward legs from each state of data at t_far down to 0, as one batch.
+
+    Every leg is measured against reference_H = H_N(T(bQ)).
+    """
+    tq = bundle.t_q
+    h_ref = prop.discrete_H(tq.u, tq.v, "transformed")
+    return run_batch(data, _leg_config(dt, snap_times), reference_H=h_ref, t0=t_far)
 
 
 def control_leg(bundle: GroundStateBundle, t_far: float, dt: float,
-                snap_times: tuple, monitor_stride: int = 50) -> TrajectoryRecord:
+                snap_times: tuple) -> TrajectoryRecord:
     """Backward integration of the bare discrete ground state over the leg."""
-    tq = bundle.t_q
-    cfg = _leg_config(dt, snap_times, monitor_stride)
     prop = RadialPropagator(bundle.grid, bundle.kappa)
-    h_ref = prop.discrete_H(tq.u, tq.v, "transformed")
-    return run(tq, cfg, reference_H=h_ref, t0=t_far)
+    return _run_legs(bundle, prop, [bundle.t_q], t_far, dt, snap_times)[0]
 
 
-def shoot_w(bundle: GroundStateBundle, spectral: SpectralResult, a: float, k: int,
-            dt: float = 1e-3, data_eps: float = 1e-2, n_snapshots: int = 60,
-            t_far: float | None = None, control: TrajectoryRecord | None = None,
-            sol: ApproxSolution | None = None) -> SpecialTrajectory:
-    """Backward shooting from W_k^a(t_far) = T(bQ) + U_k^a(t_far) down to t=0.
+def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far: float,
+               dt: float = 1e-3, n_snapshots: int = 60,
+               control: TrajectoryRecord | None = None):
+    """Backward shooting of W^a for the profile set of every a in sols, as one batch.
 
-    The bundle must use the discrete background so that T(bQ) is stationary
-    for the integrator up to the truncation obstruction; the control leg
-    removes that drift from the deviation series.
+    Each leg starts from W_k^a(t_far) = T(bQ) + U_k^a(t_far).  Unless
+    ``control`` is given, the control leg from T(bQ) runs in the same batch:
+    the legs share grid, dt, t_far and the snapshot times.  Returns the
+    control record and one SpecialTrajectory per profile set.
     """
-    if a == 0.0:
+    sols = list(sols)
+    if any(sol.a == 0.0 for sol in sols):
         raise ValueError("a = 0 is the control leg; use control_leg()")
-    lam = spectral.lambda1
-    if t_far is None:
-        t_far = math.log(abs(a) / data_eps) / lam
-        if t_far <= 0:
-            raise ShootingError("amplitude already larger than data_eps at t = 0")
-    if sol is None:
-        sol = approx_profiles(bundle, spectral, a, k)
-    elif sol.a != a or sol.k < k:
-        raise ValueError("supplied profile set does not match (a, k)")
     snap_times = tuple(np.linspace(t_far, 0.0, n_snapshots))
-    if control is None:
-        control = control_leg(bundle, t_far, dt, snap_times)
     tq = bundle.t_q
-    data = tq + sol.evaluate(t_far)
-    cfg = _leg_config(dt, snap_times)
+    data = [tq + sol.evaluate(t_far) for sol in sols]
+    if control is None:
+        data.insert(0, tq)
     prop = RadialPropagator(bundle.grid, bundle.kappa)
-    hn_tq = prop.discrete_H(tq.u, tq.v, "transformed")
-    rec = run(data, cfg, reference_H=hn_tq, t0=t_far)
+    recs = _run_legs(bundle, prop, data, t_far, dt, snap_times)
+    if control is None:
+        control = recs.pop(0)
+    return control, [_trajectory(bundle, spectral, sol, t_far, rec, control, prop)
+                     for sol, rec in zip(sols, recs)]
+
+
+def _trajectory(bundle: GroundStateBundle, spectral: SpectralResult, sol: ApproxSolution,
+                t_far: float, rec: TrajectoryRecord, control: TrajectoryRecord,
+                prop: RadialPropagator) -> SpecialTrajectory:
+    """Control-subtracted deviation diagnostics of one shooting leg."""
     if rec.termination != "completed":
         raise ShootingError(f"shooting leg terminated early: {rec.termination} ({rec.diagnostic})")
-
+    a, lam, tq = sol.a, spectral.lambda1, bundle.t_q
     ctrl_states = {round(t, 9): s for t, s in control.snapshots}
     times, dev, dev_raw, dev1, hng = [], [], [], [], []
     states = {}
@@ -304,11 +311,36 @@ def shoot_w(bundle: GroundStateBundle, spectral: SpectralResult, a: float, k: in
         hng.append(gap)
         times.append(t)
         states[key] = state
-    return SpecialTrajectory(a=a, k=k, lambda1=lam, t_far=t_far,
+    return SpecialTrajectory(a=a, k=sol.k, lambda1=lam, t_far=t_far,
                              times=np.array(times), dev_wk=np.array(dev),
                              dev_wk_raw=np.array(dev_raw), dev_first=np.array(dev1),
                              hn_gap=np.array(hng), record=rec, state_at=states,
                              bundle=bundle)
+
+
+def shoot_w(bundle: GroundStateBundle, spectral: SpectralResult, a: float, k: int,
+            dt: float = 1e-3, data_eps: float = 1e-2, n_snapshots: int = 60,
+            t_far: float | None = None, control: TrajectoryRecord | None = None,
+            sol: ApproxSolution | None = None) -> SpecialTrajectory:
+    """Backward shooting from W_k^a(t_far) = T(bQ) + U_k^a(t_far) down to t=0.
+
+    The bundle must use the discrete background so that T(bQ) is stationary
+    for the integrator up to the truncation obstruction; the control leg
+    removes that drift from the deviation series.  Without ``control`` it
+    runs in one batch with this leg (``shoot_legs``).
+    """
+    if a == 0.0:
+        raise ValueError("a = 0 is the control leg; use control_leg()")
+    lam = spectral.lambda1
+    if t_far is None:
+        t_far = math.log(abs(a) / data_eps) / lam
+        if t_far <= 0:
+            raise ShootingError("amplitude already larger than data_eps at t = 0")
+    if sol is None:
+        sol = approx_profiles(bundle, spectral, a, k)
+    elif sol.a != a or sol.k < k:
+        raise ValueError("supplied profile set does not match (a, k)")
+    return shoot_legs(bundle, spectral, [sol], t_far, dt, n_snapshots, control)[1][0]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from qnls6.evolution import (FACTOR_CACHE_SIZE, L4_BALL_RADIUS, PADE_POLES,
                              THRESHOLD_E_BAND, EvolutionConfig, RadialPropagator,
                              TrajectoryRecord, _shifted_factors, check_virial_identity,
                              detect, dynamical_verdict, l4_decay_ratio, linear_propagator,
-                             nonlinear_substep, read_checkpoint, reconcile, run,
+                             nonlinear_substep, read_checkpoint, reconcile, run, run_batch,
                              variational_prediction, vr_identity_defect,
                              write_checkpoint)
 from qnls6.grid import GridError, RadialGrid, h1dot_norm, pair_from_arrays
@@ -433,3 +433,78 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:keep])
         with pytest.raises(GridError, match="truncated"):
             read_checkpoint(str(p), evo_grid)
+
+
+def assert_same_record(a: TrajectoryRecord, b: TrajectoryRecord):
+    for name in ("times", "H", "P", "E", "mass", "delta", "l4_density"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    for name in ("I_R", "F_R", "V_R"):
+        sa, sb = getattr(a, name), getattr(b, name)
+        assert sa.keys() == sb.keys()
+        assert all(np.array_equal(sa[R], sb[R]) for R in sa), name
+    assert (a.termination, a.diagnostic, a.steps, a.min_dt, a.final_time) == \
+        (b.termination, b.diagnostic, b.steps, b.min_dt, b.final_time)
+    assert np.array_equal(a.final_state.u, b.final_state.u)
+    assert np.array_equal(a.final_state.v, b.final_state.v)
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    for (_, pa), (_, pb) in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(pa.u, pb.u) and np.array_equal(pa.v, pb.v)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("reference, scale", [("own", 2.0), ("Q", 1.5)])
+    def test_fused_members_equal_solo_runs(self, evo_grid, evo_bundle, reference, scale):
+        # member 1 crosses blowup_H_factor and leaves the batch mid-run; the
+        # members on either side of it go on to t_end
+        from qnls6.functionals import hamiltonian
+        members = [0.7 * evo_bundle.q_vec, scale * evo_bundle.q_vec, gaussian_pair(evo_grid)]
+        h_ref = None if reference == "own" else hamiltonian(evo_bundle.q_vec)
+        cfg = EvolutionConfig(dt=2e-3, t_end=4.0, monitor_stride=7, blowup_H_factor=3.0,
+                              snapshot_stride=9, snapshot_times=(0.5, 1.0, 3.3),
+                              virial_radii=(5.0, math.inf), sponge=True)
+        batch = run_batch(members, cfg, reference_H=h_ref)
+        assert [rec.termination for rec in batch] == ["completed", "blowup", "completed"]
+        assert batch[1].steps < batch[0].steps
+        for u0, rec in zip(members, batch):
+            assert_same_record(rec, run(u0, cfg, reference_H=h_ref))
+
+    def test_backward_members_equal_solo_runs(self, evo_grid, evo_bundle):
+        rng = np.random.default_rng(205)
+        tq = evo_bundle.t_q
+        members = [tq, tq + random_pair(evo_grid, 0.5, rng, scale=1e-2)]
+        cfg = EvolutionConfig(dt=3e-3, t_end=0.0, system="transformed", monitor_stride=5,
+                              snapshot_times=tuple(np.linspace(0.6, 0.0, 7)))
+        batch = run_batch(members, cfg, reference_H=1.0, t0=0.6)
+        for u0, rec in zip(members, batch):
+            assert_same_record(rec, run(u0, cfg, reference_H=1.0, t0=0.6))
+
+    @pytest.mark.parametrize("scheme", ["strang-split", "crank-nicolson"])
+    def test_unfused_members_equal_solo_runs(self, evo_grid, evo_bundle, scheme):
+        members = [gaussian_pair(evo_grid), 1.3 * evo_bundle.q_vec]
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.6, adapt=True, scheme=scheme,
+                              monitor_stride=10, snapshot_stride=4)
+        batch = run_batch(members, cfg)
+        for u0, rec in zip(members, batch):
+            assert_same_record(rec, run(u0, cfg))
+
+    def test_members_share_grid_and_kappa(self, evo_grid):
+        other = RadialGrid(n=64, r_max=120.0, stretch=19.0)
+        cfg = EvolutionConfig(dt=1e-3, t_end=1e-2)
+        with pytest.raises(ValueError, match="share"):
+            run_batch([gaussian_pair(evo_grid), gaussian_pair(other)], cfg)
+        with pytest.raises(ValueError, match="share"):
+            run_batch([gaussian_pair(evo_grid), gaussian_pair(evo_grid, kappa=1.0)], cfg)
+
+    def test_batched_functionals_equal_single_ones(self, evo_grid):
+        rng = np.random.default_rng(206)
+        pairs = [random_pair(evo_grid, 0.5, rng) for _ in range(3)]
+        prop = RadialPropagator(evo_grid, 0.5)
+        U = np.array([p.u for p in pairs])
+        V = np.array([p.v for p in pairs])
+        for name in ("discrete_H", "discrete_P", "discrete_E", "discrete_mass"):
+            rows = getattr(prop, name)(U, V)
+            assert np.array_equal(rows, [getattr(prop, name)(p.u, p.v) for p in pairs]), name
+        Ub, Vb = prop.apply_linear(U, V, 1e-3)
+        for j, p in enumerate(pairs):
+            u1, v1 = prop.apply_linear(p.u, p.v, 1e-3)
+            assert np.array_equal(Ub[j], u1) and np.array_equal(Vb[j], v1)
