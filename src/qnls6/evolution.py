@@ -352,8 +352,14 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
     snap_idx = 0
     n_points = 0
 
-    def record(t, U, V):
-        """Monitors of the running members (the rows of U, V) at t; their H."""
+    def record(t, U, V, final=False):
+        """Monitors of the running members (the rows of U, V) at t; their H.
+
+        A snapshot is taken at the first monitor point within dt/4 of its
+        requested time, or at the final point when within dt/2 of it: the
+        fused loop's round(|t_end - t0| / dt) steps can end up to dt/2 short
+        of t_end.
+        """
         nonlocal snap_idx, n_points
         H = prop.discrete_H(U, V, cfg.system)
         P = prop.discrete_P(U, V)
@@ -361,7 +367,8 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
         mass = prop.discrete_mass(U, V)
         l4 = np.sum(w_l4 * (np.abs(U[:, :m_l4]) ** 4 + np.abs(V[:, :m_l4]) ** 4), axis=-1)
         want_snap = bool(cfg.snapshot_stride) and n_points % cfg.snapshot_stride == 0
-        while snap_idx < len(snap_due) and (t - snap_due[snap_idx]) * sgn >= -0.25 * cfg.dt:
+        reach = (0.5 if final else 0.25) * cfg.dt
+        while snap_idx < len(snap_due) and (t - snap_due[snap_idx]) * sgn >= -reach:
             want_snap = True
             snap_idx += 1
         n_points += 1
@@ -438,8 +445,9 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
             if not np.isfinite(peak_new):
                 termination, diagnostic = "instability", "non-finite state"
                 break
-            if steps % cfg.monitor_stride == 0 or (cfg.t_end - t) * sgn <= 0.25 * cfg.dt:
-                H = record(t, U, V)
+            final = (cfg.t_end - t) * sgn <= 0.25 * cfg.dt
+            if steps % cfg.monitor_stride == 0 or final:
+                H = record(t, U, V, final)
                 if H[0] > cfg.blowup_H_factor * H_ref[0]:
                     termination, diagnostic = "blowup", blowup
                     break
@@ -463,7 +471,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
         finite = np.all(np.isfinite(U), axis=1) & np.all(np.isfinite(V), axis=1)
         end(~finite, "instability", "non-finite state", i + 1, abs(dt))
         if rows.size:
-            H = record(t, U, V)
+            H = record(t, U, V, last)
             end(H > cfg.blowup_H_factor * H_ref, "blowup", blowup, i + 1, abs(dt))
         if not rows.size:
             break

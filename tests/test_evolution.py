@@ -508,3 +508,19 @@ class TestBatch:
         for j, p in enumerate(pairs):
             u1, v1 = prop.apply_linear(p.u, p.v, 1e-3)
             assert np.array_equal(Ub[j], u1) and np.array_equal(Vb[j], v1)
+
+
+class TestSnapshotTimes:
+    def test_final_point_takes_snapshot_due_within_half_a_step(self, evo_grid):
+        # round(4.35) = 4 steps end 0.35 dt short of t_end, beyond dt/4
+        cfg = EvolutionConfig(dt=0.01, t_end=0.0435, monitor_stride=1,
+                              snapshot_times=(0.0, 0.02, 0.0435))
+        rec = run(gaussian_pair(evo_grid), cfg)
+        assert rec.final_time == pytest.approx(0.04)
+        assert [t for t, _ in rec.snapshots] == pytest.approx([0.0, 0.02, 0.04])
+
+    def test_interior_points_keep_the_quarter_step_rule(self, evo_grid):
+        cfg = EvolutionConfig(dt=0.01, t_end=0.05, monitor_stride=1,
+                              snapshot_times=(0.0135, 0.05))
+        rec = run(gaussian_pair(evo_grid), cfg)
+        assert [t for t, _ in rec.snapshots] == pytest.approx([0.02, 0.05])
