@@ -29,6 +29,17 @@ exact-linear run in Hdot1, [2/2] 2.6e-10.  One Pade step is accurate only
 for small |c dt| (t = 0.25 in one step is 13 % off), so
 ``linear_propagator`` sub-steps by LINEAR_SUBSTEP.
 
+Batches: ``run_batch`` advances B trajectories on one grid as the rows of a
+C-order (B, n) array per component.  The transpose of that array is the
+Fortran-order n x B right-hand side of zgttrs, so one solve per pole and
+component steps every row, and RK4, the sponge and the monitors act on all
+rows at once; the monitor sums run along each contiguous row with the same
+pairwise summation as a 1-D sum, so every member's record is bit-identical
+to its own run.  ``run`` is a batch of one.  A member that blows up leaves
+the batch at that monitor point.  Adaptive and Crank-Nicolson members run
+one at a time, since a step halving shared by the batch would change a
+member's result.
+
 Monitored quantities use the solver-consistent discrete functionals
 (<-Delta_h u, u> with cell-mass weights), so the reported E/mass drift
 measures integrator error rather than the fixed spatial quadrature offset.
@@ -319,10 +330,10 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
 
     The fused Strang loop advances the members as the rows of one (B, n)
     state, and each record equals the member's own ``run`` bit for bit; a
-    member that blows up or turns non-finite leaves the batch at that
-    monitor point.  Adaptive and Crank-Nicolson members run one at a time
-    (B = 1), since a step halving shared by the batch would change a
-    member's result.
+    member that blows up leaves the batch at that monitor point, and one
+    that turns non-finite raises GridError, as its own run does.  Adaptive
+    and Crank-Nicolson members run one at a time (B = 1), since a step
+    halving shared by the batch would change a member's result.
     """
     u0s = list(u0s)
     if not u0s:
