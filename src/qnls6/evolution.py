@@ -239,9 +239,7 @@ class RadialPropagator:
         return _per_row(np.real(np.sum(self.w_op * u * u * np.conj(v), axis=-1)))
 
     def discrete_E(self, u, v, system: str = "original"):
-        if system == "transformed":
-            return 0.5 * self.discrete_H(u, v, system) - self.discrete_P(u, v)
-        return 0.5 * (self.discrete_H(u, v, system) - self.discrete_P(u, v))
+        return _energy(self.discrete_H(u, v, system), self.discrete_P(u, v), system)
 
     def discrete_mass(self, u, v):
         return _per_row(np.sum(self.w_op * (np.abs(u) ** 2 + np.abs(v) ** 2), axis=-1))
@@ -250,6 +248,13 @@ class RadialPropagator:
 def _per_row(x):
     """A float for a single state, the array of row values for a batch."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _energy(H, P, system: str):
+    """E from the discrete H and P (floats, or arrays of row values)."""
+    if system == "transformed":
+        return 0.5 * H - P
+    return 0.5 * (H - P)
 
 
 def linear_propagator(u: FieldPair, dt: float, prop: RadialPropagator | None = None) -> FieldPair:
@@ -374,7 +379,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
         nonlocal snap_idx, n_points
         H = prop.discrete_H(U, V, cfg.system)
         P = prop.discrete_P(U, V)
-        E = prop.discrete_E(U, V, cfg.system)
+        E = _energy(H, P, cfg.system)
         mass = prop.discrete_mass(U, V)
         l4 = np.sum(w_l4 * (np.abs(U[:, :m_l4]) ** 4 + np.abs(V[:, :m_l4]) ** 4), axis=-1)
         want_snap = bool(cfg.snapshot_stride) and n_points % cfg.snapshot_stride == 0
