@@ -427,27 +427,29 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
     blowup = f"H exceeded {cfg.blowup_H_factor} x reference"
 
     if unfused:
-        # plain (unfused) stepping with optional step halving, B = 1
+        # plain (unfused) stepping with optional step halving of the one
+        # member, on its 1-D row u, v (record and end see it as U, V)
         stepper = _make_cn_stepper(prop, c1) if cfg.scheme == "crank-nicolson" else None
         termination, diagnostic = "completed", ""
         min_dt = abs(dt)
         steps = 0
         t = t0
         dt_cur = dt
+        u, v = U[0], V[0]
         while (cfg.t_end - t) * sgn > 0.25 * cfg.dt:
             if abs(cfg.t_end - t) < abs(dt_cur):
                 dt_cur = cfg.t_end - t
             if stepper is not None:
-                Un, Vn = stepper(U, V, dt_cur)
+                un, vn = stepper(u, v, dt_cur)
             else:
-                Un, Vn = prop.apply_linear(U, V, dt_cur / 2)
-                Un, Vn = _rk4(Un, Vn, dt_cur, c1)
+                un, vn = prop.apply_linear(u, v, dt_cur / 2)
+                un, vn = _rk4(un, vn, dt_cur, c1)
                 if sponge is not None:
                     damp = np.exp(-sponge * abs(dt_cur))
-                    Un *= damp; Vn *= damp
-                Un, Vn = prop.apply_linear(Un, Vn, dt_cur / 2)
-            peak_old = max(np.max(np.abs(U)), np.max(np.abs(V)))
-            peak_new = max(np.max(np.abs(Un)), np.max(np.abs(Vn)))
+                    un *= damp; vn *= damp
+                un, vn = prop.apply_linear(un, vn, dt_cur / 2)
+            peak_old = max(np.max(np.abs(u)), np.max(np.abs(v)))
+            peak_new = max(np.max(np.abs(un)), np.max(np.abs(vn)))
             if cfg.adapt and (not np.isfinite(peak_new) or peak_new > GROWTH_LIMIT * peak_old):
                 dt_cur = 0.5 * dt_cur
                 min_dt = min(min_dt, abs(dt_cur))
@@ -455,7 +457,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
                     termination, diagnostic = "blowup", "step collapse"
                     break
                 continue
-            U, V = Un, Vn
+            u, v = un, vn
             t += dt_cur
             steps += 1
             if not np.isfinite(peak_new):
@@ -463,10 +465,11 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
                 break
             final = (cfg.t_end - t) * sgn <= 0.25 * cfg.dt
             if steps % cfg.monitor_stride == 0 or final:
-                H = record(t, U, V, final)
+                H = record(t, u[None], v[None], final)
                 if H[0] > cfg.blowup_H_factor * H_ref[0]:
                     termination, diagnostic = "blowup", blowup
                     break
+        U, V = u[None], v[None]
         end(np.ones(1, bool), termination, diagnostic, steps, min_dt)
         return records
 
