@@ -308,6 +308,7 @@ class _Series:
         self.cols = {key: [] for key in self._KEYS}
         self.virial = {name: {R: [] for R in radii} for name in ("I_R", "F_R", "V_R")}
         self.snapshots = []
+        self.last = None           # (u, v) at the latest monitor point
 
     def append(self, *values) -> None:
         """One monitor point: the values of _KEYS in order."""
@@ -335,8 +336,8 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
 
     The fused Strang loop advances the members as the rows of one (B, n)
     state, and each record equals the member's own ``run`` bit for bit; a
-    member that blows up leaves the batch at that monitor point, and one
-    that turns non-finite raises GridError, as its own run does.  Adaptive
+    member that blows up or turns non-finite leaves the batch at that
+    monitor point (termination "blowup" or "instability").  Adaptive
     and Crank-Nicolson members run one at a time (B = 1), since a step
     halving shared by the batch would change a member's result.
     """
@@ -390,6 +391,9 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
         n_points += 1
         for j, b in enumerate(rows):
             s = series[b]
+            # views of U, V: the loops rebind the state after a monitor point
+            # and never write into a recorded array
+            s.last = (U[j], V[j])
             h = float(H[j])
             s.append(t, h, float(P[j]), float(E[j]), float(mass[j]),
                      abs(h - reference_H) if reference_H is not None else math.nan,
@@ -408,12 +412,17 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
         return H
 
     def end(mask, termination, diagnostic, steps, min_dt):
-        """Close the records of the running members in mask; drop them from the batch."""
+        """Close the records of the running members in mask; drop them from the batch.
+
+        A non-finite member ("instability") keeps as its final state the one
+        at its latest monitor point, the time its record ends at.
+        """
         nonlocal U, V, rows, H_ref
         for j in np.flatnonzero(mask):
-            records[rows[j]] = series[rows[j]].finish(
-                pair_from_arrays(grid, U[j], V[j], kappa), termination, diagnostic,
-                steps, min_dt)
+            s = series[rows[j]]
+            u, v = s.last if termination == "instability" else (U[j], V[j])
+            records[rows[j]] = s.finish(pair_from_arrays(grid, u, v, kappa), termination,
+                                        diagnostic, steps, min_dt)
         if np.any(mask):
             keep = ~mask
             U, V, rows, H_ref = U[keep], V[keep], rows[keep], H_ref[keep]

@@ -177,6 +177,22 @@ class RadialGrid:
             a.setflags(write=False)
         return sub, diag, sup
 
+    @cached_property
+    def derivative_weights(self):
+        """Coefficients of ``radial_derivative``: (a, b, c, first, last).
+
+        Interior rows are (a (f[i+1] - f[i]) + b (f[i] - f[i-1])) / c; the end
+        rows are the weight triples ``first`` @ f[:3] and ``last`` @ f[-3:].
+        """
+        r = self.nodes
+        hm = r[1:-1] - r[:-2]
+        hp = r[2:] - r[1:-1]
+        out = (hm / hp, hp / hm, hm + hp,
+               _onesided_weights(r[0], r[:3]), _onesided_weights(r[-1], r[-3:]))
+        for a in out:
+            a.setflags(write=False)
+        return out
+
     def apply_laplacian(self, x: np.ndarray) -> np.ndarray:
         """Delta_h x under the dirichlet rule (real or complex x of shape (n,),
         or (B, n) for B states at once)."""
@@ -352,23 +368,24 @@ def laplacian6(f: RadialField, boundary: str = "dirichlet", order: int = 2) -> R
 
 def radial_derivative(f: RadialField) -> RadialField:
     """Centered d/dr (second order on the smooth mapped grid, one-sided ends)."""
-    r = f.grid.nodes
-    v = f.values
+    return RadialField(f.grid, _ddr(f.grid, f.values))
+
+
+def _ddr(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
+    a, b, c, first, last = grid.derivative_weights
     out = np.empty_like(v)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = (hm / hp * (v[2:] - v[1:-1]) + hp / hm * (v[1:-1] - v[:-2])) / (hm + hp)
+    out[1:-1] = (a * (v[2:] - v[1:-1]) + b * (v[1:-1] - v[:-2])) / c
     # one-sided quadratic at both ends
-    out[0] = _onesided(r[0], r[:3], v[:3])
-    out[-1] = _onesided(r[-1], r[-3:], v[-3:])
-    return RadialField(f.grid, out)
+    out[0] = first @ v[:3]
+    out[-1] = last @ v[-3:]
+    return out
 
 
-def _onesided(x0, xs, vs):
+def _onesided_weights(x0, xs):
     d = xs - x0
     V = np.vander(d, increasing=True).T
     b = np.zeros(len(xs)); b[1] = 1.0
-    return np.linalg.solve(V, b) @ vs
+    return np.linalg.solve(V, b)
 
 
 def integrate6(f: RadialField):
@@ -385,13 +402,18 @@ def h1dot_inner(f: FieldPair, g: FieldPair) -> float:
     """Re int grad f1 . grad g1~ + grad f2 . grad g2~  (plain product norm)."""
     if f.grid != g.grid:
         raise GridError("inner product requires a shared grid")
-    df1 = radial_derivative(f.first).values
-    df2 = radial_derivative(f.second).values
-    dg1 = radial_derivative(g.first).values
-    dg2 = radial_derivative(g.second).values
-    w = f.grid.quad_weights
-    return float(np.real(np.sum(w * (df1 * np.conj(dg1) + df2 * np.conj(dg2)))))
+    return _h1dot(f.grid, _gradients(f), _gradients(g))
 
 
 def h1dot_norm(f: FieldPair) -> float:
-    return float(np.sqrt(max(h1dot_inner(f, f), 0.0)))
+    df = _gradients(f)
+    return float(np.sqrt(max(_h1dot(f.grid, df, df), 0.0)))
+
+
+def _gradients(f: FieldPair):
+    return _ddr(f.grid, f.u), _ddr(f.grid, f.v)
+
+
+def _h1dot(grid: RadialGrid, df, dg) -> float:
+    w = grid.quad_weights
+    return float(np.real(np.sum(w * (df[0] * np.conj(dg[0]) + df[1] * np.conj(dg[1])))))

@@ -77,6 +77,27 @@ class PairOperator:
         S = (M * d[:, None]) / d[None, :]
         return 0.5 * (S + S.T)
 
+    def symmetric_banded(self) -> np.ndarray:
+        """``symmetric_dense`` in the lower band storage of ``eigvals_banded``.
+
+        The components are interleaved, (f1_0, f2_0, f1_1, f2_1, ...), which
+        makes the matrix banded with lower bandwidth 2 (order-2 rule): row
+        ``k`` of the (3, 2n) result holds the k-th subdiagonal.
+        """
+        n = self.n
+        m = self.grid.cell_masses
+        d = np.sqrt(np.concatenate([m, m]))
+        S = sp.diags(d) @ self.mat @ sp.diags(1.0 / d)
+        perm = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()
+        S = (0.5 * (S + S.T)).tocsr()[perm][:, perm].tocoo()
+        if np.any(np.abs(S.row - S.col) > 2):
+            raise ValueError(f"{self.label} is not banded with bandwidth 2 "
+                             f"({self.boundary}, order {self.order})")
+        band = np.zeros((3, 2 * n))
+        for k in range(3):
+            band[k, :2 * n - k] = S.diagonal(-k)
+        return band
+
 
 def _kinetic_blocks(grid: RadialGrid, k1: float, k2: float, boundary: str, order: int):
     lap = grid.laplacian_matrix(boundary, order)

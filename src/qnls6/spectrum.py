@@ -1,19 +1,38 @@
 """Unstable eigenvalue of the linearized generator and coercivity sampling.
 
 The generator script_E = [[0, -E_I], [E_R, 0]] has essential spectrum on the
-imaginary axis and exactly one pair of simple real eigenvalues +-lambda1.
-The constructive route used here:
+imaginary axis and exactly one pair of simple real eigenvalues +-lambda1,
+with eigenfunctions e+- = e1 +- i e2 (E_R e1 = lambda1 e2, -E_I e2 = lambda1 e1).
 
-1. E_I >= 0 with one-dimensional kernel span{T(bQ1)}; form its symmetric
-   square root with the kernel channel projected out (sqrt_ei).
-2. The symmetric product TT = E_I^{1/2} E_R E_I^{1/2} has a single negative
-   eigenvalue mu = -lambda1^2 (negative_eigenpair_tt).
-3. e1 = E_I^{1/2} g and e2 = E_R e1 / lambda1 solve the coupled system
-   E_R e1 = lambda1 e2, -E_I e2 = lambda1 e1, so e+- = e1 +- i e2 are the
-   eigenfunctions (eigenpair_e).  A few shift-inverted iterations on the raw
-   sparse 4n system then polish the pair to an exact discrete eigenvector,
-   which makes Phi_E(e+-) vanish identically (for an exact pair
-   <E_R e1, e1> = lambda <e1, e2> = -<E_I e2, e2>).
+eigenpair_e finds them in O(n) memory at every n, on one code path:
+
+1. Seed.  The dense symmetric-product route runs on the grid of the same
+   family (r_max, mapping, stretch, background) with n_c = min(n, SEED_N)
+   nodes: E_I >= 0 has the one-dimensional kernel span{T(bQ1)}, so its
+   symmetric square root with that channel projected out exists
+   (sqrt_ei), and TT = E_I^{1/2} E_R E_I^{1/2} has a single negative
+   eigenvalue mu_c = -lambda_c^2 (negative_eigenpair_tt).  Its pair
+   e1 = E_I^{1/2} g, e2 = E_R e1 / lambda_c is interpolated to the target
+   nodes.  TT is formed only here: its spectral scale grows like n^4, so a
+   cut relative to it rejects mu on fine grids.
+2. Shift-invert.  Inverse iteration on the sparse 4n system (one splu
+   factorization at lambda_c) from the seed, then the Rayleigh-quotient
+   polish, which re-factors at each new quotient and leaves an exact
+   discrete eigenvector; that makes Phi_E(e+-) vanish identically (for an
+   exact pair <E_R e1, e1> = lambda <e1, e2> = -<E_I e2, e2>).
+   lambda1_inverse_iteration is the same iteration from a random start.
+3. Certificates, in place of the two dense eigendecompositions (Sylvester's
+   law of inertia; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
+   With the components interleaved, the symmetrized E_I and E_R are banded
+   with lower bandwidth 2.
+   * ker(E_I): of the lowest eigenvalues of E_I (eigvals_banded), exactly
+     one may lie under the clip of sqrt_ei; it is ``kernel_eig``.
+   * n_negative, the negative count of TT, is the negative inertia of E_R
+     compressed to ker(E_I)^perp = T(bQ1)^perp, which the Haynsworth
+     inertia of the bordered [[E_R, k], [k^T, 0]] gives from one banded
+     eigenvalue count and one banded solve.  Compressed eigenvalues above
+     -NEGATIVE_GAP |mu| count as zero: the tolerance scales with mu, not
+     with the operator's largest eigenvalue, and does not depend on n.
 
 Sign conventions.  Phi_E(e+, e-) = <E_R e1, e1> = <TT g, g> < 0, so the pair
 can be normalized to Phi_E(e+, e-) = -1 but not +1 while keeping
@@ -21,8 +40,9 @@ e- = conj(e+); the achieved value is recorded in ``normalization``.  The
 overall sign of e+ is fixed by (Re e+, T(bQ))_{H_N} > 0, which ties the sign
 of the shooting amplitude to the kinetic-energy side the trajectory lands on.
 
-A dense nonsymmetric eigensolve at reduced resolution cross-checks lambda1,
-the count of real eigenvalues, and the kernel dimension.
+sqrt_ei and negative_eigenpair_tt, with the dense nonsymmetric eigensolve
+dense_cross_check (lambda1, the count of real eigenvalues and the kernel
+dimension at reduced resolution), are the small-n oracles.
 """
 
 from __future__ import annotations
@@ -36,13 +56,27 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import FieldPair, RadialGrid, h1dot_inner, h1dot_norm, pair_from_arrays
-from .groundstate import GroundStateBundle, build_directions, transform_T
+from .groundstate import (GroundStateBundle, _interp_component, build_bundle,
+                          build_directions, transform_T)
 from .linops import (BlockOperatorE, PairOperator, assemble_E, assemble_L,
                      build_block_E, quad_form)
 
 
 class SpectrumError(RuntimeError):
     pass
+
+
+# The dense symmetric product is formed at min(n, SEED_N) nodes only, to seed
+# the shift (a 2 SEED_N square eigh); see the module docstring.
+SEED_N = 256
+# Solves with the one factorization at the seed's lambda before the
+# Rayleigh-quotient polish.
+FIXED_SHIFT_SOLVES = 3
+# An iterate whose Rayleigh quotient strays further than this from the shift
+# (relative) has locked onto another eigenvalue.
+WANDER_REL = 0.5
+# Compressed E_R eigenvalues below -NEGATIVE_GAP |mu| count as negative.
+NEGATIVE_GAP = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +164,10 @@ def negative_eigenpair_tt(e_r: PairOperator, root: SqrtEI,
     scale = float(np.max(np.abs(eigs)))
     neg = np.where(eigs < -tol_scale * scale)[0]
     if len(neg) == 0:
-        raise SpectrumError("no negative eigenvalue of E_I^{1/2} E_R E_I^{1/2}; "
-                            "discretization too coarse or assembly bug")
+        raise SpectrumError(
+            f"no eigenvalue of E_I^{{1/2}} E_R E_I^{{1/2}} below the cut "
+            f"{-tol_scale * scale:.3e} ({tol_scale:g} x spectral scale {scale:.3e}) "
+            f"at n = {root.op.n}; the lowest is {eigs[0]:.6e}")
     mu = float(eigs[0])
     g = vecs[:, 0]
     resid = float(np.linalg.norm(T @ g - mu * g))
@@ -151,12 +187,14 @@ class SpectralResult:
     e_minus: FieldPair
     normalization: float       # Phi_E(e+, e-) after rescaling (= -1 by convention)
     residual: float            # ||script_E e+ - lambda1 e+|| / ||e+||, weighted L2
-    residual_unpolished: float
+    residual_unpolished: float  # the same for the seed pair, lambda_c on this grid
     phi_e_plus: float          # Phi_E(e+) relative to ||e+||^2
     phi_e_minus: float
-    mu: float
-    kernel_eig: float
+    mu: float                  # -lambda1^2, the negative eigenvalue of TT
+    kernel_eig: float          # the eigenvalue of E_I under the clip
     n: int
+    # n_negative (TT's negative count), tt_residual (of the seed's TT pair),
+    # seed_n (n_c), seed_lambda1 (lambda_c) and hn_pairing_sign_fixed
     info: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -190,49 +228,134 @@ def _hn_inner(op_kin: tuple[sp.csr_matrix, float], grid: RadialGrid, kappa: floa
     return float(np.real(t1 + t2))
 
 
+def _symmetrized_generator(block: BlockOperatorE) -> tuple[sp.csr_matrix, np.ndarray]:
+    """D script_E D^{-1} (D the cell-mass square roots on all 4n entries), and D."""
+    m = block.grid.cell_masses
+    D4 = np.sqrt(np.concatenate([m, m, m, m]))
+    return sp.diags(D4) @ block.sparse_real() @ sp.diags(1.0 / D4), D4
+
+
+def _shift_invert(S: sp.csr_matrix, shift: float, x: np.ndarray, fixed: int,
+                  rayleigh: int) -> tuple[float, np.ndarray]:
+    """Shift-inverted iteration on the symmetrized generator S.
+
+    The first ``fixed`` solves reuse one factorization at ``shift``; each of
+    the ``rayleigh`` solves after them re-factors at the current Rayleigh
+    quotient (the polish).  Returns (lambda, unit iterate).
+    """
+    eye = sp.identity(S.shape[0], format="csc")
+
+    def factor(s):
+        try:
+            return spla.splu((S - s * eye).tocsc())
+        except RuntimeError:
+            # s is an eigenvalue to machine precision: step off it
+            return spla.splu((S - s * (1.0 + 1e-9) * eye).tocsc())
+
+    x = x / np.linalg.norm(x)
+    lam = shift
+    lu = factor(shift) if fixed else None
+    for it in range(fixed + rayleigh):
+        if it >= fixed:
+            lu = factor(lam)
+        x = lu.solve(x)
+        x /= np.linalg.norm(x)
+        lam = float(x @ (S @ x))
+        if it >= 1 and abs(lam - shift) > WANDER_REL * shift:
+            raise SpectrumError("inverse iteration wandered off the target eigenvalue")
+    return lam, x
+
+
+def _seed(bundle: GroundStateBundle, block: BlockOperatorE,
+          clip_rel: float) -> tuple[float, np.ndarray, dict]:
+    """lambda_c and the stacked (e1; e2) of the symmetric-product route, seeded coarse.
+
+    The dense oracle (sqrt_ei, negative_eigenpair_tt) runs on the grid of the
+    same family (r_max, mapping, stretch, background) with
+    n_c = min(n, SEED_N) nodes; e1 = E_I^{1/2} g and e2 = E_R e1 / lambda_c
+    are interpolated to the nodes of the bundle's grid.
+    """
+    grid = bundle.grid
+    cgrid = RadialGrid(n=min(grid.n, SEED_N), r_max=grid.r_max,
+                       mapping=grid.mapping, stretch=grid.stretch)
+    if cgrid == grid:
+        cbundle, cblock = bundle, block
+    else:
+        cbundle = build_bundle(cgrid, bundle.kappa, background=bundle.background)
+        cblock = build_block_E(cbundle)
+    root = sqrt_ei(cblock.e_i, cbundle, clip_rel)
+    mu, g, info = negative_eigenpair_tt(cblock.e_r, root)
+    lam = math.sqrt(-mu)
+    m = cgrid.cell_masses
+    e1 = root.apply_sym(g) / np.sqrt(np.concatenate([m, m]))
+    e2 = (cblock.e_r.mat @ e1) / lam
+    nc = cgrid.n
+    u, v = (_interp_component(cgrid, e1[sl] + 1j * e2[sl], grid.nodes)
+            for sl in (slice(0, nc), slice(nc, 2 * nc)))
+    x = np.concatenate([u.real, v.real, u.imag, v.imag])
+    return lam, x, {"tt_residual": info["tt_residual"], "seed_n": nc, "seed_lambda1": lam}
+
+
+def _ei_kernel_eig(e_i: PairOperator, clip_rel: float) -> float:
+    """Lowest eigenvalue of E_I, the one allowed under the clip of sqrt_ei."""
+    band = e_i.symmetric_banded()
+    top = band.shape[1] - 1
+    low = sla.eigvals_banded(band, lower=True, select="i", select_range=(0, 1))
+    high = sla.eigvals_banded(band, lower=True, select="i", select_range=(top, top))
+    clip = clip_rel * max(abs(float(low[0])), abs(float(high[0])))
+    if low[1] < clip:
+        raise SpectrumError(
+            f"unexpected kernel dimension: a second eigenvalue of E_I ({low[1]:.3e}) "
+            f"lies under the clip {clip:.3e} beyond span{{T(Q1)}}")
+    return float(low[0])
+
+
+def _compressed_negative_count(e_r: PairOperator, k: np.ndarray, tol: float) -> int:
+    """Eigenvalues below -tol of E_R compressed to the complement of the unit k.
+
+    Haynsworth inertia of the bordered [[A, k], [k^T, 0]], A = E_R + tol
+    (symmetrized, interleaved like ``symmetric_banded``): the bordered matrix
+    has neg(A) + [k^T A^{-1} k > 0] negative eigenvalues, one more than the
+    compression of A, whose negative eigenvalues are the compressed ones of
+    E_R below -tol.
+    """
+    band = e_r.symmetric_banded()
+    band[0] += tol
+    dim = band.shape[1]
+    # a Gershgorin bound under the whole spectrum of A
+    floor = -(np.max(np.abs(band[0])) + 2.0 * np.sum(np.max(np.abs(band[1:]), axis=1))) - 1.0
+    neg = len(sla.eigvals_banded(band, lower=True, select="v", select_range=(floor, 0.0)))
+    full = np.zeros((5, dim))
+    for j in range(3):
+        full[2 + j, :dim - j] = band[j, :dim - j]
+        full[2 - j, j:] = band[j, :dim - j]
+    x = sla.solve_banded((2, 2), full, k)
+    return neg + int(k @ x > 0) - 1
+
+
 def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
                 polish_iterations: int = 3, clip_rel: float = 1e-10) -> SpectralResult:
-    """Unstable eigenpair of script_E via the symmetric-product construction."""
+    """Unstable eigenpair of script_E by shift-invert on the sparse generator.
+
+    Seeded by the symmetric-product pair at min(n, SEED_N) nodes; see the
+    module docstring for the route and its two certificates.
+    """
     if block is None:
         block = build_block_E(bundle)
-    root = sqrt_ei(block.e_i, bundle, clip_rel)
-    mu, g, info = negative_eigenpair_tt(block.e_r, root)
-    lam = math.sqrt(-mu)
     grid = bundle.grid
     n = grid.n
-    m = grid.cell_masses
-    d = np.sqrt(np.concatenate([m, m]))
-    e1 = root.apply_sym(g) / d
-    e2 = (block.e_r.mat @ e1) / lam
+    lam_c, x, info = _seed(bundle, block, clip_rel)
+    S, D4 = _symmetrized_generator(block)
 
     def resid_of(e1v, e2v, lamv):
         z = e1v + 1j * e2v
         res = block.apply_complex(z) - lamv * z
         return _weighted_norm(grid, res) / _weighted_norm(grid, z)
 
-    res0 = resid_of(e1, e2, lam)
-
-    # polish on the raw sparse operator: shift-inverted iteration in the
-    # symmetrized coordinates, Rayleigh-quotient eigenvalue updates
-    E4 = block.sparse_real()
-    D4 = np.concatenate([d, d])
-    x = np.concatenate([e1, e2]) * D4
-    x /= np.linalg.norm(x)
-    Ssym = sp.diags(D4) @ E4 @ sp.diags(1.0 / D4)
-    lam_p = lam
-    for _ in range(polish_iterations):
-        shifted = (Ssym - lam_p * sp.identity(4 * n, format="csc")).tocsc()
-        try:
-            x_new = spla.splu(shifted).solve(x)
-        except RuntimeError:
-            lam_p *= 1.0 + 1e-9
-            shifted = (Ssym - lam_p * sp.identity(4 * n, format="csc")).tocsc()
-            x_new = spla.splu(shifted).solve(x)
-        x = x_new / np.linalg.norm(x_new)
-        lam_p = float(x @ (Ssym @ x))
-    e1 = (x[:2 * n] / D4[:2 * n])
-    e2 = (x[2 * n:] / D4[2 * n:])
-    lam = lam_p
+    res0 = resid_of(x[:2 * n], x[2 * n:], lam_c)
+    lam, x = _shift_invert(S, lam_c, x * D4, FIXED_SHIFT_SOLVES, polish_iterations)
+    e1 = x[:2 * n] / D4[:2 * n]
+    e2 = x[2 * n:] / D4[2 * n:]
     res1 = resid_of(e1, e2, lam)
 
     # normalization: |Phi_E(e+, e-)| = 1 (value itself is negative), then fix
@@ -256,35 +379,28 @@ def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
     phi_p = quad_form(ep, ep, "phi_e", bundle, ops) / norm_sq
     phi_m = quad_form(em, em, "phi_e", bundle, ops) / norm_sq
     normalization = quad_form(ep, em, "phi_e", bundle, ops)
-    info.update({"hn_pairing_sign_fixed": True})
+
+    # the two certificates: ker(E_I) is one-dimensional, and E_R has one
+    # negative direction on its complement (the inertia of TT)
+    kernel_eig = _ei_kernel_eig(block.e_i, clip_rel)
+    sm = np.sqrt(grid.cell_masses)
+    k = np.column_stack([sm * bundle.t_q1.u.real, sm * bundle.t_q1.v.real]).ravel()
+    n_negative = _compressed_negative_count(block.e_r, k / np.linalg.norm(k),
+                                            NEGATIVE_GAP * lam * lam)
+    info = {"n_negative": n_negative, **info, "hn_pairing_sign_fixed": True}
     return SpectralResult(lambda1=lam, e_plus=ep, e_minus=em,
                           normalization=float(normalization),
                           residual=res1, residual_unpolished=res0,
                           phi_e_plus=float(phi_p), phi_e_minus=float(phi_m),
-                          mu=mu, kernel_eig=root.kernel_eig, n=n, info=info)
+                          mu=-lam * lam, kernel_eig=kernel_eig, n=n, info=info)
 
 
 def lambda1_inverse_iteration(bundle: GroundStateBundle, lam_guess: float,
                               iterations: int = 5) -> float:
     """lambda1 on this grid by shift-inverted iteration only (refinement checks)."""
-    block = build_block_E(bundle)
-    n = bundle.grid.n
-    m = bundle.grid.cell_masses
-    D4 = np.sqrt(np.concatenate([m, m, m, m]))
-    Ssym = sp.diags(D4) @ block.sparse_real() @ sp.diags(1.0 / D4)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(4 * n)
-    x /= np.linalg.norm(x)
-    lam = lam_guess
-    lu = spla.splu((Ssym - lam * sp.identity(4 * n, format="csc")).tocsc())
-    for it in range(iterations):
-        x = lu.solve(x)
-        x /= np.linalg.norm(x)
-        lam_new = float(x @ (Ssym @ x))
-        if it >= 1 and abs(lam_new - lam_guess) > 0.5 * lam_guess:
-            raise SpectrumError("inverse iteration wandered off the target eigenvalue")
-        lam = lam_new
-    return lam
+    S, _ = _symmetrized_generator(build_block_E(bundle))
+    x = np.random.default_rng(7).standard_normal(S.shape[0])
+    return _shift_invert(S, lam_guess, x, iterations, 0)[0]
 
 
 # ---------------------------------------------------------------------------

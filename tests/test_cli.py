@@ -308,6 +308,24 @@ coercivity_trials = 10
         assert summary["coercivity_phi_G_min"] > 0
         assert os.path.exists(os.path.join(out, "eigenfunction.csv"))
 
+    def test_spectrum_scenario_fine_grid(self, tmp_path):
+        # the dense symmetric product's relative cut rejected mu above n ~ 1070
+        cfg = self._write(tmp_path, """
+scenario = spectrum
+[physics]
+kappa = 0.5
+[spectrum]
+n = 1100
+refine_check = false
+cross_check_n = 96
+coercivity_trials = 3
+""")
+        out = str(tmp_path / "spec")
+        assert main(["spectrum", "--config", cfg, "--out", out]) == 0
+        summary = json.loads(open(os.path.join(out, "spectrum.summary.json")).read())
+        assert summary["n"] == 1100 and summary["n_negative"] == 1
+        assert summary["residual"] < 1e-10
+
     def test_modulate_scenario(self, tmp_path):
         cfg = self._write(tmp_path, """
 scenario = modulate

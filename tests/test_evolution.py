@@ -487,6 +487,24 @@ class TestBatch:
         for u0, rec in zip(members, batch):
             assert_same_record(rec, run(u0, cfg))
 
+    def test_non_finite_member_ends_in_instability(self):
+        # 8 Q overflows to inf/nan within 20 steps of dt = 0.05, long before
+        # any H bound; the overflow warnings are the point of the test
+        grid = RadialGrid(n=96, r_max=60.0, stretch=9.0)
+        q = build_bundle(grid, 0.5).q_vec
+        members = [0.5 * q, 8.0 * q, gaussian_pair(grid)]
+        cfg = EvolutionConfig(dt=0.05, t_end=50, blowup_H_factor=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = run_batch(members, cfg)
+            solo = [run(u0, cfg) for u0 in members]
+        bad = batch[1]
+        assert (bad.termination, bad.diagnostic) == ("instability", "non-finite state")
+        assert bad.final_time == bad.times[-1]
+        assert np.all(np.isfinite(bad.final_state.u)) and np.all(np.isfinite(bad.final_state.v))
+        assert [rec.termination for rec in batch] == ["completed", "instability", "completed"]
+        for a, b in zip(batch, solo):
+            assert_same_record(a, b)
+
     def test_members_share_grid_and_kappa(self, evo_grid):
         other = RadialGrid(n=64, r_max=120.0, stretch=19.0)
         cfg = EvolutionConfig(dt=1e-3, t_end=1e-2)

@@ -120,6 +120,43 @@ class TestInnerProducts:
         assert abs(h1dot_inner(f, g) - oracle) / abs(oracle) < 5e-3
 
 
+class TestCachedDerivativeWeights:
+    """The cached weights reproduce the per-call formula bit for bit."""
+
+    @staticmethod
+    def _reference_derivative(grid, v):
+        # centered interior rows and a 3x3 Vandermonde solve at each end
+        r = grid.nodes
+        out = np.empty_like(v)
+        hm = r[1:-1] - r[:-2]
+        hp = r[2:] - r[1:-1]
+        out[1:-1] = (hm / hp * (v[2:] - v[1:-1]) + hp / hm * (v[1:-1] - v[:-2])) / (hm + hp)
+        for i, sl in ((0, slice(0, 3)), (-1, slice(-3, None))):
+            V = np.vander(r[sl] - r[i], increasing=True).T
+            out[i] = np.linalg.solve(V, np.array([0.0, 1.0, 0.0])) @ v[sl]
+        return out
+
+    def _reference_inner(self, f, g):
+        d = [self._reference_derivative(f.grid, x) for x in (f.u, f.v, g.u, g.v)]
+        w = f.grid.quad_weights
+        return float(np.real(np.sum(w * (d[0] * np.conj(d[2]) + d[1] * np.conj(d[3])))))
+
+    @pytest.mark.parametrize("n, r_max, stretch", [(64, 60.0, 9.0), (256, 200.0, 29.0),
+                                                   (1024, 200.0, 29.0)])
+    def test_bit_identical(self, n, r_max, stretch):
+        grid = RadialGrid(n=n, r_max=r_max, stretch=stretch)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            f, g = (pair_from_arrays(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                     rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.5)
+                    for _ in range(2))
+            assert np.array_equal(radial_derivative(f.first).values,
+                                  self._reference_derivative(grid, f.u))
+            assert np.array_equal(h1dot_inner(f, g), self._reference_inner(f, g))
+            assert np.array_equal(h1dot_norm(f),
+                                  np.sqrt(max(self._reference_inner(f, f), 0.0)))
+
+
 class TestTypes:
     def test_field_length_mismatch(self, mid_grid, small_grid):
         with pytest.raises(GridError):

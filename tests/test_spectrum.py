@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from qnls6.grid import RadialGrid, h1dot_norm
+from qnls6.grid import RadialGrid, h1dot_norm, pair_from_arrays
 from qnls6.groundstate import build_bundle, transform_T
 from qnls6.linops import build_block_E, quad_form, assemble_E
 from qnls6.spectrum import (SpectrumError, coercivity_sample, dense_cross_check,
@@ -102,6 +104,99 @@ class TestEigenpair:
         s = eigenpair_e(bundle)
         assert s.lambda1 > 0
         assert s.residual < 1e-9
+
+
+def _dense_oracle(bundle, polish_iterations=3):
+    """lambda1 and the sign-fixed e+ from the dense symmetric product on this grid.
+
+    sqrt_ei and negative_eigenpair_tt at full size, the Rayleigh-quotient
+    polish on the sparse 4n system, then |Phi_E(e+, e-)| = 1 and the sign
+    fixed by (Re e+, T(bQ))_{H_N} > 0.
+    """
+    grid, n = bundle.grid, bundle.grid.n
+    block = build_block_E(bundle)
+    root = sqrt_ei(block.e_i, bundle)
+    mu, g, _ = negative_eigenpair_tt(block.e_r, root)
+    lam = np.sqrt(-mu)
+    m = grid.cell_masses
+    d = np.sqrt(np.concatenate([m, m]))
+    e1 = root.apply_sym(g) / d
+    e2 = (block.e_r.mat @ e1) / lam
+    D4 = np.concatenate([d, d])
+    S = sp.diags(D4) @ block.sparse_real() @ sp.diags(1.0 / D4)
+    x = np.concatenate([e1, e2]) * D4
+    x /= np.linalg.norm(x)
+    for _ in range(polish_iterations):
+        x = spla.splu((S - lam * sp.identity(4 * n, format="csc")).tocsc()).solve(x)
+        x /= np.linalg.norm(x)
+        lam = float(x @ (S @ x))
+    e1, e2 = x[:2 * n] / d, x[2 * n:] / d
+    ep = pair_from_arrays(grid, e1[:n] + 1j * e2[:n], e1[n:] + 1j * e2[n:], bundle.kappa)
+    ep = (1.0 / np.sqrt(abs(quad_form(ep, ep.conj(), "phi_e", bundle)))) * ep
+    lap = grid.laplacian_matrix("dirichlet", 2)
+    w = np.pi ** 3 * m
+    pairing = (np.sum(w * (-(lap @ ep.u.real)) * bundle.t_q.u.real)
+               + bundle.kappa * np.sum(w * (-(lap @ ep.v.real)) * bundle.t_q.v.real))
+    return lam, (ep if pairing > 0 else -1.0 * ep)
+
+
+def _weighted_rel(grid, a, b):
+    w = np.concatenate([grid.cell_masses, grid.cell_masses])
+    za, zb = _stack(a), _stack(b)
+    return np.sqrt(np.sum(w * np.abs(za - zb) ** 2) / np.sum(w * np.abs(za) ** 2))
+
+
+class TestSparseRoute:
+    """eigenpair_e forms TT only at the seed size and shift-inverts on the target grid."""
+
+    @pytest.mark.parametrize("background", ["closed-form", "discrete"])
+    def test_matches_dense_oracle_at_512(self, background):
+        bundle = build_bundle(RadialGrid(n=512, r_max=200.0, stretch=29.0), 0.5,
+                              background=background)
+        s = eigenpair_e(bundle)
+        assert s.info["seed_n"] == 256
+        lam, ep = _dense_oracle(bundle)
+        assert abs(s.lambda1 - lam) / lam < 1e-10
+        assert _weighted_rel(bundle.grid, ep, s.e_plus) < 1e-10
+        assert _weighted_rel(bundle.grid, ep.conj(), s.e_minus) < 1e-10
+
+    def test_fine_grid_2048(self):
+        # the dense route rejected mu = -lambda1^2 here: TT's scale grows like n^4
+        s = {n: eigenpair_e(build_bundle(RadialGrid(n=n, r_max=200.0, stretch=29.0), 0.5))
+             for n in (1024, 2048)}
+        fine = s[2048]
+        assert abs(fine.lambda1 - s[1024].lambda1) / s[1024].lambda1 < 1e-4
+        assert fine.residual <= 1e-10
+        assert fine.info["n_negative"] == 1
+
+    def test_seed_is_the_dense_route_on_coarse_grids(self, bundle_mid, spectral_mid):
+        # at n <= SEED_N the seed runs on the grid itself
+        block = build_block_E(bundle_mid)
+        root = sqrt_ei(block.e_i, bundle_mid)
+        mu, _, info = negative_eigenpair_tt(block.e_r, root)
+        assert spectral_mid.info["seed_n"] == bundle_mid.grid.n
+        assert spectral_mid.info["seed_lambda1"] == pytest.approx(np.sqrt(-mu), rel=1e-14)
+        assert spectral_mid.info["tt_residual"] == info["tt_residual"]
+        assert spectral_mid.kernel_eig == pytest.approx(root.kernel_eig, abs=1e-9)
+
+    def test_certificate_counts_by_gap_not_sign(self, spectral_mid, bundle_mid):
+        # E_R's near-kernel eigenvalue (the Lambda Q direction) is -2.4e-5 at
+        # n = 256 and changes sign with n.  A shift below it leaves E_R + tol
+        # two negative eigenvalues and k^T (E_R + tol)^{-1} k < 0, a shift
+        # above it one and a positive pairing: the count is 1 either way
+        from qnls6.spectrum import _compressed_negative_count
+        e_r = build_block_E(bundle_mid).e_r
+        sm = np.sqrt(bundle_mid.grid.cell_masses)
+        k = np.column_stack([sm * bundle_mid.t_q1.u.real, sm * bundle_mid.t_q1.v.real]).ravel()
+        k /= np.linalg.norm(k)
+        for tol in (1e-6, 1e-4, 0.5 * abs(spectral_mid.mu)):
+            assert _compressed_negative_count(e_r, k, tol) == 1
+
+    def test_oracle_failure_names_cut_scale_and_n(self, bundle_mid):
+        block = build_block_E(bundle_mid)
+        root = sqrt_ei(block.e_i, bundle_mid)
+        with pytest.raises(SpectrumError, match=r"cut .*spectral scale .*n = 256"):
+            negative_eigenpair_tt(block.e_r, root, tol_scale=1.0)
 
 
 class TestDenseCrossCheck:
