@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (ScenarioConfig, parse_a_values, parse_config, parse_radii,
-                     parse_recipe)
+from .config import (ConfigError, ScenarioConfig, parse_a_values, parse_config,
+                     parse_radii, parse_recipe)
 from .grid import GridError, RadialGrid, pair_from_arrays
 from .groundstate import (GroundStateBundle, apply_symmetry, build_bundle,
                           bundle_to_rows, elliptic_residual, transform_T,
@@ -35,7 +35,7 @@ from .special import (ShootingError, approx_profiles, construct_g, default_fit_w
                       residual_eps_k, shoot_legs, shoot_w,
                       time_translation_mismatch)
 from .evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict,
-                        l4_decay_ratio, reconcile, run, variational_prediction,
+                        l4_decay_ratio, reconcile, run_batch, variational_prediction,
                         vr_identity_defect, write_checkpoint)
 from .modulation import (ModulationError, ModulationFrame, comparability_band,
                          track, verify_rate_bound)
@@ -208,10 +208,15 @@ def scenario_spectrum(cfg: ScenarioConfig, outdir: str) -> dict:
 
 def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     spc = cfg.special
+    a_values = parse_a_values(spc.a_values)
+    if not 0 < spc.data_eps < 1:
+        raise ConfigError(f"[special] data_eps = {spc.data_eps:g} must lie in (0, 1): "
+                          "the legs start where e^(-lambda1 t) = data_eps, at t > 0")
+    if 0.0 in a_values:
+        raise ConfigError("[special] a_values must be nonzero (a = 0 is the control leg)")
     grid = _mkgrid(cfg, n_override=spc.n)
     bundle, spectral = _spectral_pipeline(cfg, grid, background="discrete")
     lam = spectral.lambda1
-    a_values = parse_a_values(spc.a_values)
     t_far = math.log(1.0 / spc.data_eps) / lam
     sols = {a: approx_profiles(bundle, spectral, a, spc.order) for a in a_values}
     _, legs = shoot_legs(bundle, spectral, sols.values(), t_far, dt=spc.dt,
@@ -251,95 +256,111 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     return summary
 
 
-def _initial_from_recipe(rec: dict, cfg: ScenarioConfig, bundle: GroundStateBundle):
+def _threshold_amplitude(rec: dict, cfg: ScenarioConfig) -> float | None:
+    """Amplitude a of a threshold-pair recipe (gplus, gminus, wa:<a>), else None.
+
+    Its leg starts at the time t > 0 where |a| e^(-lambda1 t) = [special] data_eps.
+    """
+    if rec["kind"] not in ("gplus", "gminus", "wa"):
+        return None
+    a = {"gplus": 1.0, "gminus": -1.0}.get(rec["kind"], rec.get("a"))
+    if not 0 < cfg.special.data_eps < abs(a):
+        raise ConfigError(f"recipe {rec['kind']} with |a| = {abs(a):g}: [special] "
+                          f"data_eps = {cfg.special.data_eps:g} must lie in (0, |a|)")
+    return a
+
+
+def _initial_from_recipe(rec: dict, cfg: ScenarioConfig, bundle: GroundStateBundle,
+                         threshold: tuple | None):
     """Initial data and the bundle whose Q it was built against.
 
-    Threshold-pair recipes are built on the discrete-background Q, and
-    E(G+-) = E(Q) holds for that Q; their E/E(Q) and H/H(Q) are taken against
-    it, since the closed-form Q's energy differs from it by 2e-3 at n = 128,
-    r_max = 60, more than the threshold band.
+    Threshold-pair recipes are shot on ``threshold``, the discrete-background
+    (bundle, spectral) of ``_spectral_pipeline``.  E(G+-) = E(Q) holds for that
+    Q, so their E/E(Q) and H/H(Q) are taken against it: the closed-form Q's
+    energy differs by 2e-3 at n = 128, r_max = 60, more than the threshold band.
     """
     if rec["kind"] == "qscale":
         base = apply_symmetry(bundle.q_vec, rec["theta"], rec["lam"])
         return rec["scale"] * base, bundle
     if rec["kind"] == "file":
         return load_profile_csv(rec["path"], bundle.grid, bundle.kappa), bundle
-    # threshold-pair recipes need the shooting pipeline on this grid
     spc = cfg.special
-    bundle_d = build_bundle(bundle.grid, bundle.kappa, background="discrete")
-    spectral = eigenpair_e(bundle_d)
-    a = {"gplus": 1.0, "gminus": -1.0}.get(rec["kind"], rec.get("a", 1.0))
-    shot = shoot_w(bundle_d, spectral, a, spc.order, dt=spc.dt, data_eps=spc.data_eps,
-                   n_snapshots=spc.n_snapshots)
+    bundle_d, spectral = threshold
+    shot = shoot_w(bundle_d, spectral, _threshold_amplitude(rec, cfg), spc.order, dt=spc.dt,
+                   data_eps=spc.data_eps, n_snapshots=spc.n_snapshots)
     if rec["kind"] == "wa":
         t0 = min(shot.state_at.keys())
         return transform_T(shot.state_at[t0], inverse=True), bundle_d
     return construct_g(shot, bundle_d).initial, bundle_d
 
 
-def _run_one(cfg: ScenarioConfig, bundle: GroundStateBundle, initial, label: str,
-             outdir: str, **evo_overrides) -> dict:
-    """Evolve one initial state; ``bundle`` is the Q it was built against."""
-    ecfg = _evo_config(cfg, **evo_overrides)
+def _evolve_recipes(cfg: ScenarioConfig, recipes, **evo_overrides) -> list:
+    """(initial, bundle, record) per recipe: the states, evolved by one ``run_batch`` call.
+
+    Threshold-pair recipes share one discrete-background pipeline, built only
+    when one is present.  ``bundle`` is the Q a state was built against; its
+    H(Q) is the run's reference_H.
+    """
+    parsed = [parse_recipe(text) for text in recipes]
+    amplitudes = [_threshold_amplitude(rec, cfg) for rec in parsed]   # raises before any build
+    grid = _mkgrid(cfg, n_override=cfg.evolution.n)
+    bundle = build_bundle(grid, cfg.physics.kappa)
+    threshold = (_spectral_pipeline(cfg, grid, background="discrete")
+                 if any(a is not None for a in amplitudes) else None)
+    built = [_initial_from_recipe(rec, cfg, bundle, threshold) for rec in parsed]
+    records = run_batch([initial for initial, _ in built], _evo_config(cfg, **evo_overrides),
+                        reference_H=[hamiltonian(ref.q_vec) for _, ref in built])
+    return [(initial, ref, rec) for (initial, ref), rec in zip(built, records)]
+
+
+def _write_run(outdir: str, label: str, initial, bundle: GroundStateBundle, record) -> dict:
+    """Summary row of one run, its state built against ``bundle``'s Q; writes its artifacts."""
     h_q = hamiltonian(bundle.q_vec)
     e_ratio = energy(initial) / energy(bundle.q_vec)
     h_ratio = hamiltonian(initial) / h_q
     prediction = variational_prediction(e_ratio, h_ratio)
-    rec = run(initial, ecfg, reference_H=h_q)
-    verdict, why = dynamical_verdict(rec, delta0=0.1 * h_q)
+    verdict, why = dynamical_verdict(record, delta0=0.1 * h_q)
     classification, reason = reconcile(verdict, why, prediction)
-    drift = rec.drift()
+    drift = record.drift()
     out = {
         "label": label,
-        "termination": rec.termination,
+        "termination": record.termination,
         "classification": classification,
         "reason": reason,
         "dynamical_verdict": verdict,
         "variational_prediction": prediction or "none",
         "E_ratio": e_ratio,
         "H_ratio": h_ratio,
-        "l4_ratio": l4_decay_ratio(rec),
+        "l4_ratio": l4_decay_ratio(record),
         "energy_drift": drift["energy"],
         "mass_drift": drift["mass"],
-        "steps": rec.steps,
-        "final_time": rec.final_time,
+        "steps": record.steps,
+        "final_time": record.final_time,
     }
-    for R in rec.I_R:
+    for R in record.I_R:
         tag = "inf" if math.isinf(R) else f"{R:g}"
-        out[f"virial_identity_dev_R{tag}"] = check_virial_identity(rec, R)
-        out[f"vr_identity_defect_R{tag}"] = vr_identity_defect(rec, R)
+        out[f"virial_identity_dev_R{tag}"] = check_virial_identity(record, R)
+        out[f"vr_identity_defect_R{tag}"] = vr_identity_defect(record, R)
     write_csv(os.path.join(outdir, f"series_{label}.csv"),
-              ("t", "H", "P", "E", "mass", "delta"), rec.csv_rows())
-    write_checkpoint(os.path.join(outdir, f"final_{label}.chk"), rec.final_state,
-                     rec.final_time)
+              ("t", "H", "P", "E", "mass", "delta"), record.csv_rows())
+    write_checkpoint(os.path.join(outdir, f"final_{label}.chk"), record.final_state,
+                     record.final_time)
     return out
 
 
 def scenario_evolve(cfg: ScenarioConfig, outdir: str) -> dict:
-    grid = _mkgrid(cfg, n_override=cfg.evolution.n)
-    bundle = build_bundle(grid, cfg.physics.kappa)
-    recipes = cfg.sweep.recipes
-    if not recipes:
-        recipes = ("qscale:1",)
-    runs = []
-    for i, rtext in enumerate(recipes):
-        rec = parse_recipe(rtext)
-        initial, ref = _initial_from_recipe(rec, cfg, bundle)
-        runs.append(_run_one(cfg, ref, initial, f"run{i}", outdir))
-    summary = {"scenario": "evolve", "runs": runs}
+    runs = _evolve_recipes(cfg, cfg.sweep.recipes or ("qscale:1",))
+    summary = {"scenario": "evolve",
+               "runs": [_write_run(outdir, f"run{i}", *r) for i, r in enumerate(runs)]}
     write_json(os.path.join(outdir, "evolve.summary.json"), summary)
     return summary
 
 
 def scenario_modulate(cfg: ScenarioConfig, outdir: str) -> dict:
-    grid = _mkgrid(cfg, n_override=cfg.evolution.n)
-    bundle = build_bundle(grid, cfg.physics.kappa)
-    recipes = cfg.sweep.recipes or ("qscale:1.002",)
-    rec = parse_recipe(recipes[0])
-    initial, bundle = _initial_from_recipe(rec, cfg, bundle)
-    ecfg = _evo_config(cfg, snapshot_stride=max(1, cfg.evolution.snapshot_stride or 5))
+    [(_, bundle, record)] = _evolve_recipes(
+        cfg, (cfg.sweep.recipes or ("qscale:1.002",))[:1],
+        snapshot_stride=max(1, cfg.evolution.snapshot_stride or 5))
     h_q = hamiltonian(bundle.q_vec)
-    record = run(initial, ecfg, reference_H=h_q)
     frame = ModulationFrame(bundle)
     trk = track(record.snapshots, bundle, frame)
     write_csv(os.path.join(outdir, "modulation.csv"),
@@ -357,17 +378,11 @@ def scenario_modulate(cfg: ScenarioConfig, outdir: str) -> dict:
 
 
 def scenario_dichotomy(cfg: ScenarioConfig, outdir: str) -> dict:
-    grid = _mkgrid(cfg, n_override=cfg.evolution.n)
-    bundle = build_bundle(grid, cfg.physics.kappa)
     recipes = cfg.sweep.recipes or ("qscale:0.9", "qscale:1.1")
-    runs = []
-    for i, rtext in enumerate(recipes):
-        rec = parse_recipe(rtext)
-        initial, ref = _initial_from_recipe(rec, cfg, bundle)
-        runs.append(_run_one(cfg, ref, initial, f"sweep{i}", outdir,
-                             adapt=True, sponge=True))
-        runs[-1]["recipe"] = rtext
-    summary = {"scenario": "dichotomy", "runs": runs}
+    runs = _evolve_recipes(cfg, recipes, adapt=True, sponge=True)
+    summary = {"scenario": "dichotomy",
+               "runs": [{**_write_run(outdir, f"sweep{i}", *r), "recipe": text}
+                        for i, (text, r) in enumerate(zip(recipes, runs))]}
     write_json(os.path.join(outdir, "dichotomy.summary.json"), summary)
     return summary
 
@@ -436,6 +451,9 @@ def main(argv=None) -> int:
     os.makedirs(outdir, exist_ok=True)
     try:
         summary = _SCENARIO_FNS[args.scenario](cfg, outdir)
+    except ConfigError as exc:   # an input the scenario cannot use (an amplitude)
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -330,10 +330,11 @@ def run(u0: FieldPair, cfg: EvolutionConfig, reference_H: float | None = None,
     return run_batch([u0], cfg, reference_H, t0)[0]
 
 
-def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
+def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None,
               t0: float = 0.0) -> list[TrajectoryRecord]:
     """``run`` for each state of u0s (one grid and kappa): one record each.
 
+    ``reference_H`` is None, one value, or one value (or None) per member.
     The fused Strang loop advances the members as the rows of one (B, n)
     state, and each record equals the member's own ``run`` bit for bit; a
     member that blows up or turns non-finite leaves the batch at that
@@ -344,6 +345,9 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
     u0s = list(u0s)
     if not u0s:
         raise ValueError("empty batch")
+    refs = reference_H if np.ndim(reference_H) else [reference_H] * len(u0s)
+    if len(refs) != len(u0s):
+        raise ValueError(f"{len(refs)} reference_H values for {len(u0s)} members")
     grid, kappa = u0s[0].grid, u0s[0].kappa
     if any(p.grid != grid or p.kappa != kappa for p in u0s):
         raise ValueError("batch members must share one grid and kappa")
@@ -352,7 +356,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
         raise ValueError("empty integration interval")
     unfused = cfg.adapt or cfg.scheme == "crank-nicolson"
     if unfused and len(u0s) > 1:
-        return [run(u0, cfg, reference_H, t0) for u0 in u0s]
+        return [run(u0, cfg, ref, t0) for u0, ref in zip(u0s, refs)]
     prop = RadialPropagator(grid, kappa)
     sgn = 1.0 if duration > 0 else -1.0
     dt = sgn * cfg.dt
@@ -396,7 +400,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
             s.last = (U[j], V[j])
             h = float(H[j])
             s.append(t, h, float(P[j]), float(E[j]), float(mass[j]),
-                     abs(h - reference_H) if reference_H is not None else math.nan,
+                     abs(h - refs[b]) if refs[b] is not None else math.nan,
                      float(l4[j]))
             pair = None
             if weights:
@@ -432,7 +436,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
     V = np.array([p.v for p in u0s])
     rows = np.arange(len(u0s))
     H0 = record(t0, U, V)
-    H_ref = np.abs(H0) if reference_H is None else np.full(len(u0s), float(reference_H))
+    H_ref = np.array([abs(h) if ref is None else float(ref) for h, ref in zip(H0, refs)])
     blowup = f"H exceeded {cfg.blowup_H_factor} x reference"
 
     if unfused:
@@ -452,7 +456,8 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
                 un, vn = stepper(u, v, dt_cur)
             else:
                 un, vn = prop.apply_linear(u, v, dt_cur / 2)
-                un, vn = _rk4(un, vn, dt_cur, c1)
+                with np.errstate(over="ignore", invalid="ignore"):   # see the fused loop
+                    un, vn = _rk4(un, vn, dt_cur, c1)
                 if sponge is not None:
                     damp = np.exp(-sponge * abs(dt_cur))
                     un *= damp; vn *= damp
@@ -487,7 +492,9 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | None = None,
     damp = np.exp(-sponge * abs(dt)) if sponge is not None else None
     U, V = prop.apply_linear(U, V, dt / 2)
     for i in range(nsteps):
-        U, V = _rk4(U, V, dt, c1)
+        # a member that overflows ends as "instability" at its next monitor point
+        with np.errstate(over="ignore", invalid="ignore"):
+            U, V = _rk4(U, V, dt, c1)
         if damp is not None:
             U *= damp; V *= damp
         t = t0 + (i + 1) * dt

@@ -335,7 +335,7 @@ def shoot_w(bundle: GroundStateBundle, spectral: SpectralResult, a: float, k: in
     if t_far is None:
         t_far = math.log(abs(a) / data_eps) / lam
         if t_far <= 0:
-            raise ShootingError("amplitude already larger than data_eps at t = 0")
+            raise ShootingError(f"amplitude |a| = {abs(a):g} is not above data_eps = {data_eps:g}")
     if sol is None:
         sol = approx_profiles(bundle, spectral, a, k)
     elif sol.a != a or sol.k < k:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -217,14 +218,12 @@ def _weighted_norm(grid: RadialGrid, stacked: np.ndarray) -> float:
     return float(np.sqrt(np.real(np.sum(w * np.abs(stacked) ** 2))))
 
 
-def _hn_inner(op_kin: tuple[sp.csr_matrix, float], grid: RadialGrid, kappa: float,
-              a: np.ndarray, b: np.ndarray) -> float:
+def _hn_inner(grid: RadialGrid, kappa: float, a: np.ndarray, b: np.ndarray) -> float:
     """(a, b)_{H_N} = <(-Lap a1, -kappa Lap a2), b> with cell-mass weights."""
-    lap = op_kin[0]
     n = grid.n
     w = np.pi ** 3 * grid.cell_masses
-    t1 = np.sum(w * (-(lap @ a[:n])) * b[:n])
-    t2 = kappa * np.sum(w * (-(lap @ a[n:])) * b[n:])
+    t1 = np.sum(w * (-grid.apply_laplacian(a[:n])) * b[:n])
+    t2 = kappa * np.sum(w * (-grid.apply_laplacian(a[n:])) * b[n:])
     return float(np.real(t1 + t2))
 
 
@@ -369,9 +368,8 @@ def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
     scale = 1.0 / math.sqrt(abs(pairing))
     e1 *= scale
     e2 *= scale
-    lapmat = grid.laplacian_matrix("dirichlet", 2)
     tq = np.concatenate([bundle.t_q.u.real, bundle.t_q.v.real])
-    if _hn_inner((lapmat, 0.0), grid, bundle.kappa, e1, tq) < 0:
+    if _hn_inner(grid, bundle.kappa, e1, tq) < 0:
         e1, e2 = -e1, -e2
     ep = pair_from_arrays(grid, e1[:n] + 1j * e2[:n], e1[n:] + 1j * e2[n:], bundle.kappa)
     em = ep.conj()
@@ -455,28 +453,32 @@ def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
 # coercivity sampling
 
 
+@lru_cache(maxsize=4)
+def _decaying_modes(grid: RadialGrid) -> np.ndarray:
+    """The r^p exp(-sigma r^2) modes of random_decaying_pair on the grid, one per row."""
+    r = grid.nodes
+    modes = np.array([r ** p * np.exp(-s * r * r)
+                      for p in (0, 1, 2, 3) for s in (0.3, 0.6, 1.2, 2.5)])
+    modes.setflags(write=False)
+    return modes
+
+
 def random_decaying_pair(grid: RadialGrid, kappa: float, rng: np.random.Generator,
                          real_only: bool = False) -> FieldPair:
     """Smooth decaying trial field: sum of r^p exp(-sigma r^2) modes."""
-    r = grid.nodes
-    powers = (0, 1, 2, 3)
-    sigmas = (0.3, 0.6, 1.2, 2.5)
     u = np.zeros(grid.n, dtype=complex)
     v = np.zeros(grid.n, dtype=complex)
-    for p in powers:
-        for s in sigmas:
-            base = r ** p * np.exp(-s * r * r)
-            cu = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
-            cv = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
-            u += cu * base
-            v += cv * base
+    for base in _decaying_modes(grid):
+        cu = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
+        cv = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
+        u += cu * base
+        v += cv * base
     return pair_from_arrays(grid, u, v, kappa)
 
 
-def _project(h: FieldPair, constraints, directions) -> FieldPair:
-    """Remove components so that every constraint functional vanishes on h."""
+def _project(h: FieldPair, constraints, directions, G: np.ndarray) -> FieldPair:
+    """Remove components so that every constraint vanishes on h; G[i, j] = c_i(directions[j])."""
     kvals = np.array([c(h) for c in constraints])
-    G = np.array([[c(dvec) for dvec in directions] for c in constraints])
     coef = np.linalg.solve(G, kvals)
     if not np.all(np.isfinite(coef)):
         raise SpectrumError("projection rank-deficient")
@@ -541,9 +543,10 @@ def coercivity_sample(which: str, trials: int, seed: int,
     else:
         raise ValueError(f"unknown coercivity target {which!r}")
 
+    G = np.array([[c(dvec) for dvec in directions] for c in constraints])   # trial-free
     for _ in range(trials):
         h = random_decaying_pair(bundle.grid, bundle.kappa, rng, real_only)
-        h = _project(h, constraints, directions)
+        h = _project(h, constraints, directions, G)
         nrm = h1dot_norm(h)
         if nrm < 1e-12:
             continue

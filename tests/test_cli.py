@@ -247,6 +247,23 @@ kappa = 0.5
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert key in err
 
+    @pytest.mark.parametrize("scenario,body", [
+        ("special", "[special]\nn = 64\na_values = 1, 0\n"),
+        ("evolve", "[evolution]\nn = 64\n[sweep]\nrecipe = wa:0\n"),
+        ("special", "[special]\nn = 64\ndata_eps = 1\n"),
+        ("special", "[special]\nn = 64\ndata_eps = 2\n"),
+        ("evolve", "[evolution]\nn = 64\n[special]\ndata_eps = 0.05\n"
+                   "[sweep]\nrecipe = wa:0.01\n"),
+    ], ids=["special-a-zero", "recipe-wa-zero", "special-data-eps-1", "special-data-eps-2",
+            "recipe-amplitude-below-data-eps"])
+    def test_bad_amplitude_is_one_config_error_line(self, tmp_path, capsys, scenario, body):
+        # checked where the amplitudes are used, before any shooting
+        cfg = self._write(tmp_path, f"scenario = {scenario}\n[physics]\nkappa = 0.5\n{body}")
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "data_eps" in err or "a_values" in err
+
     def test_numerical_failure_exit_2(self, tmp_path, monkeypatch):
         import qnls6.cli as cli_mod
         from qnls6.spectrum import SpectrumError
@@ -390,6 +407,66 @@ recipe = gminus
         rows = np.loadtxt(out / "modulation.csv", delimiter=",", skiprows=2, ndmin=2)
         assert rows[0, 0] == 0.0
         assert rows[0, 4] == pytest.approx(gap_delta(initial, bundle), rel=1e-12)
+
+    THRESHOLD_SWEEP = """
+scenario = evolve
+[grid]
+n = 128
+r_max = 60
+stretch = 9
+[physics]
+kappa = 0.5
+[evolution]
+dt = 0.002
+t_end = 0.2
+monitor_stride = 10
+[special]
+order = 2
+dt = 0.004
+data_eps = 0.05
+n_snapshots = 24
+"""
+
+    @staticmethod
+    def _count_eigenpairs(monkeypatch):
+        """The clip_rel of every eigenpair_e call the CLI makes."""
+        import qnls6.cli as cli_mod
+        real = cli_mod.eigenpair_e
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("clip_rel"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli_mod, "eigenpair_e", counted)
+        return calls
+
+    def test_threshold_sweep_shares_one_pipeline(self, tmp_path, monkeypatch):
+        # gplus and gminus are shot on one discrete-background pipeline, and
+        # the batch gives each run what its recipe gives alone
+        calls = self._count_eigenpairs(monkeypatch)
+        recipes = ("gplus", "gminus")
+        text = self.THRESHOLD_SWEEP + "[sweep]\n" + "".join(f"recipe = {r}\n" for r in recipes)
+        sweep = tmp_path / "sweep"
+        assert main(["evolve", "--config", self._write(tmp_path, text), "--out", str(sweep)]) == 0
+        assert len(calls) == 1
+        rows = json.loads((sweep / "evolve.summary.json").read_text())["runs"]
+        for i, recipe in enumerate(recipes):
+            text = self.THRESHOLD_SWEEP + f"[sweep]\nrecipe = {recipe}\n"
+            alone = tmp_path / recipe
+            assert main(["evolve", "--config", self._write(tmp_path, text),
+                         "--out", str(alone)]) == 0
+            row = json.loads((alone / "evolve.summary.json").read_text())["runs"][0]
+            assert {**rows[i], "label": "run0"} == row
+            for name in ("series_run{}.csv", "final_run{}.chk"):
+                assert (sweep / name.format(i)).read_bytes() == \
+                    (alone / name.format(0)).read_bytes()
+
+    def test_spectrum_clip_rel_reaches_threshold_recipes(self, tmp_path, monkeypatch):
+        calls = self._count_eigenpairs(monkeypatch)
+        text = self.THRESHOLD_SWEEP + "[spectrum]\nclip_rel = 2e-10\n[sweep]\nrecipe = wa:0.5\n"
+        out = str(tmp_path / "wa")
+        assert main(["evolve", "--config", self._write(tmp_path, text), "--out", out]) == 0
+        assert calls == [2e-10]
 
     def test_dichotomy_scenario(self, tmp_path):
         cfg = self._write(tmp_path, """

@@ -487,6 +487,32 @@ class TestBatch:
         for u0, rec in zip(members, batch):
             assert_same_record(rec, run(u0, cfg))
 
+    @pytest.mark.parametrize("adapt", [False, True])
+    def test_per_member_reference_H(self, evo_grid, evo_bundle, adapt):
+        # threshold data are measured against another Q than the rest of a sweep
+        from qnls6.functionals import hamiltonian
+        members = [0.7 * evo_bundle.q_vec, 1.5 * evo_bundle.q_vec, gaussian_pair(evo_grid)]
+        refs = [None, hamiltonian(evo_bundle.q_vec), 2.0]
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.5, monitor_stride=7, blowup_H_factor=3.0,
+                              adapt=adapt)
+        batch = run_batch(members, cfg, reference_H=refs)
+        assert np.all(np.isnan(batch[0].delta)) and np.all(np.isfinite(batch[1].delta))
+        for u0, ref, rec in zip(members, refs, batch):
+            assert_same_record(rec, run(u0, cfg, reference_H=ref))
+        with pytest.raises(ValueError, match="reference_H"):
+            run_batch(members, cfg, reference_H=refs[:2])
+
+    def test_overflowing_member_warns_nothing(self):
+        # the n = 96 8 Q run of the next test, without np.errstate: the RK4
+        # overflow of a member that ends as "instability" raises no
+        # RuntimeWarning (which pytest turns into an error)
+        grid = RadialGrid(n=96, r_max=60.0, stretch=9.0)
+        q = build_bundle(grid, 0.5).q_vec
+        cfg = EvolutionConfig(dt=0.05, t_end=50, blowup_H_factor=1e300)
+        batch = run_batch([0.5 * q, 8.0 * q], cfg)
+        assert [rec.termination for rec in batch] == ["completed", "instability"]
+        assert run(8.0 * q, cfg).termination == "instability"
+
     def test_non_finite_member_ends_in_instability(self):
         # 8 Q overflows to inf/nan within 20 steps of dt = 0.05, long before
         # any H bound; the overflow warnings are the point of the test

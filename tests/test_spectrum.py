@@ -258,6 +258,26 @@ class TestCoercivity:
         with pytest.raises(ValueError):
             coercivity_sample("phi_G", 0, 1, bundle_mid)
 
+    @pytest.mark.parametrize("real_only", [False, True])
+    def test_trial_field_equals_mode_loop(self, real_only):
+        # the modes are evaluated once per grid; the draws and the sums are
+        # those of the plain loop below, bit for bit
+        grid = RadialGrid(n=96, r_max=40.0, stretch=9.0)
+        r = grid.nodes
+        rng = np.random.default_rng(31)
+        u = np.zeros(grid.n, dtype=complex)
+        v = np.zeros(grid.n, dtype=complex)
+        for p in (0, 1, 2, 3):
+            for s in (0.3, 0.6, 1.2, 2.5):
+                base = r ** p * np.exp(-s * r * r)
+                cu = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
+                cv = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
+                u += cu * base
+                v += cv * base
+        for _ in range(2):
+            h = random_decaying_pair(grid, 0.5, np.random.default_rng(31), real_only)
+            assert np.array_equal(h.u, u) and np.array_equal(h.v, v)
+
 
 class TestResolvent:
     def test_shifted_solves_bounded(self, bundle_mid, spectral_mid):
