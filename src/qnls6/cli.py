@@ -101,11 +101,13 @@ def load_profile_csv(path: str, grid: RadialGrid, kappa: float):
             if not line or line.startswith("#") or line[0].isalpha():
                 continue
             rows.append([float(tok) for tok in line.split(",")])
-    r, reu, imu, rev, imv = np.array(rows).T
-    from types import SimpleNamespace
-    source = SimpleNamespace(nodes=r)
-    u = _interp_component(source, reu + 1j * imu, grid.nodes)
-    v = _interp_component(source, rev + 1j * imv, grid.nodes)
+    data = np.array(rows)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite value in profile")
+    r, reu, imu, rev, imv = data.T
+    # copied: each component contiguous, as in every other FieldPair
+    u, v = _interp_component(r, np.stack([reu + 1j * imu, rev + 1j * imv], axis=1),
+                             grid.nodes).T.copy()
     return pair_from_arrays(grid, u, v, kappa)
 
 

@@ -449,6 +449,8 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
         t = t0
         dt_cur = dt
         u, v = U[0], V[0]
+        # max |u|, |v| of the current state: the initial one, then each accepted step's
+        peak_old = max(np.max(np.abs(u)), np.max(np.abs(v)))
         while (cfg.t_end - t) * sgn > 0.25 * cfg.dt:
             if abs(cfg.t_end - t) < abs(dt_cur):
                 dt_cur = cfg.t_end - t
@@ -462,7 +464,6 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
                     damp = np.exp(-sponge * abs(dt_cur))
                     un *= damp; vn *= damp
                 un, vn = prop.apply_linear(un, vn, dt_cur / 2)
-            peak_old = max(np.max(np.abs(u)), np.max(np.abs(v)))
             peak_new = max(np.max(np.abs(un)), np.max(np.abs(vn)))
             if cfg.adapt and (not np.isfinite(peak_new) or peak_new > GROWTH_LIMIT * peak_old):
                 dt_cur = 0.5 * dt_cur
@@ -471,7 +472,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
                     termination, diagnostic = "blowup", "step collapse"
                     break
                 continue
-            u, v = un, vn
+            u, v, peak_old = un, vn, peak_new
             t += dt_cur
             steps += 1
             if not np.isfinite(peak_new):

@@ -31,8 +31,6 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
@@ -68,6 +66,10 @@ def ode_ground_state(r_eval: np.ndarray, q0: float = 1.0, rtol: float = 1e-11) -
     small radius.  Scale invariance means every q0 > 0 gives a decaying
     solution; q0 = 1 reproduces the closed form.
     """
+    # imported here: scipy.integrate (and scipy.optimize under it) would
+    # add a quarter second to every CLI start-up for this cross-check
+    from scipy.integrate import solve_ivp
+
     r0 = 1e-4
     y0 = [q0 - q0 ** 2 * r0 ** 2 / 12.0 + q0 ** 3 * r0 ** 4 / 192.0,
           -q0 ** 2 * r0 / 6.0 + q0 ** 3 * r0 ** 3 / 48.0]
@@ -233,35 +235,82 @@ def elliptic_residual(qf: RadialField, order: int = 4, boundary: str = "decay4")
 _INTERP_FLUSH = 1e-280
 
 
-def _interp_component(grid: RadialGrid, values: np.ndarray, r_query: np.ndarray,
+def _pchip(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """PCHIP through (x, y[:, j]) at xq for every column j of the real y (n, k).
+
+    Bit for bit scipy's ``PchipInterpolator(x, y)(xq)``: the Fritsch-Carlson
+    node slopes (weighted harmonic mean, zero at sign changes and flat
+    secants, the shape-preserving three-point rule at both ends; linear for
+    two nodes), the cubic of each interval summed in scipy's PPoly order
+    with s = xq - x[i], and intervals [x[i], x[i+1]) with the last one
+    closed at x[-1].  Queries outside [x[0], x[-1]] extend the end cubics.
+    """
+    h = np.diff(x)
+    if len(x) < 2 or not np.all(h > 0):
+        raise ValueError("interpolation needs at least 2 strictly increasing nodes")
+    hc = h[:, None]
+    m = (y[1:] - y[:-1]) / hc
+    d = np.empty_like(y)
+    if len(x) == 2:
+        d[0] = d[1] = m[0]
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * hc[1:] + hc[:-1]
+        w2 = hc[1:] + 2 * hc[:-1]
+        # the 1/0 and inf - inf of the flat nodes are discarded by the where
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                      (-1, (h[-1], h[-2], m[-1], m[-2]))):
+            de = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(de) > 3.0 * np.abs(m0))
+            d[end] = np.where(np.sign(de) != np.sign(m0), 0.0,
+                              np.where(overshoot, 3.0 * m0, de))
+    t = (d[:-1] + d[1:] - 2 * m) / hc
+    c0, c1 = t / hc, (m - d[:-1]) / hc - t
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+    s = (xq - x[i])[:, None]
+    s2 = s * s
+    return (((0.0 + y[:-1][i]) + d[:-1][i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
+
+
+def _interp_component(r: np.ndarray, values: np.ndarray, r_query: np.ndarray,
                       tail_power: float = 4.0) -> np.ndarray:
-    """Monotone-cubic interpolation with even extension at 0 and r^-4 tail."""
+    """Monotone-cubic interpolation with even extension at 0 and r^-4 tail.
+
+    ``values`` holds samples at the nodes r, one column per function ((n,)
+    or (n, k), complex); the result has one row per query radius.  The
+    real and imaginary parts of all columns go through one in-house PCHIP
+    pass that is bit-identical to scipy's ``PchipInterpolator``.
+    """
     values = np.asarray(values, dtype=complex)
+    cols = values.reshape(len(r), -1)
     re, im = (np.where(np.abs(part) < _INTERP_FLUSH, 0.0, part)
-              for part in (values.real, values.imag))
-    values = re + 1j * im
-    r = grid.nodes
+              for part in (cols.real, cols.imag))
+    cols = re + 1j * im
     # even quadratic value at r = 0 from the first two nodes
-    f0 = values[0] + (values[1] - values[0]) * (0.0 - r[0] ** 2) / (r[1] ** 2 - r[0] ** 2)
-    xs = np.concatenate([[0.0], r])
-    out = np.empty(len(r_query), dtype=complex)
+    f0 = cols[0] + (cols[1] - cols[0]) * (0.0 - r[0] ** 2) / (r[1] ** 2 - r[0] ** 2)
+    ext = np.concatenate([f0[None], cols])
+    k = cols.shape[1]
+    out = np.empty((len(r_query), k), dtype=complex)
     inside = r_query <= r[-1]
-    re_i = PchipInterpolator(xs, np.real(np.concatenate([[f0], values])))
-    im_i = PchipInterpolator(xs, np.imag(np.concatenate([[f0], values])))
-    out[inside] = re_i(r_query[inside]) + 1j * im_i(r_query[inside])
+    fit = _pchip(np.concatenate([[0.0], r]),
+                 np.concatenate([ext.real, ext.imag], axis=1), r_query[inside])
+    out[inside] = fit[:, :k] + 1j * fit[:, k:]
     if np.any(~inside):
-        out[~inside] = values[-1] * (r[-1] / r_query[~inside]) ** tail_power
-    return out
+        out[~inside] = cols[-1] * ((r[-1] / r_query[~inside]) ** tail_power)[:, None]
+    return out.reshape((len(r_query),) + values.shape[1:])
 
 
 def apply_symmetry(u: FieldPair, theta: float, lam: float) -> FieldPair:
     """Phase/scaling action: (lam^-2 e^{i th} u1(./lam), lam^-2 e^{2i th} u2(./lam))."""
     if lam <= 0:
         raise ValueError("scaling parameter must be positive")
-    grid = u.grid
-    rq = grid.nodes / lam
-    u1 = _interp_component(grid, u.u, rq) * np.exp(1j * theta) / lam ** 2
-    u2 = _interp_component(grid, u.v, rq) * np.exp(2j * theta) / lam ** 2
+    nodes = u.grid.nodes
+    moved = _interp_component(nodes, np.stack([u.u, u.v], axis=1), nodes / lam)
+    u1 = moved[:, 0] * np.exp(1j * theta) / lam ** 2
+    u2 = moved[:, 1] * np.exp(2j * theta) / lam ** 2
     return u.with_values(u1, u2)
 
 

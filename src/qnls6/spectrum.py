@@ -289,8 +289,8 @@ def _seed(bundle: GroundStateBundle, block: BlockOperatorE,
     e1 = root.apply_sym(g) / np.sqrt(np.concatenate([m, m]))
     e2 = (cblock.e_r.mat @ e1) / lam
     nc = cgrid.n
-    u, v = (_interp_component(cgrid, e1[sl] + 1j * e2[sl], grid.nodes)
-            for sl in (slice(0, nc), slice(nc, 2 * nc)))
+    # columns: the first and second component of e1 + i e2
+    u, v = _interp_component(cgrid.nodes, (e1 + 1j * e2).reshape(2, nc).T, grid.nodes).T
     x = np.concatenate([u.real, v.real, u.imag, v.imag])
     return lam, x, {"tt_residual": info["tt_residual"], "seed_n": nc, "seed_lambda1": lam}
 

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from qnls6.cli import (export_profile_csv, load_profile_csv, main, write_csv,
                        write_json)
 from qnls6.config import (ConfigError, parse_a_values, parse_config, parse_radii,
                           parse_recipe, print_config)
+import qnls6
 from qnls6.grid import RadialGrid
 from conftest import random_pair
 
@@ -512,3 +516,15 @@ n_snapshots = 24
         assert summary["gminus_H"] < summary["gminus_H_Q"]
         assert os.path.exists(os.path.join(out, "gminus_initial.csv"))
         assert os.path.exists(os.path.join(out, "shot_a+1.csv"))
+
+
+def test_cli_import_leaves_slow_scipy_modules_out():
+    # every CLI run pays its imports; these three cost a quarter second
+    src = str(Path(qnls6.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, qnls6.cli; print(sorted(m for m in ('scipy.interpolate', "
+            "'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

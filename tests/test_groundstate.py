@@ -3,8 +3,8 @@ import pytest
 
 from qnls6.grid import RadialField, h1dot_inner, h1dot_norm, integrate6
 from qnls6.functionals import energy, energy_n, hamiltonian, interaction
-from qnls6.groundstate import (apply_symmetry, build_bundle, build_directions,
-                               elliptic_residual, lambda_profile, ode_ground_state,
+from qnls6.groundstate import (_interp_component, _pchip, apply_symmetry, build_bundle,
+                               build_directions, elliptic_residual, lambda_profile, ode_ground_state,
                                q_closed_form, refine_discrete, transform_T,
                                verify_elliptic)
 from conftest import random_pair
@@ -122,6 +122,76 @@ class TestSymmetry:
     def test_rejects_bad_lambda(self, bundle_mid):
         with pytest.raises(ValueError):
             apply_symmetry(bundle_mid.q_vec, 0.0, -1.0)
+
+
+def _assert_bits_equal(a, b):
+    assert np.array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()   # signs of zeros too
+
+
+class TestPchip:
+    """The in-house PCHIP is scipy's PchipInterpolator bit for bit."""
+
+    @staticmethod
+    def _check(x, y, xq):
+        # imported here only: the package itself stays off scipy.interpolate
+        from scipy.interpolate import PchipInterpolator
+        _assert_bits_equal(_pchip(x, y, xq), PchipInterpolator(x, y)(xq))
+
+    @staticmethod
+    def _queries(x, rng):
+        # interior points, every node and the right end r[-1] (closed interval)
+        return np.concatenate([rng.uniform(x[0], x[-1], 64), x, [x[-1], x[0]]])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 40))
+        x = np.cumsum(rng.uniform(0.01, 3.0, n))
+        y = np.column_stack([
+            rng.standard_normal(n),                     # sign changes
+            np.round(2 * rng.standard_normal(n)),       # zero secants, flat runs
+            np.cumsum(rng.uniform(0, 1, n)),            # monotone
+            np.exp(-x) * (1 + 0.1 * rng.standard_normal(n)),
+            np.full(n, -0.5),                           # constant
+        ])
+        self._check(x, y, self._queries(x, rng))
+
+    def test_flat_runs_sign_changes_and_signed_zeros(self):
+        rng = np.random.default_rng(3)
+        x = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 4.2, 7.0])
+        y = np.column_stack([[0, 0, 0, 1, 1, 1, 0, 0],
+                             [1, -1, 1, -1, 1, -1, 1, -1],
+                             [0, 2, 2, 2, -3, -3, 5, 5],
+                             [3, 1, 0, 0, 0, -1, -4, -9]]).astype(float)
+        self._check(x, y, self._queries(x, rng))
+        # a -0.0 node on a falling run: the sum starts from +0.0 as scipy's does
+        x = np.array([0.0, 1.5, 2.5, 5.0])
+        self._check(x, np.array([[-0.0], [1.0], [-0.0], [-3.0]]), self._queries(x, rng))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_few_nodes(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0, 5, n))
+        y = np.column_stack([rng.standard_normal(n), np.zeros(n), np.array([1.0, -2.0, 0.5][:n])])
+        self._check(x, y, self._queries(x, rng))
+
+    def test_rejects_unsorted_nodes(self):
+        with pytest.raises(ValueError):
+            _pchip(np.array([0.0, 1.0, 1.0]), np.zeros((3, 1)), np.array([0.5]))
+
+    def test_pair_columns_equal_single_columns(self, bundle_mid):
+        rng = np.random.default_rng(8)
+        u = random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
+        nodes = bundle_mid.grid.nodes
+        rq = np.concatenate([nodes / 1.3, nodes * 1.1])       # inside and in the r^-4 tail
+        four = np.column_stack([u.u.real, u.u.imag, u.v.real, u.v.imag])
+        together = _interp_component(nodes, four, rq)
+        for j in range(4):
+            _assert_bits_equal(together[:, j], _interp_component(nodes, four[:, j], rq))
+        pair = _interp_component(nodes, np.stack([u.u, u.v], axis=1), rq)
+        _assert_bits_equal(pair[:, 0], _interp_component(nodes, u.u, rq))
+        _assert_bits_equal(pair[:, 1], _interp_component(nodes, u.v, rq))
 
 
 class TestTransform:
