@@ -31,9 +31,8 @@ from .linops import build_block_E
 from .spectrum import (SpectrumError, SpectralResult, coercivity_sample,
                        dense_cross_check, eigenpair_e, lambda1_inverse_iteration,
                        shifted_solve_conditioning)
-from .special import (ShootingError, approx_profiles, construct_g, default_fit_window,
-                      residual_eps_k, shoot_legs, shoot_w,
-                      time_translation_mismatch)
+from .special import (ShootingError, construct_g, default_fit_window, leg_start,
+                      residual_eps_k, shoot_amplitudes, time_translation_mismatch)
 from .evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict,
                         l4_decay_ratio, reconcile, run_batch, variational_prediction,
                         vr_identity_defect, write_checkpoint)
@@ -94,20 +93,25 @@ def _cell(x) -> str:
 
 
 def load_profile_csv(path: str, grid: RadialGrid, kappa: float):
-    rows = []
+    """The (r, re_u, im_u, re_v, im_v) rows of a profile CSV, interpolated to the grid.
+
+    Content that is no such profile raises ConfigError.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line[0].isalpha():
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    data = np.array(rows)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite value in profile")
-    r, reu, imu, rev, imv = data.T
-    # copied: each component contiguous, as in every other FieldPair
-    u, v = _interp_component(r, np.stack([reu + 1j * imu, rev + 1j * imv], axis=1),
-                             grid.nodes).T.copy()
+        lines = [line.strip() for line in fh]
+    try:
+        data = np.array([[float(tok) for tok in line.split(",")] for line in lines
+                         if line and not line.startswith("#") and not line[0].isalpha()])
+        if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != 5:
+            raise ValueError("expected two or more rows of r, re_u, im_u, re_v, im_v")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("non-finite value in profile")
+        r, reu, imu, rev, imv = data.T
+        # copied: each component contiguous, as in every other FieldPair
+        u, v = _interp_component(r, np.stack([reu + 1j * imu, rev + 1j * imv], axis=1),
+                                 grid.nodes).T.copy()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return pair_from_arrays(grid, u, v, kappa)
 
 
@@ -129,11 +133,17 @@ def _mkgrid(cfg: ScenarioConfig, n_override: int = 0) -> RadialGrid:
 
 def _evo_config(cfg: ScenarioConfig, **overrides) -> EvolutionConfig:
     e = cfg.evolution
+    radii = parse_radii(e.virial_radii)
+    if e.t_end == 0:
+        raise ConfigError("[evolution] t_end = 0 leaves nothing to integrate "
+                          "(the runs start at t = 0)")
+    if not all(R >= 1 for R in radii):
+        raise ConfigError(f"[evolution] virial_radii = {e.virial_radii}: every "
+                          "localization radius must be >= 1")
     base = dict(dt=e.dt, t_end=e.t_end, scheme=e.scheme, system=e.system,
                 blowup_H_factor=e.blowup_H_factor, monitor_stride=e.monitor_stride,
                 snapshot_stride=e.snapshot_stride, adapt=e.adapt, sponge=e.sponge,
-                sponge_strength=e.sponge_strength,
-                virial_radii=parse_radii(e.virial_radii))
+                sponge_strength=e.sponge_strength, virial_radii=radii)
     base.update(overrides)
     return EvolutionConfig(**base)
 
@@ -174,6 +184,9 @@ def scenario_ground_state(cfg: ScenarioConfig, outdir: str) -> dict:
 
 def scenario_spectrum(cfg: ScenarioConfig, outdir: str) -> dict:
     sp = cfg.spectrum
+    if sp.coercivity_trials < 1:
+        raise ConfigError(f"[spectrum] coercivity_trials = {sp.coercivity_trials} "
+                          "must be >= 1")
     grid = _mkgrid(cfg, n_override=sp.n)
     bundle, spectral = _spectral_pipeline(cfg, grid)
     summary = {"scenario": "spectrum", **spectral.to_dict()}
@@ -219,14 +232,13 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     grid = _mkgrid(cfg, n_override=spc.n)
     bundle, spectral = _spectral_pipeline(cfg, grid, background="discrete")
     lam = spectral.lambda1
-    t_far = math.log(1.0 / spc.data_eps) / lam
-    sols = {a: approx_profiles(bundle, spectral, a, spc.order) for a in a_values}
-    _, legs = shoot_legs(bundle, spectral, sols.values(), t_far, dt=spc.dt,
-                         n_snapshots=spc.n_snapshots)
-    shots = dict(zip(sols, legs))
+    # every leg starts at the time of |a| = 1, so the legs share one batch
+    t_far = leg_start(lam, 1.0, spc.data_eps)
+    shots = shoot_amplitudes(bundle, spectral, a_values, spc.order, spc.dt, spc.n_snapshots,
+                             spc.data_eps, t_far)
     summary = {"scenario": "special", "lambda1": lam, "t_far": t_far, "k": spc.order}
     for a in a_values:
-        shot = shots[a]
+        sol, shot = shots[a]
         tag = f"a{a:+g}"
         summary[f"{tag}_env_margin_k_half"] = shot.envelope_margin(
             spc.order + 0.5, shot.dev_wk, spc.window_lo, spc.window_hi)
@@ -237,13 +249,13 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
         write_csv(os.path.join(outdir, f"shot_{tag}.csv"),
                   ("t", "dev_wk", "dev_wk_raw", "dev_first", "hn_gap"),
                   zip(shot.times, shot.dev_wk, shot.dev_wk_raw, shot.dev_first, shot.hn_gap))
-        fit = residual_eps_k(sols[a], bundle, default_fit_window(lam))
+        fit = residual_eps_k(sol, bundle, default_fit_window(lam))
         summary[f"{tag}_epsk_slope_l2"] = fit["slope_l2"]
         summary[f"{tag}_epsk_slope_h1"] = fit["slope_h1"]
         summary[f"{tag}_epsk_target"] = fit["target_slope"]
     for a, name in ((1.0, "gplus"), (-1.0, "gminus")):
         if a in shots:
-            pair = construct_g(shots[a], bundle)
+            pair = construct_g(shots[a][1], bundle)
             summary[f"{name}_H"] = pair.H_value
             summary[f"{name}_E"] = pair.E_value
             summary[f"{name}_H_Q"] = pair.H_Q
@@ -251,18 +263,30 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
             summary[f"{name}_delta_rate"] = pair.delta_rate
             export_profile_csv(os.path.join(outdir, f"{name}_initial.csv"), pair.initial)
     if 2.0 in shots and 1.0 in shots:
-        match = time_translation_mismatch(shots[1.0], shots[2.0], bundle)
+        match = time_translation_mismatch(shots[1.0][1], shots[2.0][1], bundle)
         summary["translation_mismatch"] = match["max_rel_mismatch"]
         summary["translation_overlap"] = match["overlap_points"]
     write_json(os.path.join(outdir, "special.summary.json"), summary)
     return summary
 
 
-def _threshold_amplitude(rec: dict, cfg: ScenarioConfig) -> float | None:
+def _recipe_amplitude(rec: dict, cfg: ScenarioConfig) -> float | None:
     """Amplitude a of a threshold-pair recipe (gplus, gminus, wa:<a>), else None.
 
     Its leg starts at the time t > 0 where |a| e^(-lambda1 t) = [special] data_eps.
+    Raises ConfigError, before anything is built, for a recipe the scenario
+    cannot use: such an amplitude, a qscale off 0 < lambda < inf or with a
+    non-finite scale or theta, or an unreadable file.
     """
+    if rec["kind"] == "qscale" and not (0 < rec["lam"] < math.inf and
+                                        all(map(math.isfinite, (rec["scale"], rec["theta"])))):
+        raise ConfigError(f"recipe qscale:{rec['scale']:g}:theta={rec['theta']:g}:lambda="
+                          f"{rec['lam']:g}: need a finite scale and theta and 0 < lambda < inf")
+    if rec["kind"] == "file":
+        try:
+            open(rec["path"], encoding="utf-8").close()
+        except OSError as exc:
+            raise ConfigError(f"recipe file:{rec['path']}: {exc}") from None
     if rec["kind"] not in ("gplus", "gminus", "wa"):
         return None
     a = {"gplus": 1.0, "gminus": -1.0}.get(rec["kind"], rec.get("a"))
@@ -272,24 +296,22 @@ def _threshold_amplitude(rec: dict, cfg: ScenarioConfig) -> float | None:
     return a
 
 
-def _initial_from_recipe(rec: dict, cfg: ScenarioConfig, bundle: GroundStateBundle,
+def _initial_from_recipe(rec: dict, a: float | None, bundle: GroundStateBundle,
                          threshold: tuple | None):
     """Initial data and the bundle whose Q it was built against.
 
-    Threshold-pair recipes are shot on ``threshold``, the discrete-background
-    (bundle, spectral) of ``_spectral_pipeline``.  E(G+-) = E(Q) holds for that
-    Q, so their E/E(Q) and H/H(Q) are taken against it: the closed-form Q's
-    energy differs by 2e-3 at n = 128, r_max = 60, more than the threshold band.
+    A threshold-pair recipe of amplitude ``a`` reads its shot from ``threshold``,
+    (discrete-background bundle, ``shoot_amplitudes`` shots).  E(G+-) = E(Q)
+    holds for that Q, so their E/E(Q) and H/H(Q) are taken against it: the
+    closed-form Q's energy differs by 2e-3 at n = 128, r_max = 60.
     """
     if rec["kind"] == "qscale":
         base = apply_symmetry(bundle.q_vec, rec["theta"], rec["lam"])
         return rec["scale"] * base, bundle
     if rec["kind"] == "file":
         return load_profile_csv(rec["path"], bundle.grid, bundle.kappa), bundle
-    spc = cfg.special
-    bundle_d, spectral = threshold
-    shot = shoot_w(bundle_d, spectral, _threshold_amplitude(rec, cfg), spc.order, dt=spc.dt,
-                   data_eps=spc.data_eps, n_snapshots=spc.n_snapshots)
+    bundle_d, shots = threshold
+    shot = shots[a][1]
     if rec["kind"] == "wa":
         t0 = min(shot.state_at.keys())
         return transform_T(shot.state_at[t0], inverse=True), bundle_d
@@ -300,17 +322,24 @@ def _evolve_recipes(cfg: ScenarioConfig, recipes, **evo_overrides) -> list:
     """(initial, bundle, record) per recipe: the states, evolved by one ``run_batch`` call.
 
     Threshold-pair recipes share one discrete-background pipeline, built only
-    when one is present.  ``bundle`` is the Q a state was built against; its
-    H(Q) is the run's reference_H.
+    when one is present, and one ``shoot_amplitudes`` call.  ``bundle`` is the
+    Q a state was built against; its H(Q) is the run's reference_H.
     """
+    evo = _evo_config(cfg, **evo_overrides)
     parsed = [parse_recipe(text) for text in recipes]
-    amplitudes = [_threshold_amplitude(rec, cfg) for rec in parsed]   # raises before any build
+    amplitudes = [_recipe_amplitude(rec, cfg) for rec in parsed]   # raises before any build
     grid = _mkgrid(cfg, n_override=cfg.evolution.n)
     bundle = build_bundle(grid, cfg.physics.kappa)
-    threshold = (_spectral_pipeline(cfg, grid, background="discrete")
-                 if any(a is not None for a in amplitudes) else None)
-    built = [_initial_from_recipe(rec, cfg, bundle, threshold) for rec in parsed]
-    records = run_batch([initial for initial, _ in built], _evo_config(cfg, **evo_overrides),
+    threshold = None
+    wanted = [a for a in amplitudes if a is not None]
+    if wanted:
+        spc = cfg.special
+        bundle_d, spectral = _spectral_pipeline(cfg, grid, background="discrete")
+        threshold = bundle_d, shoot_amplitudes(bundle_d, spectral, wanted, spc.order, spc.dt,
+                                               spc.n_snapshots, spc.data_eps, None)
+    built = [_initial_from_recipe(rec, a, bundle, threshold)
+             for rec, a in zip(parsed, amplitudes)]
+    records = run_batch([initial for initial, _ in built], evo,
                         reference_H=[hamiltonian(ref.q_vec) for _, ref in built])
     return [(initial, ref, rec) for (initial, ref), rec in zip(built, records)]
 

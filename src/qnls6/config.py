@@ -14,6 +14,9 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
+from .evolution import EvolutionConfig
+from .grid import GridError, RadialGrid
+
 
 class ConfigError(ValueError):
     pass
@@ -99,24 +102,27 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if not self.physics.kappa > 0:
             raise ConfigError("kappa must be positive")
-        sizes = {"grid n": self.grid.n, "spectrum n": self.spectrum.n,
-                 "spectrum cross_check_n": self.spectrum.cross_check_n,
-                 "special n": self.special.n}
+        g, sp = self.grid, self.spectrum
+        grids = {"[grid] n, r_max, mapping, stretch": (g.n, g.r_max, g.mapping, g.stretch),
+                 "[spectrum] n": (sp.n, g.r_max, g.mapping, g.stretch),
+                 "[special] n": (self.special.n, g.r_max, g.mapping, g.stretch),
+                 "[spectrum] cross_check_n, cross_check_r_max, cross_check_stretch":
+                     (sp.cross_check_n, sp.cross_check_r_max, "algebraic", sp.cross_check_stretch)}
         if self.evolution.n != 0:
-            sizes["evolution n"] = self.evolution.n
-        for key, n in sizes.items():
-            if n < 5:
-                raise ConfigError(f"{key} too small: {n} (a grid needs at least 5 nodes)")
-        if self.grid.mapping not in ("uniform", "algebraic"):
-            raise ConfigError(f"unknown grid mapping {self.grid.mapping!r}")
-        if not self.evolution.dt > 0:
-            raise ConfigError("dt must be positive")
-        if not self.evolution.blowup_H_factor > 1:
-            raise ConfigError("blowup_H_factor must exceed 1")
-        if self.evolution.scheme not in ("strang-split", "crank-nicolson"):
-            raise ConfigError(f"unknown scheme {self.evolution.scheme!r}")
-        if self.evolution.system not in ("original", "transformed"):
-            raise ConfigError(f"unknown system {self.evolution.system!r}")
+            grids["[evolution] n"] = (self.evolution.n, g.r_max, g.mapping, g.stretch)
+        for keys, (n, r_max, mapping, stretch) in grids.items():
+            try:
+                RadialGrid(n=n, r_max=r_max, mapping=mapping, stretch=stretch)
+            except GridError as exc:
+                raise ConfigError(f"{keys}: {exc}") from None
+        e = self.evolution
+        try:
+            EvolutionConfig(dt=e.dt, scheme=e.scheme, system=e.system,
+                            blowup_H_factor=e.blowup_H_factor, monitor_stride=e.monitor_stride)
+        except ValueError as exc:
+            raise ConfigError(f"[evolution] {exc}") from None
+        if self.special.order < 1:
+            raise ConfigError(f"[special] order = {self.special.order} must be >= 1")
         for rec in self.sweep.recipes:
             parse_recipe(rec)
         parse_radii(self.evolution.virial_radii)

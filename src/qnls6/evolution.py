@@ -125,9 +125,11 @@ class EvolutionConfig:
     virial_radii: tuple = ()           # R values (math.inf allowed)
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.blowup_H_factor <= 1:
+        if self.monitor_stride < 1:
+            raise ValueError(f"monitor_stride = {self.monitor_stride} must be >= 1")
+        if not self.blowup_H_factor > 1:
             raise ValueError("blowup_H_factor must exceed 1")
         if self.scheme not in ("strang-split", "crank-nicolson"):
             raise ValueError(f"unknown scheme {self.scheme!r}")

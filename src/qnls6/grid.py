@@ -39,9 +39,9 @@ class GridError(ValueError):
     pass
 
 
-# Bound of the per-grid caches (lru_cache keyed by the grid).  A scenario
-# touches at most three grids, so 8 never evicts within a run; an entry is
-# O(n) (the refined Q), so a long session holds at most 8 of them.
+# Bound of the per-grid caches (lru_cache keyed by the grid).  spectrum touches
+# four grids (n, the seed, the 2n check, the cross-check), so 8 never evicts in
+# a run; an entry is O(n) (the refined Q), so a session holds at most 8 of them.
 GRID_CACHE_SIZE = 8
 
 
@@ -74,14 +74,14 @@ class RadialGrid:
     def __post_init__(self):
         if self.n < 5:
             raise GridError(f"grid needs at least 5 nodes, got {self.n}")
-        if self.r_max <= 0:
-            raise GridError("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise GridError("r_max must be positive and finite")
         s = np.arange(1, self.n + 1) / self.n
         if self.mapping == "uniform":
             r = self.r_max * s
         elif self.mapping == "algebraic":
-            if self.stretch < 0:
-                raise GridError("stretch must be nonnegative")
+            if not 0 <= self.stretch < np.inf:
+                raise GridError("stretch must be nonnegative and finite")
             r = _algebraic_map(s, self.r_max, self.stretch)
         else:
             raise GridError(f"unknown mapping {self.mapping!r}")

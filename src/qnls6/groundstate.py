@@ -275,31 +275,31 @@ def _pchip(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
     return (((0.0 + y[:-1][i]) + d[:-1][i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
 
 
-def _interp_component(r: np.ndarray, values: np.ndarray, r_query: np.ndarray,
-                      tail_power: float = 4.0) -> np.ndarray:
+def _interp_component(r: np.ndarray, values: np.ndarray, r_query: np.ndarray) -> np.ndarray:
     """Monotone-cubic interpolation with even extension at 0 and r^-4 tail.
 
     ``values`` holds samples at the nodes r, one column per function ((n,)
     or (n, k), complex); the result has one row per query radius.  The
     real and imaginary parts of all columns go through one in-house PCHIP
-    pass that is bit-identical to scipy's ``PchipInterpolator``.
+    pass that is bit-identical to scipy's ``PchipInterpolator``.  Without a
+    sample at r = 0, the even quadratic through the first two gives one.
     """
     values = np.asarray(values, dtype=complex)
     cols = values.reshape(len(r), -1)
     re, im = (np.where(np.abs(part) < _INTERP_FLUSH, 0.0, part)
               for part in (cols.real, cols.imag))
     cols = re + 1j * im
-    # even quadratic value at r = 0 from the first two nodes
-    f0 = cols[0] + (cols[1] - cols[0]) * (0.0 - r[0] ** 2) / (r[1] ** 2 - r[0] ** 2)
-    ext = np.concatenate([f0[None], cols])
+    nodes, ext = r, cols
+    if r[0] != 0.0:
+        f0 = cols[0] + (cols[1] - cols[0]) * (0.0 - r[0] ** 2) / (r[1] ** 2 - r[0] ** 2)
+        nodes, ext = np.concatenate([[0.0], r]), np.concatenate([f0[None], cols])
     k = cols.shape[1]
     out = np.empty((len(r_query), k), dtype=complex)
     inside = r_query <= r[-1]
-    fit = _pchip(np.concatenate([[0.0], r]),
-                 np.concatenate([ext.real, ext.imag], axis=1), r_query[inside])
+    fit = _pchip(nodes, np.concatenate([ext.real, ext.imag], axis=1), r_query[inside])
     out[inside] = fit[:, :k] + 1j * fit[:, k:]
     if np.any(~inside):
-        out[~inside] = cols[-1] * ((r[-1] / r_query[~inside]) ** tail_power)[:, None]
+        out[~inside] = cols[-1] * ((r[-1] / r_query[~inside]) ** 4.0)[:, None]
     return out.reshape((len(r_query),) + values.shape[1:])
 
 

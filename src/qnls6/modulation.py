@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FieldPair, h1dot_inner, h1dot_norm, radial_derivative
-from .groundstate import GroundStateBundle, apply_symmetry, build_directions
+from .groundstate import GroundStateBundle, apply_symmetry, build_directions, lambda_profile
 from .functionals import hamiltonian, gap_delta
 from .linops import assemble_L, quad_form
 
@@ -59,23 +59,17 @@ class ModulationFrame:
         self.H_Q = hamiltonian(bundle.q_vec)
         self.phi_QQ = quad_form(bundle.q_vec, bundle.q_vec, "phi", bundle, self.ops)
         self.delta0 = 0.1 * self.H_Q if delta0 is None else delta0
-        # half-kinetic radius of the reference state, for the lambda guess
-        du = radial_derivative(bundle.q_vec.first).values
-        w = bundle.grid.quad_weights
-        cum = np.cumsum(w * np.abs(du) ** 2)
-        self._r_half_q = self._half_radius(cum, bundle.grid.nodes)
+        self._r_half_q = self._half_radius(bundle.q_vec)
 
     @staticmethod
-    def _half_radius(cum, nodes):
-        tot = cum[-1]
-        idx = int(np.searchsorted(cum, 0.5 * tot))
-        return float(nodes[min(idx, len(nodes) - 1)])
+    def _half_radius(u: FieldPair) -> float:
+        """The node below which the first component holds half its kinetic energy."""
+        cum = np.cumsum(u.grid.quad_weights * np.abs(radial_derivative(u.first).values) ** 2)
+        idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
+        return float(u.grid.nodes[min(idx, u.grid.n - 1)])
 
     def lambda_guess(self, u: FieldPair) -> float:
-        du = radial_derivative(u.first).values
-        w = u.grid.quad_weights
-        cum = np.cumsum(w * np.abs(du) ** 2)
-        return self._half_radius(cum, u.grid.nodes) / self._r_half_q
+        return self._half_radius(u) / self._r_half_q
 
     def theta_guess(self, u: FieldPair, lam0: float) -> float:
         qs = apply_symmetry(self.bundle.q_vec, 0.0, lam0)
@@ -85,24 +79,21 @@ class ModulationFrame:
         return float(np.angle(z))
 
 
-def _scaling_generator(u: FieldPair) -> FieldPair:
-    """Lambda u = 2u + r du/dr, componentwise."""
-    r = u.grid.nodes
-    du = radial_derivative(u.first).values
-    dv = radial_derivative(u.second).values
-    return u.with_values(2.0 * u.u + r * du, 2.0 * u.v + r * dv)
+# decompose stops after NEWTON_MAX_ITER steps or at residuals below NEWTON_TOL ||Q||^2.
+NEWTON_MAX_ITER, NEWTON_TOL = 40, 1e-11
+# delta <= DELTA_FLOOR is left out of the rate bound and band (0/0 when stationary).
+DELTA_FLOOR = 1e-12
 
 
 def decompose(u: FieldPair, bundle: GroundStateBundle,
               guess: tuple[float, float] | None = None,
               frame: ModulationFrame | None = None,
-              t: float = 0.0, max_iter: int = 40, tol: float = 1e-11,
-              enforce_gate: bool = True) -> tuple[ModulationPoint, FieldPair]:
+              t: float = 0.0) -> tuple[ModulationPoint, FieldPair]:
     """Newton decomposition; raises ModulationError outside the delta gate."""
     if frame is None:
         frame = ModulationFrame(bundle)
     delta = gap_delta(u, bundle)
-    if enforce_gate and delta >= frame.delta0:
+    if delta >= frame.delta0:
         raise ModulationError(
             f"delta = {delta:.3e} outside the modulation region (delta0 = {frame.delta0:.3e})")
     if guess is None:
@@ -116,16 +107,16 @@ def decompose(u: FieldPair, bundle: GroundStateBundle,
     lam_q = frame.dirs["lambda_q"]
     scale = h1dot_norm(bundle.q_vec) ** 2
     converged = False
-    moved = None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         moved = apply_symmetry(u, tn, ln)
         c1 = h1dot_inner(moved, i_q1)
         c2 = h1dot_inner(moved, lam_q)
-        if math.hypot(c1, c2) < tol * scale:
+        if math.hypot(c1, c2) < NEWTON_TOL * scale:
             converged = True
             break
         d_theta = moved.with_values(1j * moved.u, 2j * moved.v)
-        d_lam = -(1.0 / ln) * _scaling_generator(moved)
+        d_lam = -(1.0 / ln) * moved.with_values(lambda_profile(moved.first).values,
+                                                lambda_profile(moved.second).values)
         J = np.array([
             [h1dot_inner(d_theta, i_q1), h1dot_inner(d_lam, i_q1)],
             [h1dot_inner(d_theta, lam_q), h1dot_inner(d_lam, lam_q)],
@@ -139,8 +130,6 @@ def decompose(u: FieldPair, bundle: GroundStateBundle,
             damp *= 0.5
         tn += damp * step[0]
         ln += damp * step[1]
-    if moved is None:
-        moved = apply_symmetry(u, tn, ln)
     alpha = quad_form(bundle.q_vec, moved, "phi", bundle, frame.ops) / frame.phi_QQ - 1.0
     h = moved - (1.0 + alpha) * bundle.q_vec
     theta = float((-tn) % (2.0 * math.pi))
@@ -222,16 +211,16 @@ def track(states: list[tuple[float, FieldPair]], bundle: GroundStateBundle,
         converged=np.array([p.converged for p in rows]))
 
 
-def verify_rate_bound(trk: ModulationTrack, delta_floor: float = 1e-12) -> dict:
+def verify_rate_bound(trk: ModulationTrack) -> dict:
     """Max of (|theta'| + |alpha'| + |lambda'|/lambda) / (lambda^2 delta).
 
-    Samples with delta below the floor are excluded (stationary tracks would
-    otherwise produce 0/0).  The bound's constant is fitted, not asserted.
+    Samples with delta at or below DELTA_FLOOR are excluded.  The bound's
+    constant is fitted, not asserted.
     """
     d = trk.derivatives()
     num = np.abs(d["theta_dot"]) + np.abs(d["alpha_dot"]) + np.abs(d["lam_dot"]) / d["lam"]
     den = d["lam"] ** 2 * d["delta"]
-    keep = d["delta"] > delta_floor
+    keep = d["delta"] > DELTA_FLOOR
     if not np.any(keep):
         return {"max_ratio": 0.0, "samples": 0}
     ratio = num[keep] / den[keep]
@@ -239,14 +228,14 @@ def verify_rate_bound(trk: ModulationTrack, delta_floor: float = 1e-12) -> dict:
             "samples": int(np.sum(keep))}
 
 
-def comparability_band(trk: ModulationTrack, h_q: float, delta_floor: float = 1e-12) -> float:
+def comparability_band(trk: ModulationTrack, h_q: float) -> float:
     """max over the track of max(|alpha|/dhat, dhat/|alpha|), dhat = delta/H(Q).
 
     The raw gap scales like 2 |alpha| H(Q) (expanding H((1+alpha)Q + h) with
     the cross term killed by Phi(Q,h) = 0), so the dimensionless comparison
     uses delta normalized by H(Q); the expected band center is 2.
     """
-    ok = trk.converged.astype(bool) & (trk.delta > delta_floor)
+    ok = trk.converged.astype(bool) & (trk.delta > DELTA_FLOOR)
     if not np.any(ok):
         return 0.0
     a = np.maximum(np.abs(trk.alpha[ok]), 1e-300)

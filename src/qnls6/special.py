@@ -29,7 +29,7 @@ H_N(W(t0)) - H_N(T(bQ)) matches the sign of a (the leading deviation is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,22 +57,28 @@ class ApproxSolution:
     kappa: float
 
     def evaluate(self, t: float) -> FieldPair:
+        return self._series(t, 0)
+
+    def time_derivative(self, t: float) -> FieldPair:
+        return self._series(t, 1)
+
+    def _series(self, t: float, order: int) -> FieldPair:
+        """d^order/dt^order U_k(t) = sum_j (-j lambda1)^order e^{-j lambda1 t} g_j."""
         out_u = np.zeros_like(self.profiles[0].u)
         out_v = np.zeros_like(self.profiles[0].v)
         for j, g in enumerate(self.profiles, start=1):
-            c = math.exp(-j * self.lambda1 * t)
+            c = (-j * self.lambda1) ** order * math.exp(-j * self.lambda1 * t)
             out_u = out_u + c * g.u
             out_v = out_v + c * g.v
         return self.profiles[0].with_values(out_u, out_v)
 
-    def time_derivative(self, t: float) -> FieldPair:
-        out_u = np.zeros_like(self.profiles[0].u)
-        out_v = np.zeros_like(self.profiles[0].v)
-        for j, g in enumerate(self.profiles, start=1):
-            c = -j * self.lambda1 * math.exp(-j * self.lambda1 * t)
-            out_u = out_u + c * g.u
-            out_v = out_v + c * g.v
-        return self.profiles[0].with_values(out_u, out_v)
+
+def _forcing(profiles, j: int) -> FieldPair:
+    """sum_{m+l=j} B_N(g_m, g_l) over the profiles g_1, g_2, ..., in ascending m."""
+    k = len(profiles)
+    terms = [bilinear_N(profiles[m - 1], profiles[j - m - 1])
+             for m in range(max(1, j - k), min(k, j - 1) + 1)]
+    return sum(terms[1:], terms[0])
 
 
 def approx_profiles(bundle: GroundStateBundle, spectral: SpectralResult,
@@ -88,11 +94,7 @@ def approx_profiles(bundle: GroundStateBundle, spectral: SpectralResult,
     residuals = [spectral.residual]
     E4 = block.sparse_real()
     for j in range(2, k + 1):
-        rhs_pair = None
-        for m_ord in range(1, j):
-            l_ord = j - m_ord
-            term = bilinear_N(profiles[m_ord - 1], profiles[l_ord - 1])
-            rhs_pair = term if rhs_pair is None else rhs_pair + term
+        rhs_pair = _forcing(profiles, j)
         rhs = 1j * np.concatenate([rhs_pair.u, rhs_pair.v])
         mat = (E4 - j * lam * sp.identity(4 * n, format="csc")).tocsc()
         try:
@@ -123,18 +125,7 @@ def eps_k_tail_terms(sol: ApproxSolution) -> dict:
     evaluating it term by term avoids the catastrophic cancellation the
     direct formula suffers once e^{-lambda1 t} drops below ~1e-3.
     """
-    out = {}
-    for j in range(sol.k + 1, 2 * sol.k + 1):
-        term = None
-        for m_ord in range(max(1, j - sol.k), min(sol.k, j - 1) + 1):
-            l_ord = j - m_ord
-            if l_ord < 1 or l_ord > sol.k:
-                continue
-            contrib = bilinear_N(sol.profiles[m_ord - 1], sol.profiles[l_ord - 1])
-            term = contrib if term is None else term + contrib
-        if term is not None:
-            out[j] = term
-    return out
+    return {j: _forcing(sol.profiles, j) for j in range(sol.k + 1, 2 * sol.k + 1)}
 
 
 def residual_eps_k(sol: ApproxSolution, bundle: GroundStateBundle,
@@ -204,7 +195,6 @@ class SpecialTrajectory:
     hn_gap: np.ndarray           # H_N(W) - H_N(T(Q)), control-subtracted
     record: TrajectoryRecord
     state_at: dict               # t -> FieldPair (transformed frame)
-    bundle: GroundStateBundle = field(repr=False, default=None)
 
     def x_of_t(self, t):
         return np.exp(-self.lambda1 * np.asarray(t))
@@ -228,34 +218,28 @@ class SpecialTrajectory:
             raise ShootingError("fit window too small")
         return float(np.polyfit(self.times[m], np.log(series[m]), 1)[0])
 
-    def hn_gap_rate(self, x_lo: float = 0.02, x_hi: float = 0.3) -> float:
-        m = self.window_mask(x_lo, x_hi) & (np.abs(self.hn_gap) > 0)
-        if np.sum(m) < 3:
-            raise ShootingError("fit window too small")
-        return float(-np.polyfit(self.times[m], np.log(np.abs(self.hn_gap[m])), 1)[0])
+    def hn_gap_rate(self) -> float:
+        """Decay rate of |hn_gap|, fitted where e^{-lambda1 t} lies in [0.02, 0.3]."""
+        return -self.fitted_slope(np.abs(self.hn_gap), 0.02, 0.3)
 
 
-def _leg_config(dt: float, snap_times: tuple) -> EvolutionConfig:
-    return EvolutionConfig(dt=dt, t_end=0.0, system="transformed", monitor_stride=50,
-                           snapshot_times=snap_times, blowup_H_factor=1e6)
-
-
-def _run_legs(bundle: GroundStateBundle, prop: RadialPropagator, data: list, t_far: float,
-              dt: float, snap_times: tuple) -> list:
+def _run_legs(bundle: GroundStateBundle, data: list, t_far: float, dt: float,
+              snap_times: tuple) -> list:
     """Backward legs from each state of data at t_far down to 0, as one batch.
 
     Every leg is measured against reference_H = H_N(T(bQ)).
     """
     tq = bundle.t_q
-    h_ref = prop.discrete_H(tq.u, tq.v, "transformed")
-    return run_batch(data, _leg_config(dt, snap_times), reference_H=h_ref, t0=t_far)
+    h_ref = RadialPropagator(bundle.grid, bundle.kappa).discrete_H(tq.u, tq.v, "transformed")
+    cfg = EvolutionConfig(dt=dt, t_end=0.0, system="transformed", monitor_stride=50,
+                          snapshot_times=snap_times, blowup_H_factor=1e6)
+    return run_batch(data, cfg, reference_H=h_ref, t0=t_far)
 
 
 def control_leg(bundle: GroundStateBundle, t_far: float, dt: float,
                 snap_times: tuple) -> TrajectoryRecord:
     """Backward integration of the bare discrete ground state over the leg."""
-    prop = RadialPropagator(bundle.grid, bundle.kappa)
-    return _run_legs(bundle, prop, [bundle.t_q], t_far, dt, snap_times)[0]
+    return _run_legs(bundle, [bundle.t_q], t_far, dt, snap_times)[0]
 
 
 def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far: float,
@@ -268,7 +252,6 @@ def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far:
     the legs share grid, dt, t_far and the snapshot times.  Returns the
     control record and one SpecialTrajectory per profile set.
     """
-    sols = list(sols)
     if any(sol.a == 0.0 for sol in sols):
         raise ValueError("a = 0 is the control leg; use control_leg()")
     snap_times = tuple(np.linspace(t_far, 0.0, n_snapshots))
@@ -277,7 +260,7 @@ def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far:
     if control is None:
         data.insert(0, tq)
     prop = RadialPropagator(bundle.grid, bundle.kappa)
-    recs = _run_legs(bundle, prop, data, t_far, dt, snap_times)
+    recs = _run_legs(bundle, data, t_far, dt, snap_times)
     if control is None:
         control = recs.pop(0)
     return control, [_trajectory(bundle, spectral, sol, t_far, rec, control, prop)
@@ -314,8 +297,7 @@ def _trajectory(bundle: GroundStateBundle, spectral: SpectralResult, sol: Approx
     return SpecialTrajectory(a=a, k=sol.k, lambda1=lam, t_far=t_far,
                              times=np.array(times), dev_wk=np.array(dev),
                              dev_wk_raw=np.array(dev_raw), dev_first=np.array(dev1),
-                             hn_gap=np.array(hng), record=rec, state_at=states,
-                             bundle=bundle)
+                             hn_gap=np.array(hng), record=rec, state_at=states)
 
 
 def shoot_w(bundle: GroundStateBundle, spectral: SpectralResult, a: float, k: int,
@@ -331,16 +313,38 @@ def shoot_w(bundle: GroundStateBundle, spectral: SpectralResult, a: float, k: in
     """
     if a == 0.0:
         raise ValueError("a = 0 is the control leg; use control_leg()")
-    lam = spectral.lambda1
     if t_far is None:
-        t_far = math.log(abs(a) / data_eps) / lam
-        if t_far <= 0:
-            raise ShootingError(f"amplitude |a| = {abs(a):g} is not above data_eps = {data_eps:g}")
+        t_far = leg_start(spectral.lambda1, a, data_eps)
     if sol is None:
         sol = approx_profiles(bundle, spectral, a, k)
     elif sol.a != a or sol.k < k:
         raise ValueError("supplied profile set does not match (a, k)")
     return shoot_legs(bundle, spectral, [sol], t_far, dt, n_snapshots, control)[1][0]
+
+
+def leg_start(lambda1: float, a: float, data_eps: float) -> float:
+    """Start t_far > 0 of a leg of W^a: |a| e^{-lambda1 t_far} = data_eps, else ShootingError."""
+    t_far = math.log(abs(a) / data_eps) / lambda1
+    if t_far <= 0:
+        raise ShootingError(f"amplitude |a| = {abs(a):g} is not above data_eps = {data_eps:g}")
+    return t_far
+
+
+def shoot_amplitudes(bundle: GroundStateBundle, spectral: SpectralResult, amplitudes, k: int,
+                     dt: float, n_snapshots: int, data_eps: float,
+                     t_far: float | None) -> dict:
+    """{a: (profile set, SpecialTrajectory)} over the distinct amplitudes, each solved once.
+
+    A leg starts at ``t_far``, or at ``leg_start`` when that is None; the legs
+    of one start time run as one ``shoot_legs`` batch behind one control leg.
+    """
+    groups = {}
+    for a in dict.fromkeys(amplitudes):
+        start = leg_start(spectral.lambda1, a, data_eps) if t_far is None else t_far
+        groups.setdefault(start, []).append(approx_profiles(bundle, spectral, a, k))
+    return {sol.a: (sol, leg) for start, sols in groups.items()
+            for sol, leg in zip(sols, shoot_legs(bundle, spectral, sols, start, dt,
+                                                 n_snapshots)[1])}
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,6 @@ class ThresholdPair:
     E_value: float
     H_Q: float
     E_Q: float
-    hn_gap_at_t0: float
     delta_rate: float
 
 
@@ -373,7 +376,6 @@ def construct_g(shot: SpecialTrajectory, bundle: GroundStateBundle) -> Threshold
         gap = shot.hn_gap[idx]
         if np.sign(gap) == sgn and abs(gap) >= 0.5 * gap_scale:
             t0 = shot.times[idx]
-            gap0 = gap
             break
     if t0 is None:
         raise ShootingError("sign condition on H_N never achieved within the computed window")
@@ -384,7 +386,7 @@ def construct_g(shot: SpecialTrajectory, bundle: GroundStateBundle) -> Threshold
         sign=sgn, t0=float(t0), initial=initial,
         H_value=hamiltonian(initial), E_value=energy(initial),
         H_Q=hamiltonian(bundle.q_vec), E_Q=energy(bundle.q_vec),
-        hn_gap_at_t0=float(gap0), delta_rate=float(rate))
+        delta_rate=float(rate))
 
 
 def time_translation_mismatch(shot_ref: SpecialTrajectory, shot_scaled: SpecialTrajectory,

@@ -71,13 +71,17 @@ class SpectrumError(RuntimeError):
 # the shift (a 2 SEED_N square eigh); see the module docstring.
 SEED_N = 256
 # Solves with the one factorization at the seed's lambda before the
-# Rayleigh-quotient polish.
+# Rayleigh-quotient polish, and the re-factored solves of the polish.
 FIXED_SHIFT_SOLVES = 3
+POLISH_SOLVES = 3
+REFINE_SOLVES = 5      # fixed-shift solves of lambda1_inverse_iteration
 # An iterate whose Rayleigh quotient strays further than this from the shift
 # (relative) has locked onto another eigenvalue.
 WANDER_REL = 0.5
 # Compressed E_R eigenvalues below -NEGATIVE_GAP |mu| count as negative.
 NEGATIVE_GAP = 0.5
+# dense_cross_check: |Im| <= DENSE_TOL max(|Re|, 1) is real, |lambda| <= DENSE_TOL zero.
+DENSE_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +94,9 @@ class SqrtEI:
 
     op: PairOperator
     basis: np.ndarray          # eigenvectors in symmetrized coordinates
-    eigs: np.ndarray           # raw eigenvalues
     sqrt_eigs: np.ndarray      # clipped square roots
     kernel_index: int
     kernel_eig: float
-    clip: float
 
     def _d(self) -> np.ndarray:
         m = self.op.grid.cell_masses
@@ -142,8 +144,8 @@ def sqrt_ei(e_i: PairOperator, bundle: GroundStateBundle,
     clipped = eigs.copy()
     clipped[kernel_index] = 0.0
     clipped[np.abs(clipped) < clip] = 0.0
-    return SqrtEI(op=e_i, basis=basis, eigs=eigs, sqrt_eigs=np.sqrt(np.maximum(clipped, 0.0)),
-                  kernel_index=kernel_index, kernel_eig=float(eigs[kernel_index]), clip=clip)
+    return SqrtEI(op=e_i, basis=basis, sqrt_eigs=np.sqrt(np.maximum(clipped, 0.0)),
+                  kernel_index=kernel_index, kernel_eig=float(eigs[kernel_index]))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +335,7 @@ def _compressed_negative_count(e_r: PairOperator, k: np.ndarray, tol: float) -> 
 
 
 def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
-                polish_iterations: int = 3, clip_rel: float = 1e-10) -> SpectralResult:
+                clip_rel: float = 1e-10) -> SpectralResult:
     """Unstable eigenpair of script_E by shift-invert on the sparse generator.
 
     Seeded by the symmetric-product pair at min(n, SEED_N) nodes; see the
@@ -352,7 +354,7 @@ def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
         return _weighted_norm(grid, res) / _weighted_norm(grid, z)
 
     res0 = resid_of(x[:2 * n], x[2 * n:], lam_c)
-    lam, x = _shift_invert(S, lam_c, x * D4, FIXED_SHIFT_SOLVES, polish_iterations)
+    lam, x = _shift_invert(S, lam_c, x * D4, FIXED_SHIFT_SOLVES, POLISH_SOLVES)
     e1 = x[:2 * n] / D4[:2 * n]
     e2 = x[2 * n:] / D4[2 * n:]
     res1 = resid_of(e1, e2, lam)
@@ -393,20 +395,18 @@ def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
                           mu=-lam * lam, kernel_eig=kernel_eig, n=n, info=info)
 
 
-def lambda1_inverse_iteration(bundle: GroundStateBundle, lam_guess: float,
-                              iterations: int = 5) -> float:
+def lambda1_inverse_iteration(bundle: GroundStateBundle, lam_guess: float) -> float:
     """lambda1 on this grid by shift-inverted iteration only (refinement checks)."""
     S, _ = _symmetrized_generator(build_block_E(bundle))
     x = np.random.default_rng(7).standard_normal(S.shape[0])
-    return _shift_invert(S, lam_guess, x, iterations, 0)[0]
+    return _shift_invert(S, lam_guess, x, REFINE_SOLVES, 0)[0]
 
 
 # ---------------------------------------------------------------------------
 # dense nonsymmetric cross-check
 
 
-def dense_cross_check(bundle: GroundStateBundle, real_tol: float = 1e-4,
-                      zero_tol: float = 1e-4) -> dict:
+def dense_cross_check(bundle: GroundStateBundle) -> dict:
     """Full nonsymmetric spectrum of script_E at (small) production cost.
 
     Because E_R and E_I are symmetric in the mass inner product, the spectrum
@@ -421,9 +421,9 @@ def dense_cross_check(bundle: GroundStateBundle, real_tol: float = 1e-4,
     M = (M * D4[:, None]) / D4[None, :]
     ev = sla.eigvals(M)
     scale = float(np.max(np.abs(ev)))
-    realish = ev[(np.abs(ev.imag) <= real_tol * np.maximum(np.abs(ev.real), 1.0)) &
-                 (np.abs(ev.real) > zero_tol)]
-    near_zero = ev[np.abs(ev) <= zero_tol]
+    realish = ev[(np.abs(ev.imag) <= DENSE_TOL * np.maximum(np.abs(ev.real), 1.0)) &
+                 (np.abs(ev.real) > DENSE_TOL)]
+    near_zero = ev[np.abs(ev) <= DENSE_TOL]
     lam_pos = sorted(float(x.real) for x in realish if x.real > 0)
     return {
         "lambda1_dense": lam_pos[0] if lam_pos else None,

@@ -135,6 +135,18 @@ class TestSerialization:
         loaded = load_profile_csv(str(path), grid, 0.5)
         assert np.max(np.abs(loaded.u - u.u)) < 1e-10
 
+    def test_profile_with_a_row_at_r_zero_loads(self, tmp_path):
+        # the sample at r = 0 is the even extension's node, not a second one
+        r = np.linspace(0.0, 8.0, 161)
+        path = tmp_path / "profile.csv"
+        write_csv(str(path), ("r", "re_u", "im_u", "re_v", "im_v"),
+                  zip(r, np.exp(-r * r), 0.0 * r, 0.5 * np.exp(-r * r), -np.exp(-r * r)))
+        grid = RadialGrid(n=96, r_max=8.0, stretch=9.0)
+        loaded = load_profile_csv(str(path), grid, 0.5)
+        gauss = np.exp(-grid.nodes ** 2)
+        assert np.max(np.abs(loaded.u - gauss)) < 1e-3
+        assert np.max(np.abs(loaded.v - (0.5 - 1j) * gauss)) < 1e-3
+
 
 class TestMain:
     def _write(self, tmp_path, text):
@@ -228,12 +240,39 @@ kappa = 0.5
         '{"scenario": "evolve", "physics": {"kappa": 0.5}, "evolution": {"blowup_H_factor": 0.5}}',
         '{"scenario": "evolve", "physics": {"kappa": 0.5}, "sweep": "qscale:1"}',
         '{"scenario": "evolve", "physics": {"kappa": 0.5},',
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nmonitor_stride = 0\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[grid]\nr_max = -1\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[grid]\nstretch = -1\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[spectrum]\ncross_check_r_max = -1\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[special]\norder = 0\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nn = 64\nt_end = 0\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nn = 64\nvirial_radii = 0.5\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nn = 64\n"
+        "[sweep]\nrecipe = qscale:1:lambda=-1\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nn = 64\n"
+        "[sweep]\nrecipe = file:no/such/profile.csv\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nn = 64\nvirial_radii = nan\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[grid]\nr_max = inf\n",
+        "scenario = evolve\n[physics]\nkappa = 0.5\n[evolution]\nn = 64\n"
+        "[sweep]\nrecipe = qscale:nan\n",
     ], ids=["blowup-factor", "scheme", "system", "seed", "recipe-number", "virial-radii",
             "a-values", "kappa-nan", "json-text-int",
-            "json-list-int", "json-blowup-factor", "json-recipes-string", "json-malformed"])
+            "json-list-int", "json-blowup-factor", "json-recipes-string", "json-malformed",
+            "monitor-stride-0", "grid-r-max", "grid-stretch", "cross-check-r-max",
+            "special-order-0", "t-end-0", "virial-radius-below-1", "recipe-lambda-negative",
+            "recipe-file-missing", "virial-radius-nan", "grid-r-max-inf", "recipe-scale-nan"])
     def test_bad_input_is_one_config_error_line(self, tmp_path, capsys, text):
         cfg = self._write(tmp_path, text)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body", ["[spectrum]\nn = 64\ncoercivity_trials = 0\n"],
+                             ids=["coercivity-trials-0"])
+    def test_bad_spectrum_input_is_one_config_error_line(self, tmp_path, capsys, body):
+        # the evolve cases above never read [spectrum]; spectrum checks its own
+        cfg = self._write(tmp_path, f"scenario = spectrum\n[physics]\nkappa = 0.5\n{body}")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
@@ -457,6 +496,34 @@ n_snapshots = 24
         for i, recipe in enumerate(recipes):
             text = self.THRESHOLD_SWEEP + f"[sweep]\nrecipe = {recipe}\n"
             alone = tmp_path / recipe
+            assert main(["evolve", "--config", self._write(tmp_path, text),
+                         "--out", str(alone)]) == 0
+            row = json.loads((alone / "evolve.summary.json").read_text())["runs"][0]
+            assert {**rows[i], "label": "run0"} == row
+            for name in ("series_run{}.csv", "final_run{}.chk"):
+                assert (sweep / name.format(i)).read_bytes() == \
+                    (alone / name.format(0)).read_bytes()
+
+    def test_threshold_sweep_shoots_each_start_time_once(self, tmp_path, monkeypatch):
+        # gplus and wa:1 are one amplitude, and gplus and gminus start at one
+        # time: one batch of the control leg and two amplitude legs
+        import qnls6.special as special_mod
+        real = special_mod.run_batch
+        batches = []
+
+        def counted(data, *args, **kwargs):
+            batches.append(len(data))
+            return real(data, *args, **kwargs)
+        monkeypatch.setattr(special_mod, "run_batch", counted)
+        recipes = ("gplus", "gminus", "wa:1")
+        text = self.THRESHOLD_SWEEP + "[sweep]\n" + "".join(f"recipe = {r}\n" for r in recipes)
+        sweep = tmp_path / "sweep"
+        assert main(["evolve", "--config", self._write(tmp_path, text), "--out", str(sweep)]) == 0
+        assert batches == [3]
+        rows = json.loads((sweep / "evolve.summary.json").read_text())["runs"]
+        for i, recipe in enumerate(recipes):
+            text = self.THRESHOLD_SWEEP + f"[sweep]\nrecipe = {recipe}\n"
+            alone = tmp_path / recipe.replace(":", "_")
             assert main(["evolve", "--config", self._write(tmp_path, text),
                          "--out", str(alone)]) == 0
             row = json.loads((alone / "evolve.summary.json").read_text())["runs"][0]
