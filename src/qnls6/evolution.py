@@ -13,21 +13,24 @@ Crank-Nicolson alternative with a fixed-point nonlinear midpoint is provided
 for cross-checks.
 
 The linear substep is the diagonal Pade [2/2] approximant of exp(z),
-R(z) = prod_j (z + p_j) / (z - p_j) with p_j = 3 +- i sqrt(3), at z = i c dt A,
-A = D^{1/2} Delta_h D^{-1/2} the symmetrized Laplacian (D the cell masses).
-Each factor is one complex tridiagonal solve, y <- y + 2 p_j (z - p_j)^{-1} y,
-with LAPACK zgttrf factors cached per (grid, c dt, pole): O(n) per step at
-every n.  |R(iy)| = 1 and A is symmetric, so the step is unitary in the
-cell-mass norm and the discrete mass is conserved to the accuracy of the
-nonlinear substep.  On e^{-r^2} at n = 2048, 400 steps of dt = 1e-3 are
-2.8e-10 off the exact exponential (cell-mass norm) and move the mass by
-1.6e-12.  Krylov and Chebyshev expansions were rejected because
-||dt Delta_h|| is 27 at n = 512 and 431 at n = 2048 (dt = 1e-3), hundreds of
-products per step; the Cayley transform (Pade [1/1]) because it is second
-order: on a 2-unit Strang run (n = 512, dt = 5e-4) it is 3.8e-2 off the
-exact-linear run in Hdot1, [2/2] 2.6e-10.  One Pade step is accurate only
-for small |c dt| (t = 0.25 in one step is 13 % off), so
-``linear_propagator`` sub-steps by LINEAR_SUBSTEP.
+R(z) = prod_j (z + p_j) / (z - p_j), p_j = 3 +- i sqrt(3), at z = i c dt Delta_h.
+A factor is 1 + M_j^{-1}, M_j = (z - p_j) / (2 p_j) tridiagonal in the
+unsymmetrized Delta_h, so a pole costs one zgttrs solve (zgttrf factors cached
+per (grid, c dt, pole)) and one add, with no Pade weight or cell-mass pass.
+Delta_h = D^{-1/2} A D^{1/2} with A real symmetric (D the cell masses), so
+R(i c dt Delta_h) = D^{-1/2} R(i c dt A) D^{1/2} and |R(iy)| = 1 make the step
+unitary in the cell-mass norm in exact arithmetic; the discrete mass is
+conserved to the accuracy of the nonlinear substep.  A fused Strang step is
+O(n): per component two solves and two adds, and four RK4 evaluations of
+(conj(a) b, a^2) at three array passes each.  On e^{-r^2} at n = 2048
+(r_max = 200), 400 steps of dt = 1e-3 are 2.75e-10 off the exact exponential
+(cell-mass norm) and move the mass by 4.4e-14.  Krylov and Chebyshev
+expansions were rejected because ||dt Delta_h|| is 27 at n = 512 and 431 at
+n = 2048 (dt = 1e-3), hundreds of products per step; the Cayley transform
+(Pade [1/1]) because it is second order: on a 2-unit Strang run (n = 512,
+dt = 5e-4) it is 3.8e-2 off the exact-linear run in Hdot1, [2/2] 2.6e-10.  One
+Pade step is accurate only for small |c dt| (t = 0.25 in one step is 13 % off),
+so ``linear_propagator`` sub-steps by LINEAR_SUBSTEP.
 
 Batches: ``run_batch`` advances B trajectories on one grid as the rows of a
 C-order (B, n) array per component.  The transpose of that array is the
@@ -177,20 +180,18 @@ class TrajectoryRecord:
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _shifted_factors(grid: RadialGrid, s: float, pole: complex):
-    """LU factors (zgttrf) of i s A - pole, A the symmetrized Delta_h of the grid.
-
-    A is real symmetric and Re(pole) > 0, so the matrix is never singular.
-    """
-    diag, off = grid.symmetrized_tridiag()
-    sub = 1j * s * off
-    *factors, info = zgttrf(sub, 1j * s * diag - pole, sub)
+    """LU factors (zgttrf) of (i s Delta_h - pole) / (2 pole), Delta_h the grid's
+    ``dirichlet_tridiag``; never singular: Delta_h has a real spectrum, Re(pole) > 0."""
+    sub, diag, sup = grid.dirichlet_tridiag
+    w = 1j * s / (2.0 * pole)
+    *factors, info = zgttrf(w * sub, w * diag - 0.5, w * sup)
     if info != 0:
         raise np.linalg.LinAlgError(f"zgttrf: zero pivot {info}")
     return tuple(factors)
 
 
 def _shifted_solve(grid: RadialGrid, s: float, pole: complex, b: np.ndarray) -> np.ndarray:
-    """(i s A - pole)^{-1} b for b of shape (n,) or (B, n), one system per row.
+    """((i s Delta_h - pole) / (2 pole))^{-1} b, b of shape (n,) or (B, n): one system per row.
 
     The rows of a C-order (B, n) array are the columns of its Fortran-order
     transpose, so zgttrs takes b.T as its n x B right-hand side uncopied and
@@ -206,16 +207,14 @@ class RadialPropagator:
     def __init__(self, grid: RadialGrid, kappa: float):
         self.grid = grid
         self.kappa = kappa
-        self.sm = np.sqrt(grid.cell_masses)
         self.w_op = np.pi ** 3 * grid.cell_masses
 
     # -- linear flow ------------------------------------------------------
 
     def _pade(self, x: np.ndarray, s: float) -> np.ndarray:
-        y = self.sm * x
         for p in PADE_POLES:
-            y = y + 2.0 * p * _shifted_solve(self.grid, s, p, y)
-        return y / self.sm
+            x = x + _shifted_solve(self.grid, s, p, x)
+        return x
 
     def apply_linear(self, u: np.ndarray, v: np.ndarray, dt: float):
         """One Pade [2/2] step of (e^{i dt Delta_h} u, e^{i kappa dt Delta_h} v).
@@ -284,14 +283,17 @@ def nonlinear_substep(u: FieldPair, dt: float, system: str = "original") -> Fiel
 
 
 def _rk4(u, v, dt, c1):
-    def f(a, b):
-        return 1j * c1 * np.conj(a) * b, 1j * a * a
-    k1u, k1v = f(u, v)
-    k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = f(u + dt * k3u, v + dt * k3v)
-    return (u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u),
-            v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+    """Classical RK4 with right-hand side (i c1 g_u, i g_v), g = (conj(a) b, a^2):
+    each evaluation is three array passes, i c1 and i ride in the stage scalars."""
+    def g(a, b):
+        return np.conj(a) * b, a * a
+    hu, hv = 0.5j * c1 * dt, 0.5j * dt
+    g1u, g1v = g(u, v)
+    g2u, g2v = g(u + hu * g1u, v + hv * g1v)
+    g3u, g3v = g(u + hu * g2u, v + hv * g2v)
+    g4u, g4v = g(u + 2 * hu * g3u, v + 2 * hv * g3v)
+    return (u + hu / 3 * (g1u + 2 * g2u + 2 * g3u + g4u),
+            v + hv / 3 * (g1v + 2 * g2v + 2 * g3v + g4v))
 
 
 def _sponge_profile(grid: RadialGrid, cfg: EvolutionConfig) -> np.ndarray:
@@ -522,13 +524,13 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
 def _make_cn_stepper(prop: RadialPropagator, c1: float):
     """Crank-Nicolson with fixed-point nonlinear midpoint.
 
-    (1 - i s Delta_h / 2) x = b is solved as (i s A - 2)(D^{1/2} x) = -2 D^{1/2} b,
-    with the cached factors of pole 2 (the Cayley transform (2 + z) / (2 - z)).
+    (1 - i s Delta_h / 2) x = b is M x = -b / 2 with M = (i s Delta_h - 2) / 4,
+    the cached factors of pole 2 (the Cayley transform (2 + z) / (2 - z)).
     """
-    grid, sm = prop.grid, prop.sm
+    grid = prop.grid
 
     def solve(s, b):
-        return _shifted_solve(grid, s, 2.0, -2.0 * sm * b) / sm
+        return _shifted_solve(grid, s, 2.0, -0.5 * b)
 
     def stepper(u, v, dt):
         rhs_u0 = u + 0.5j * dt * grid.apply_laplacian(u)
@@ -547,27 +549,24 @@ def _make_cn_stepper(prop: RadialPropagator, c1: float):
 
 
 def check_virial_identity(record: TrajectoryRecord, R) -> float:
-    """max_t |d/dt I_R - F_R| / max_t |F_R| with centered time differences."""
+    """max_t |d/dt I_R - F_R| / max_t |F_R| (centered differences; NaN under 5 points)."""
     if R not in record.I_R:
         raise KeyError(f"record has no virial series at R={R}")
-    t = record.times
-    I = record.I_R[R]
-    F = record.F_R[R]
-    if len(t) < 5:
-        raise ValueError("record too short for the identity check")
-    dIdt = (I[2:] - I[:-2]) / (t[2:] - t[:-2])
-    dev = np.abs(dIdt - F[1:-1])
-    return float(np.max(dev) / max(np.max(np.abs(F)), 1e-300))
+    return _rate_defect(record.times, record.I_R[R], record.F_R[R])
 
 
 def vr_identity_defect(record: TrajectoryRecord, R) -> float:
     """max_t |d/dt V_R - I_R| / max_t |I_R| (mass-resonance diagnostic)."""
-    t = record.times
-    V = record.V_R[R]
-    I = record.I_R[R]
-    dVdt = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
-    dev = np.abs(dVdt - I[1:-1])
-    return float(np.max(dev) / max(np.max(np.abs(I)), 1e-300))
+    return _rate_defect(record.times, record.V_R[R], record.I_R[R])
+
+
+def _rate_defect(t, X, Y) -> float:
+    """max_t |dX/dt - Y| / max_t |Y| by centered differences; NaN for a record
+    of fewer than 5 monitor points, too short for the check."""
+    if len(t) < 5:
+        return math.nan
+    dXdt = (X[2:] - X[:-2]) / (t[2:] - t[:-2])
+    return float(np.max(np.abs(dXdt - Y[1:-1])) / max(np.max(np.abs(Y)), 1e-300))
 
 
 def l4_decay_ratio(record: TrajectoryRecord) -> float:

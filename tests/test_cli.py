@@ -307,6 +307,20 @@ kappa = 0.5
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "data_eps" in err or "a_values" in err
 
+    def test_short_run_reports_nan_virial_checks(self, tmp_path, capsys):
+        # 20 steps at monitor_stride 20: two monitor points, too few for the
+        # centered-difference identity checks, which read NaN; the run succeeds
+        cfg = self._write(tmp_path, "scenario = evolve\n[physics]\nkappa = 0.5\n"
+                                    "[evolution]\nn = 64\nt_end = 0.01\n"
+                                    "virial_radii = 5, inf\n")
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        run0 = json.loads((out / "evolve.summary.json").read_text())["runs"][0]
+        for key in ("virial_identity_dev_R5", "vr_identity_defect_R5",
+                    "virial_identity_dev_Rinf", "vr_identity_defect_Rinf"):
+            assert run0[key] == "nan"
+
     def test_numerical_failure_exit_2(self, tmp_path, monkeypatch):
         import qnls6.cli as cli_mod
         from qnls6.spectrum import SpectrumError

@@ -11,6 +11,7 @@ from qnls6.evolution import (FACTOR_CACHE_SIZE, L4_BALL_RADIUS, PADE_POLES,
                              nonlinear_substep, read_checkpoint, reconcile, run, run_batch,
                              variational_prediction, vr_identity_defect,
                              write_checkpoint)
+from qnls6.evolution import _make_cn_stepper, _rk4
 from qnls6.grid import GridError, RadialGrid, h1dot_norm, pair_from_arrays
 from qnls6.groundstate import apply_symmetry, build_bundle
 from conftest import random_pair
@@ -88,6 +89,77 @@ class TestFactorCache:
         # an entry is O(n): the LU factors of one tridiagonal matrix
         entry = _shifted_factors(evo_grid, 5e-4, PADE_POLES[0])
         assert sum(a.nbytes for a in entry) <= 5 * 16 * evo_grid.n
+
+
+class TestLeanerStep:
+    """The Strang step's factor form against the forms it replaced."""
+
+    @staticmethod
+    def textbook_rk4(u, v, dt, c1):
+        def f(a, b):
+            return 1j * c1 * np.conj(a) * b, 1j * a * a
+        k1u, k1v = f(u, v)
+        k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = f(u + dt * k3u, v + dt * k3v)
+        return (u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u),
+                v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+    @pytest.mark.parametrize("c1", [1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(96,), (3, 96)])
+    def test_rk4_matches_textbook(self, c1, shape):
+        rng = np.random.default_rng(211)
+        u, v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        u0, v0 = u.copy(), v.copy()
+        for dt in (1e-3, -0.05):
+            got, want = _rk4(u, v, dt, c1), self.textbook_rk4(u, v, dt, c1)
+            for g, w in zip(got, want):
+                assert g.shape == shape
+                np.testing.assert_allclose(g, w, rtol=1e-14, atol=0)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)   # inputs untouched
+
+    @pytest.mark.parametrize("dt", [5e-4, -1e-3])
+    def test_pade_step_matches_symmetrized_form(self, evo_grid, dt):
+        # the form this step replaced: R(i s A) on D^{1/2} x, A the
+        # symmetrized Delta_h, y <- y + 2 p (i s A - p)^{-1} y per pole
+        from scipy.linalg import solve_banded
+        diag, off = evo_grid.symmetrized_tridiag()
+        sm = np.sqrt(evo_grid.cell_masses)
+
+        def symmetrized_pade(x, s):
+            y = sm * x
+            for p in PADE_POLES:
+                band = np.zeros((3, len(diag)), complex)
+                band[0, 1:] = band[2, :-1] = 1j * s * off
+                band[1] = 1j * s * diag - p
+                y = y + 2.0 * p * solve_banded((1, 1), band, y)
+            return y / sm
+
+        rng = np.random.default_rng(212)
+        u = random_pair(evo_grid, 0.5, rng)
+        prop = RadialPropagator(evo_grid, u.kappa)
+        got = prop.apply_linear(u.u, u.v, dt)
+        for comp, x, c in zip(got, (u.u, u.v), (1.0, u.kappa)):
+            want = symmetrized_pade(x, c * dt)
+            assert np.linalg.norm(sm * (comp - want)) <= 1e-13 * np.linalg.norm(sm * want)
+
+    def test_crank_nicolson_step_matches_dense_solve(self):
+        grid = RadialGrid(n=64, r_max=20.0, stretch=5.0)
+        kappa, c1, dt = 0.5, 2.0, 2e-3
+        rng = np.random.default_rng(213)
+        u = random_pair(grid, kappa, rng)
+        lap = grid.laplacian_matrix().toarray()
+        eye = np.eye(grid.n)
+        un, vn = u.u, u.v
+        for _ in range(3):       # the stepper's fixed-point midpoint, densely
+            um, vm = 0.5 * (u.u + un), 0.5 * (u.v + vn)
+            un = np.linalg.solve(eye - 0.5j * dt * lap,
+                                 u.u + 0.5j * dt * lap @ u.u + dt * 1j * c1 * np.conj(um) * vm)
+            vn = np.linalg.solve(eye - 0.5j * kappa * dt * lap,
+                                 u.v + 0.5j * kappa * dt * lap @ u.v + dt * 1j * um * um)
+        got = _make_cn_stepper(RadialPropagator(grid, kappa), c1)(u.u, u.v, dt)
+        for g, w in zip(got, (un, vn)):
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
 class TestNonlinearSubstep:
