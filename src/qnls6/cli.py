@@ -140,12 +140,7 @@ def _evo_config(cfg: ScenarioConfig, **overrides) -> EvolutionConfig:
     if not all(R >= 1 for R in radii):
         raise ConfigError(f"[evolution] virial_radii = {e.virial_radii}: every "
                           "localization radius must be >= 1")
-    base = dict(dt=e.dt, t_end=e.t_end, scheme=e.scheme, system=e.system,
-                blowup_H_factor=e.blowup_H_factor, monitor_stride=e.monitor_stride,
-                snapshot_stride=e.snapshot_stride, adapt=e.adapt, sponge=e.sponge,
-                sponge_strength=e.sponge_strength, virial_radii=radii)
-    base.update(overrides)
-    return EvolutionConfig(**base)
+    return e.config(**overrides)
 
 
 def _spectral_pipeline(cfg: ScenarioConfig, grid: RadialGrid,

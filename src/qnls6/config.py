@@ -54,6 +54,12 @@ class EvolutionBlock:
     virial_radii: str = ""           # comma list, 'inf' allowed
     n: int = 0                       # 0 = inherit grid.n
 
+    def config(self, **overrides) -> EvolutionConfig:
+        """The EvolutionConfig of every key but ``n``, with overrides."""
+        base = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "n"}
+        base["virial_radii"] = parse_radii(self.virial_radii)
+        return EvolutionConfig(**{**base, **overrides})
+
 
 @dataclass
 class SpectrumBlock:
@@ -115,17 +121,14 @@ class ScenarioConfig:
                 RadialGrid(n=n, r_max=r_max, mapping=mapping, stretch=stretch)
             except GridError as exc:
                 raise ConfigError(f"{keys}: {exc}") from None
-        e = self.evolution
         try:
-            EvolutionConfig(dt=e.dt, scheme=e.scheme, system=e.system,
-                            blowup_H_factor=e.blowup_H_factor, monitor_stride=e.monitor_stride)
-        except ValueError as exc:
+            self.evolution.config()
+        except ValueError as exc:   # a bad field, or a virial radius that is no number
             raise ConfigError(f"[evolution] {exc}") from None
         if self.special.order < 1:
             raise ConfigError(f"[special] order = {self.special.order} must be >= 1")
         for rec in self.sweep.recipes:
             parse_recipe(rec)
-        parse_radii(self.evolution.virial_radii)
         parse_a_values(self.special.a_values)
         return self
 

@@ -32,16 +32,16 @@ dt = 5e-4) it is 3.8e-2 off the exact-linear run in Hdot1, [2/2] 2.6e-10.  One
 Pade step is accurate only for small |c dt| (t = 0.25 in one step is 13 % off),
 so ``linear_propagator`` sub-steps by LINEAR_SUBSTEP.
 
-Batches: ``run_batch`` advances B trajectories on one grid as the rows of a
-C-order (B, n) array per component.  The transpose of that array is the
-Fortran-order n x B right-hand side of zgttrs, so one solve per pole and
-component steps every row, and RK4, the sponge and the monitors act on all
-rows at once; the monitor sums run along each contiguous row with the same
-pairwise summation as a 1-D sum, so every member's record is bit-identical
-to its own run.  ``run`` is a batch of one.  A member that blows up leaves
-the batch at that monitor point.  Adaptive and Crank-Nicolson members run
-one at a time, since a step halving shared by the batch would change a
-member's result.
+Batches: ``run_batch`` advances B trajectories on one grid, under either
+scheme, as the rows of a C-order (B, n) array per component.  The transpose
+of that array is the Fortran-order n x B right-hand side of zgttrs, so one
+solve per pole and component steps every row, and RK4, the sponge and the
+monitors act on all rows at once; the monitor sums run along each contiguous
+row with the same pairwise summation as a 1-D sum, so every member's record
+is bit-identical to its own run.  ``run`` is a batch of one.  A member that
+blows up leaves the batch at that monitor point.  Adaptive members run one
+at a time through the same loop, since a step halving shared by the batch
+would change a member's result.
 
 Monitored quantities use the solver-consistent discrete functionals
 (<-Delta_h u, u> with cell-mass weights), so the reported E/mass drift
@@ -106,9 +106,11 @@ SPONGE_START_FRAC = 0.8
 PADE_POLES = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))
 # Longest Pade step linear_propagator takes (see the module docstring).
 LINEAR_SUBSTEP = 1e-3
-# Bound of the factorization cache: fused Strang on one grid needs 8 entries
-# (dt and dt/2, two components, two poles); adaptive halving adds step sizes.
-# An entry is O(n) (140 kB at n = 2048).
+# Bound of the factorization cache: fixed Strang steps on one grid need 8
+# entries (dt and dt/2, two components, two poles).  Adaptive halving adds
+# step sizes, merged ones among them: a retry at h/2 after a step of h pays
+# h/2 + h/4 = 3h/4.  The step only shrinks, so an evicted entry is one for a
+# step size the run has left behind.  An entry is O(n) (140 kB at n = 2048).
 FACTOR_CACHE_SIZE = 32
 
 
@@ -128,8 +130,14 @@ class EvolutionConfig:
     virial_radii: tuple = ()           # R values (math.inf allowed)
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt = {self.dt} must be positive and finite")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end = {self.t_end} must be finite")
+        if not 0 <= self.sponge_strength < math.inf:
+            raise ValueError(f"sponge_strength = {self.sponge_strength} must be finite and >= 0")
+        if self.snapshot_stride < 0:
+            raise ValueError(f"snapshot_stride = {self.snapshot_stride} must be >= 0")
         if self.monitor_stride < 1:
             raise ValueError(f"monitor_stride = {self.monitor_stride} must be >= 1")
         if not self.blowup_H_factor > 1:
@@ -339,12 +347,12 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
     """``run`` for each state of u0s (one grid and kappa): one record each.
 
     ``reference_H`` is None, one value, or one value (or None) per member.
-    The fused Strang loop advances the members as the rows of one (B, n)
-    state, and each record equals the member's own ``run`` bit for bit; a
-    member that blows up or turns non-finite leaves the batch at that
-    monitor point (termination "blowup" or "instability").  Adaptive
-    and Crank-Nicolson members run one at a time (B = 1), since a step
-    halving shared by the batch would change a member's result.
+    One loop, for either scheme, advances the members as the rows of one
+    (B, n) state, and each record equals the member's own ``run`` bit for
+    bit; a member that blows up or turns non-finite leaves the batch at that
+    monitor point (termination "blowup" or "instability").  Adaptive members
+    run one at a time (B = 1), since a step halving shared by the batch
+    would change a member's result.
     """
     u0s = list(u0s)
     if not u0s:
@@ -358,14 +366,15 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
     duration = cfg.t_end - t0
     if duration == 0:
         raise ValueError("empty integration interval")
-    unfused = cfg.adapt or cfg.scheme == "crank-nicolson"
-    if unfused and len(u0s) > 1:
+    if cfg.adapt and len(u0s) > 1:
         return [run(u0, cfg, ref, t0) for u0, ref in zip(u0s, refs)]
     prop = RadialPropagator(grid, kappa)
     sgn = 1.0 if duration > 0 else -1.0
     dt = sgn * cfg.dt
     c1 = _c1(cfg.system)
+    cn = _make_cn_stepper(prop, c1) if cfg.scheme == "crank-nicolson" else None
     sponge = _sponge_profile(grid, cfg) if cfg.sponge else None
+    damping = lru_cache(maxsize=1)(lambda h: np.exp(-sponge * abs(h)))
 
     m_l4 = int(np.searchsorted(grid.nodes, L4_BALL_RADIUS))
     w_l4 = prop.w_op[:m_l4]
@@ -382,8 +391,8 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
 
         A snapshot is taken at the first monitor point within dt/4 of its
         requested time, or at the final point when within dt/2 of it: the
-        fused loop's round(|t_end - t0| / dt) steps can end up to dt/2 short
-        of t_end.
+        round(|t_end - t0| / dt) fixed steps can end up to dt/2 short of
+        t_end.
         """
         nonlocal snap_idx, n_points
         H = prop.discrete_H(U, V, cfg.system)
@@ -399,8 +408,8 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
         n_points += 1
         for j, b in enumerate(rows):
             s = series[b]
-            # views of U, V: the loops rebind the state after a monitor point
-            # and never write into a recorded array
+            # views of U, V: the loop rebinds the state after a monitor point
+            # and never writes into a recorded array
             s.last = (U[j], V[j])
             h = float(H[j])
             s.append(t, h, float(P[j]), float(E[j]), float(mass[j]),
@@ -443,81 +452,60 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
     H_ref = np.array([abs(h) if ref is None else float(ref) for h, ref in zip(H0, refs)])
     blowup = f"H exceeded {cfg.blowup_H_factor} x reference"
 
-    if unfused:
-        # plain (unfused) stepping with optional step halving of the one
-        # member, on its 1-D row u, v (record and end see it as U, V)
-        stepper = _make_cn_stepper(prop, c1) if cfg.scheme == "crank-nicolson" else None
-        termination, diagnostic = "completed", ""
-        min_dt = abs(dt)
-        steps = 0
-        t = t0
-        dt_cur = dt
-        u, v = U[0], V[0]
-        # max |u|, |v| of the current state: the initial one, then each accepted step's
-        peak_old = max(np.max(np.abs(u)), np.max(np.abs(v)))
-        while (cfg.t_end - t) * sgn > 0.25 * cfg.dt:
-            if abs(cfg.t_end - t) < abs(dt_cur):
-                dt_cur = cfg.t_end - t
-            if stepper is not None:
-                un, vn = stepper(u, v, dt_cur)
-            else:
-                un, vn = prop.apply_linear(u, v, dt_cur / 2)
-                with np.errstate(over="ignore", invalid="ignore"):   # see the fused loop
-                    un, vn = _rk4(un, vn, dt_cur, c1)
-                if sponge is not None:
-                    damp = np.exp(-sponge * abs(dt_cur))
-                    un *= damp; vn *= damp
-                un, vn = prop.apply_linear(un, vn, dt_cur / 2)
-            peak_new = max(np.max(np.abs(un)), np.max(np.abs(vn)))
-            if cfg.adapt and (not np.isfinite(peak_new) or peak_new > GROWTH_LIMIT * peak_old):
-                dt_cur = 0.5 * dt_cur
-                min_dt = min(min_dt, abs(dt_cur))
-                if abs(dt_cur) < DT_MIN:
-                    termination, diagnostic = "blowup", "step collapse"
-                    break
-                continue
-            u, v, peak_old = un, vn, peak_new
-            t += dt_cur
-            steps += 1
-            if not np.isfinite(peak_new):
-                termination, diagnostic = "instability", "non-finite state"
-                break
-            final = (cfg.t_end - t) * sgn <= 0.25 * cfg.dt
-            if steps % cfg.monitor_stride == 0 or final:
-                H = record(t, u[None], v[None], final)
-                if H[0] > cfg.blowup_H_factor * H_ref[0]:
-                    termination, diagnostic = "blowup", blowup
-                    break
-        U, V = u[None], v[None]
-        end(np.ones(1, bool), termination, diagnostic, steps, min_dt)
-        return records
-
-    # fused Strang: L(dt/2) [N L(dt)]^* N L(dt/2) with re-splits at monitors
-    nsteps = max(1, int(round(abs(duration) / cfg.dt)))
-    damp = np.exp(-sponge * abs(dt)) if sponge is not None else None
-    U, V = prop.apply_linear(U, V, dt / 2)
-    for i in range(nsteps):
+    # One loop for both schemes and both step rules.  The state carried from
+    # step to step is the one after the nonlinear substep and the sponge, and
+    # ``owed`` is the linear step it still lacks: a Strang step of size h
+    # applies L(owed + h/2), N(h) and the sponge and then owes h/2, and a
+    # monitor point pays what is owed.  Fixed steps thus run L(dt/2)
+    # [N L(dt)]^* N L(dt/2), re-split at each monitor point.  Crank-Nicolson
+    # owes nothing.  An adaptive step whose max-norm grows by more than
+    # GROWTH_LIMIT is retried from the carried state at h/2, owing the same;
+    # the last adaptive step is cut to end at t_end.
+    nsteps = max(1, int(round(abs(duration) / cfg.dt)))     # fixed steps
+    h, t, k, owed, min_dt = dt, t0, 0, 0.0, abs(dt)
+    peak = max(np.max(np.abs(U)), np.max(np.abs(V)))
+    outcome = ("completed", "")
+    while rows.size:
+        if cfg.adapt and abs(cfg.t_end - t) < abs(h):
+            h = cfg.t_end - t
         # a member that overflows ends as "instability" at its next monitor point
         with np.errstate(over="ignore", invalid="ignore"):
-            U, V = _rk4(U, V, dt, c1)
-        if damp is not None:
-            U *= damp; V *= damp
-        t = t0 + (i + 1) * dt
-        last = i == nsteps - 1
-        if (i + 1) % cfg.monitor_stride and not last:
-            U, V = prop.apply_linear(U, V, dt)
+            if cn is None:
+                Un, Vn = _rk4(*prop.apply_linear(U, V, owed + h / 2), h, c1)
+            else:
+                Un, Vn = cn(U, V, h)
+        if sponge is not None:
+            damp = damping(h)
+            Un *= damp; Vn *= damp
+        if cfg.adapt:
+            peak_n = max(np.max(np.abs(Un)), np.max(np.abs(Vn)))
+            if not np.isfinite(peak_n) or peak_n > GROWTH_LIMIT * peak:
+                h = 0.5 * h
+                min_dt = min(min_dt, abs(h))
+                if abs(h) < DT_MIN:
+                    outcome = ("blowup", "step collapse")
+                    break
+                continue
+            peak = peak_n
+        U, V, owed = Un, Vn, (h / 2 if cn is None else 0.0)
+        k += 1
+        t = t + h if cfg.adapt else t0 + k * dt
+        last = (cfg.t_end - t) * sgn <= 0.25 * cfg.dt if cfg.adapt else k == nsteps
+        if k % cfg.monitor_stride and not last:
             continue
-        U, V = prop.apply_linear(U, V, dt / 2)
+        if owed:
+            U, V = prop.apply_linear(U, V, owed)
+            owed = 0.0
         finite = np.all(np.isfinite(U), axis=1) & np.all(np.isfinite(V), axis=1)
-        end(~finite, "instability", "non-finite state", i + 1, abs(dt))
+        end(~finite, "instability", "non-finite state", k, min_dt)
         if rows.size:
             H = record(t, U, V, last)
-            end(H > cfg.blowup_H_factor * H_ref, "blowup", blowup, i + 1, abs(dt))
-        if not rows.size:
+            end(H > cfg.blowup_H_factor * H_ref, "blowup", blowup, k, min_dt)
+        if last:
             break
-        if not last:
-            U, V = prop.apply_linear(U, V, dt / 2)
-    end(np.ones(rows.size, bool), "completed", "", nsteps, abs(dt))
+    if owed:
+        U, V = prop.apply_linear(U, V, owed)
+    end(np.ones(rows.size, bool), *outcome, k, min_dt)
     return records
 
 

@@ -267,6 +267,17 @@ kappa = 0.5
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["t_end = nan", "t_end = inf", "dt = inf",
+                                      "sponge_strength = nan", "sponge_strength = -5",
+                                      "snapshot_stride = -1"])
+    def test_bad_evolution_value_is_one_config_error_line(self, tmp_path, capsys, line):
+        cfg = self._write(tmp_path, "scenario = evolve\n[physics]\nkappa = 0.5\n"
+                                    f"[evolution]\nn = 64\n{line}\n")
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [evolution] ") and err.count("\n") == 1
+        assert line.split(" = ")[0] in err
+
     @pytest.mark.parametrize("body", ["[spectrum]\nn = 64\ncoercivity_trials = 0\n"],
                              ids=["coercivity-trials-0"])
     def test_bad_spectrum_input_is_one_config_error_line(self, tmp_path, capsys, body):

@@ -626,6 +626,66 @@ class TestBatch:
             assert np.array_equal(Ub[j], u1) and np.array_equal(Vb[j], v1)
 
 
+class TestOneLoop:
+    """Both schemes and both step rules step through one loop."""
+
+    def test_crank_nicolson_members_equal_solo_runs(self, evo_grid, evo_bundle):
+        # as in test_fused_members_equal_solo_runs: member 1 leaves the batch mid-run
+        members = [0.7 * evo_bundle.q_vec, 2.0 * evo_bundle.q_vec, gaussian_pair(evo_grid)]
+        cfg = EvolutionConfig(dt=2e-3, t_end=3.0, scheme="crank-nicolson", monitor_stride=7,
+                              blowup_H_factor=3.0, snapshot_stride=9,
+                              snapshot_times=(0.5, 2.9), virial_radii=(5.0,), sponge=True)
+        batch = run_batch(members, cfg)
+        assert [rec.termination for rec in batch] == ["completed", "blowup", "completed"]
+        for u0, rec in zip(members, batch):
+            assert_same_record(rec, run(u0, cfg))
+
+    def test_adaptive_run_that_never_halves_matches_fixed_steps(self, evo_grid):
+        u = gaussian_pair(evo_grid, amp=0.5)
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.5, monitor_stride=25)
+        fixed = run(u, cfg)
+        adaptive = run(u, EvolutionConfig(dt=2e-3, t_end=0.5, monitor_stride=25, adapt=True))
+        assert adaptive.min_dt == cfg.dt
+        assert len(adaptive.times) == len(fixed.times) and adaptive.steps == fixed.steps
+        w = evo_grid.cell_masses
+        a, f = adaptive.final_state, fixed.final_state
+        diff = np.sum(w * (np.abs(a.u - f.u) ** 2 + np.abs(a.v - f.v) ** 2))
+        assert math.sqrt(diff / np.sum(w * (np.abs(f.u) ** 2 + np.abs(f.v) ** 2))) <= 1e-12
+
+    @pytest.mark.parametrize("adapt", [False, True])
+    def test_strang_step_costs_one_solve_per_pole_and_component(self, evo_grid, monkeypatch,
+                                                                adapt):
+        import qnls6.evolution as evolution
+        calls = []
+        solve = evolution._shifted_solve
+        monkeypatch.setattr(evolution, "_shifted_solve",
+                            lambda *args: calls.append(args[1]) or solve(*args))
+        u = gaussian_pair(evo_grid, amp=0.5)
+        counts = []
+        for steps in (10, 20):
+            calls.clear()
+            run(u, EvolutionConfig(dt=1e-3, t_end=steps * 1e-3, monitor_stride=1000,
+                                   adapt=adapt))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 4 * 10
+
+    def test_crank_nicolson_honours_the_sponge(self):
+        # a pulse in the sponge layer: both schemes damp it alike
+        grid = RadialGrid(n=128, r_max=20.0)
+        r = grid.nodes
+        pulse = np.exp(-(r - 12.0) ** 2)
+        u = pair_from_arrays(grid, 0.1 * pulse, 0.1 * pulse, 0.5)
+        prop = RadialPropagator(grid, 0.5)
+        m0 = prop.discrete_mass(u.u, u.v)
+        loss = {}
+        for scheme in ("strang-split", "crank-nicolson"):
+            f = run(u, EvolutionConfig(dt=1e-3, t_end=1.0, scheme=scheme, sponge=True,
+                                       sponge_strength=5.0)).final_state
+            loss[scheme] = (m0 - prop.discrete_mass(f.u, f.v)) / m0
+        assert loss["strang-split"] > 1e-6
+        assert 1 / 3 < loss["crank-nicolson"] / loss["strang-split"] < 3
+
+
 class TestSnapshotTimes:
     def test_final_point_takes_snapshot_due_within_half_a_step(self, evo_grid):
         # round(4.35) = 4 steps end 0.35 dt short of t_end, beyond dt/4

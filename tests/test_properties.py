@@ -49,7 +49,8 @@ configs = st.builds(
         system=st.sampled_from(["original", "transformed"]),
         blowup_H_factor=st.floats(min_value=1.5, max_value=1e6),
         monitor_stride=st.integers(1, 1000), snapshot_stride=st.integers(0, 100),
-        adapt=st.booleans(), sponge=st.booleans(), sponge_strength=finite,
+        adapt=st.booleans(), sponge=st.booleans(),
+        sponge_strength=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
         virial_radii=st.just("") | number_list(positive | st.just("inf")),
         n=st.just(0) | sizes),
     spectrum=st.builds(
