@@ -113,33 +113,44 @@ class RadialGrid:
         r = self.nodes
         n = self.n
         w = np.zeros(n)
+        # node powers by scalar ``**`` (libm pow); numpy's array power can
+        # differ in the last bit, which the Vandermonde solves amplify
+        p6, p7, p8 = (np.array([x ** k for x in r.tolist()]) for k in (6, 7, 8))
 
-        def moments(a, b):
-            return np.array([(b ** (6 + k) - a ** (6 + k)) / (6 + k) for k in range(3)])
-
-        def contrib(x3, a, b):
-            v = np.vander(x3, 3, increasing=True)
-            return np.linalg.solve(v.T, moments(a, b))
-
-        m6 = r[0] ** 6 / 6.0
-        m8 = r[0] ** 8 / 8.0
+        m6 = p6[0] / 6.0
+        m8 = p8[0] / 8.0
         t = (m8 - r[0] ** 2 * m6) / (r[1] ** 2 - r[0] ** 2)
         w[0] += m6 - t
         w[1] += t
-        for i in range(n - 1):
-            a, b = r[i], r[i + 1]
-            if i <= 1:
-                # linear rule near the origin keeps every weight positive; the
-                # r^5 mass there is O(r_2^6) of the total, so no accuracy cost
-                p6 = (b ** 6 - a ** 6) / 6.0
-                p7 = (b ** 7 - a ** 7) / 7.0
-                w[i] += (b * p6 - p7) / (b - a)
-                w[i + 1] += (p7 - a * p6) / (b - a)
-            elif i == n - 2:
-                w[n - 3:n] += contrib(r[n - 3:n], a, b)
-            else:
-                w[i - 1:i + 2] += 0.5 * contrib(r[i - 1:i + 2], a, b)
-                w[i:i + 3] += 0.5 * contrib(r[i:i + 3], a, b)
+        for j in (0, 1):
+            # linear rule near the origin keeps every weight positive; the
+            # r^5 mass there is O(r_2^6) of the total, so no accuracy cost
+            a, b = r[j], r[j + 1]
+            m6 = (p6[j + 1] - p6[j]) / 6.0
+            m7 = (p7[j + 1] - p7[j]) / 7.0
+            w[j] += (b * m6 - m7) / (b - a)
+            w[j + 1] += (m7 - a * m6) / (b - a)
+        # segments [r_i, r_i+1], i = 2 .. n-3, average the quadratics through
+        # r_i-1..r_i+1 (left) and r_i..r_i+2 (right); the last segment takes
+        # its left quadratic whole.  One stacked solve for all 3x3 systems.
+        i = np.arange(2, n - 2)
+        first = np.concatenate([i - 1, i, [n - 3]])
+        seg = np.concatenate([i, i, [n - 2]])
+        x3 = r[first[:, None] + np.arange(3)]
+        vt = np.stack([np.ones_like(x3), x3, x3 * x3], axis=1)
+        mom = np.stack([(p[seg + 1] - p[seg]) / k for p, k in ((p6, 6), (p7, 7), (p8, 8))],
+                       axis=1)
+        c = np.linalg.solve(vt, mom[..., None])[..., 0]
+        left, right = 0.5 * c[:len(i)], 0.5 * c[len(i):-1]
+        # each node takes its shares in the order of increasing segment,
+        # the left quadratic's before the right one's
+        w[i + 2] += right[:, 2]
+        w[i + 1] += left[:, 2]
+        w[i + 1] += right[:, 1]
+        w[i] += left[:, 1]
+        w[i] += right[:, 0]
+        w[i - 1] += left[:, 0]
+        w[n - 3:] += c[-1]
         w *= np.pi ** 3
         w.setflags(write=False)
         return w
@@ -205,10 +216,13 @@ class RadialGrid:
     def laplacian_matrix(self, boundary: str = "dirichlet", order: int = 2) -> sp.csr_matrix:
         if order == 2:
             sub, diag, sup, corner = self.laplacian_tridiag(boundary)
-            mat = sp.diags([sub, diag, sup], [-1, 0, 1], format="lil")
-            if corner:
-                mat[-1, -2] += corner
-            return mat.tocsr()
+            n = self.n
+            # rows (sub, diag, sup) in CSR order, less the two missing corners
+            vals = np.stack([np.r_[0.0, sub], diag, np.r_[sup, 0.0]], axis=1).ravel()[1:-1]
+            vals[-2] += corner           # the decay4 ghost's weight on f[n-2]
+            cols = (np.arange(n)[:, None] + np.arange(-1, 2)).ravel()[1:-1]
+            indptr = np.r_[0, np.arange(2, 3 * n - 1, 3), 3 * n - 2]
+            return sp.csr_matrix((vals, cols, indptr), shape=(n, n))
         if order == 4:
             return self._laplacian_matrix_o4(boundary)
         raise GridError(f"unsupported order {order}")
@@ -372,12 +386,14 @@ def radial_derivative(f: RadialField) -> RadialField:
 
 
 def _ddr(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
+    """d/dr of v of shape (n,), or (B, n) for B fields at once (a row's
+    value equals its 1-D value bit for bit)."""
     a, b, c, first, last = grid.derivative_weights
     out = np.empty_like(v)
-    out[1:-1] = (a * (v[2:] - v[1:-1]) + b * (v[1:-1] - v[:-2])) / c
-    # one-sided quadratic at both ends
-    out[0] = first @ v[:3]
-    out[-1] = last @ v[-3:]
+    out[..., 1:-1] = (a * (v[..., 2:] - v[..., 1:-1]) + b * (v[..., 1:-1] - v[..., :-2])) / c
+    # one-sided quadratic at both ends, one length-3 dot per row
+    out[..., 0] = (v[..., None, :3] @ first)[..., 0]
+    out[..., -1] = (v[..., None, -3:] @ last)[..., 0]
     return out
 
 
@@ -402,18 +418,29 @@ def h1dot_inner(f: FieldPair, g: FieldPair) -> float:
     """Re int grad f1 . grad g1~ + grad f2 . grad g2~  (plain product norm)."""
     if f.grid != g.grid:
         raise GridError("inner product requires a shared grid")
-    return _h1dot(f.grid, _gradients(f), _gradients(g))
+    return h1dot_gradients(f.grid, _gradients(f), _gradients(g))
 
 
 def h1dot_norm(f: FieldPair) -> float:
     df = _gradients(f)
-    return float(np.sqrt(max(_h1dot(f.grid, df, df), 0.0)))
+    return float(np.sqrt(max(h1dot_gradients(f.grid, df, df), 0.0)))
 
 
 def _gradients(f: FieldPair):
     return _ddr(f.grid, f.u), _ddr(f.grid, f.v)
 
 
-def _h1dot(grid: RadialGrid, df, dg) -> float:
+def pair_gradients(grid: RadialGrid, z: np.ndarray):
+    """(d/dr u, d/dr v) of stacked pairs z = (u; v) of shape (2n,), or (B, 2n)
+    for B pairs at once."""
+    n = grid.n
+    return _ddr(grid, z[..., :n]), _ddr(grid, z[..., n:])
+
+
+def h1dot_gradients(grid: RadialGrid, df, dg):
+    """The Hdot1 pairing Re sum w (df1 conj(dg1) + df2 conj(dg2)) of two gradient
+    pairs: a float, or one value per row for (B, n) gradients (a row's value
+    equals its 1-D value bit for bit)."""
     w = grid.quad_weights
-    return float(np.real(np.sum(w * (df[0] * np.conj(dg[0]) + df[1] * np.conj(dg[1])))))
+    s = np.real(np.sum(w * (df[0] * np.conj(dg[0]) + df[1] * np.conj(dg[1])), axis=-1))
+    return float(s) if s.ndim == 0 else s

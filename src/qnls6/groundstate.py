@@ -30,9 +30,8 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgtsv
 
 from .grid import (GRID_CACHE_SIZE, FieldPair, RadialField, RadialGrid,
                    laplacian6, pair_from_arrays, radial_derivative)
@@ -149,15 +148,23 @@ def refine_discrete(grid: RadialGrid) -> tuple[np.ndarray, float]:
 def _bordered_tridiag_solve(diag, off, v0, rhs):
     """Solve T x = rhs on the complement of the quasi-null direction v0.
 
-    Uses the bordered system [[T, v0], [v0^T, 0]] [x; y] = [rhs; 0], which is
-    well conditioned even when T is nearly singular along v0; the multiplier
-    y absorbs any leftover v0-component of the right-hand side.
+    Solves the bordered system [[T, v0], [v0^T, 0]] [x; y] = [rhs; 0] by
+    block elimination in O(n): one tridiagonal LU with partial pivoting
+    (LAPACK dgtsv) gives z1 = T^{-1} rhs and z2 = T^{-1} v0, and the scalar
+    Schur complement v0.z2 gives y = v0.z1 / v0.z2 and x = z1 - y z2.
+
+    T may be nearly singular along v0 (an approximate eigenvector with
+    eigenvalue mu0 near 0): z2 ~ v0 / mu0 is then large but only along v0,
+    and y removes it.  This keeps the border's accuracy when rhs is
+    orthogonal to v0 up to roundoff, as refine_discrete passes it; a
+    v0-component of rhs enters z1 amplified by 1/mu0 as well, and the
+    cancellation x = z1 - y z2 loses digits in proportion to |v0.rhs|/|mu0|.
     """
-    T = sp.diags([off, diag, off], [-1, 0, 1])
-    col = sp.csc_matrix(v0[:, None])
-    M = sp.bmat([[T, col], [col.T, None]], format="csc")
-    sol = splu(M).solve(np.concatenate([rhs, [0.0]]))
-    return sol[:len(diag)]
+    *_, z, info = dgtsv(off, diag, off, np.column_stack([rhs, v0]))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"bordered solve: T is singular (dgtsv info {info})")
+    z1, z2 = z.T
+    return z1 - ((v0 @ z1) / (v0 @ z2)) * z2
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,11 @@ class PairOperator:
         m = self.grid.cell_masses
         return np.pi ** 3 * np.concatenate([m, m])
 
-    def quad(self, a: np.ndarray, b: np.ndarray) -> float:
-        """<A a, b> with the cell-mass pairing; real stacked inputs."""
-        return float(np.real(np.sum(self.op_weights() * (self.mat @ a) * np.conj(b))))
+    def quad(self, a: np.ndarray, b: np.ndarray):
+        """<A a, b> with the cell-mass pairing; real stacked inputs of shape
+        (2n,), giving a float, or (B, 2n), giving one value per row."""
+        s = np.real(np.sum(self.op_weights() * (self.mat @ a.T).T * np.conj(b), axis=-1))
+        return float(s) if s.ndim == 0 else s
 
     def symmetry_defect(self) -> float:
         """|| W A - (W A)^T || / || W A ||  (Frobenius), W = diag(weights)."""
@@ -177,7 +179,8 @@ def build_block_E(bundle: GroundStateBundle, boundary: str = "dirichlet",
                           e_i=assemble_E(bundle, "E_I", boundary, order))
 
 
-def _split(p: FieldPair):
+def stack_pair(p: FieldPair) -> np.ndarray:
+    """The stacked (u; v) of a pair, the layout of the operators and forms."""
     return np.concatenate([p.u, p.v])
 
 
@@ -191,8 +194,13 @@ def quad_form(a: FieldPair, b: FieldPair, which: str, bundle: GroundStateBundle,
             ops = (assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I"))
         else:
             raise ValueError(f"unknown form {which!r}")
+    return form_rows(ops, stack_pair(a), stack_pair(b))
+
+
+def form_rows(ops: tuple[PairOperator, PairOperator], za: np.ndarray, zb: np.ndarray):
+    """``quad_form`` on stacked complex pairs (u; v): (2n,) gives a float,
+    (B, 2n) one value per row (either side may be a single pair)."""
     op_r, op_i = ops
-    za, zb = _split(a), _split(b)
     return 0.5 * op_r.quad(za.real, zb.real) + 0.5 * op_i.quad(za.imag, zb.imag)
 
 

@@ -43,6 +43,17 @@ of the shooting amplitude to the kinetic-energy side the trajectory lands on.
 sqrt_ei and negative_eigenpair_tt, with the dense nonsymmetric eigensolve
 dense_cross_check (lambda1, the count of real eigenvalues and the kernel
 dimension at reduced resolution), are the small-n oracles.
+
+shifted_solve_conditioning estimates ||(script_E - j lambda1)^{-1}||_1 with
+onenormest, from a fixed seed of numpy's global RNG that it restores after.
+
+coercivity_sample checks Phi, Phi_E, L_I and E_I on the complements of their
+degenerate directions.  Its trials are drawn, projected and evaluated in
+batches of COERCIVITY_BATCH rows of one (batch, 2n) array: one coefficient
+draw per batch continues the per-trial RNG stream, one solve with the
+trial-free Gram matrix projects every row, and the forms and Hdot1 norms are
+row sums.  The cost is O(trials n) in time and O(COERCIVITY_BATCH n) in
+memory.
 """
 
 from __future__ import annotations
@@ -56,11 +67,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import FieldPair, RadialGrid, h1dot_inner, h1dot_norm, pair_from_arrays
+from .grid import (FieldPair, RadialGrid, h1dot_gradients, pair_from_arrays,
+                   pair_gradients)
 from .groundstate import (GroundStateBundle, _interp_component, build_bundle,
                           build_directions, transform_T)
 from .linops import (BlockOperatorE, PairOperator, assemble_E, assemble_L,
-                     build_block_E, quad_form)
+                     build_block_E, form_rows, quad_form, stack_pair)
 
 
 class SpectrumError(RuntimeError):
@@ -82,6 +94,11 @@ WANDER_REL = 0.5
 NEGATIVE_GAP = 0.5
 # dense_cross_check: |Im| <= DENSE_TOL max(|Re|, 1) is real, |lambda| <= DENSE_TOL zero.
 DENSE_TOL = 1e-4
+# Seed of numpy's global RNG for each onenormest of shifted_solve_conditioning.
+ONENORM_SEED = 0
+# Coercivity trials evaluated at once; bounds the (batch, 2n) temporaries
+# (4 MB per complex array at n = 1024) whatever the trial count.
+COERCIVITY_BATCH = 128
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +453,25 @@ def dense_cross_check(bundle: GroundStateBundle) -> dict:
 
 def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
                                j_values: tuple[int, ...] = (2, 3, 4)) -> dict:
-    """Estimate ||(script_E - j lam1)^{-1}|| to confirm j lam1 stays off the spectrum."""
+    """Estimate ||(script_E - j lam1)^{-1}|| to confirm j lam1 stays off the spectrum.
+
+    ``onenormest`` draws its +-1 start columns from numpy's global RNG; each
+    estimate runs from ONENORM_SEED and the caller's RNG state is restored,
+    so the result is a function of the arguments alone.
+    """
     block = build_block_E(bundle)
     n4 = 4 * bundle.grid.n
     out = {}
-    for j in j_values:
-        lu = spla.splu((block.sparse_real() - j * lam1 * sp.identity(n4, format="csc")).tocsc())
-        op = spla.LinearOperator((n4, n4), matvec=lu.solve,
-                                 rmatvec=lambda x: lu.solve(x, trans="T"))
-        est = spla.onenormest(op)
-        out[f"resolvent_norm_j{j}"] = float(est)
+    state = np.random.get_state()
+    try:
+        for j in j_values:
+            lu = spla.splu((block.sparse_real() - j * lam1 * sp.identity(n4, format="csc")).tocsc())
+            op = spla.LinearOperator((n4, n4), matvec=lu.solve,
+                                     rmatvec=lambda x: lu.solve(x, trans="T"))
+            np.random.seed(ONENORM_SEED)
+            out[f"resolvent_norm_j{j}"] = float(spla.onenormest(op))
+    finally:
+        np.random.set_state(state)
     return out
 
 
@@ -455,7 +481,7 @@ def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
 
 @lru_cache(maxsize=4)
 def _decaying_modes(grid: RadialGrid) -> np.ndarray:
-    """The r^p exp(-sigma r^2) modes of random_decaying_pair on the grid, one per row."""
+    """The r^p exp(-sigma r^2) modes of the trial fields on the grid, one per row."""
     r = grid.nodes
     modes = np.array([r ** p * np.exp(-s * r * r)
                       for p in (0, 1, 2, 3) for s in (0.3, 0.6, 1.2, 2.5)])
@@ -463,29 +489,35 @@ def _decaying_modes(grid: RadialGrid) -> np.ndarray:
     return modes
 
 
+def random_decaying_batch(grid: RadialGrid, trials: int, rng: np.random.Generator,
+                          real_only: bool = False) -> np.ndarray:
+    """``trials`` smooth decaying trial pairs as the rows (u; v) of a (trials, 2n) array.
+
+    Trial t is sum_k (cu_tk, cv_tk) mode_k over the r^p exp(-sigma r^2)
+    modes, with cu = re + i im and cv likewise drawn per mode in the order
+    (cu.re, cu.im, cv.re, cv.im) -- (cu, cv) for real_only, whose array is
+    real.  The modes are summed in order, so a row equals the plain
+    per-trial loop bit for bit.
+    """
+    modes = _decaying_modes(grid)
+    c = rng.standard_normal((trials, len(modes), 2 if real_only else 4))
+    if real_only:
+        cu, cv = c[..., 0], c[..., 1]
+    else:
+        cu, cv = c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
+    z = np.zeros((trials, 2 * grid.n), dtype=float if real_only else complex)
+    u, v = z[:, :grid.n], z[:, grid.n:]
+    for k, base in enumerate(modes):
+        u += cu[:, k, None] * base
+        v += cv[:, k, None] * base
+    return z
+
+
 def random_decaying_pair(grid: RadialGrid, kappa: float, rng: np.random.Generator,
                          real_only: bool = False) -> FieldPair:
-    """Smooth decaying trial field: sum of r^p exp(-sigma r^2) modes."""
-    u = np.zeros(grid.n, dtype=complex)
-    v = np.zeros(grid.n, dtype=complex)
-    for base in _decaying_modes(grid):
-        cu = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
-        cv = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
-        u += cu * base
-        v += cv * base
-    return pair_from_arrays(grid, u, v, kappa)
-
-
-def _project(h: FieldPair, constraints, directions, G: np.ndarray) -> FieldPair:
-    """Remove components so that every constraint vanishes on h; G[i, j] = c_i(directions[j])."""
-    kvals = np.array([c(h) for c in constraints])
-    coef = np.linalg.solve(G, kvals)
-    if not np.all(np.isfinite(coef)):
-        raise SpectrumError("projection rank-deficient")
-    out = h
-    for cf, dvec in zip(coef, directions):
-        out = out - cf * dvec
-    return out
+    """Smooth decaying trial field: one trial of ``random_decaying_batch``."""
+    z = random_decaying_batch(grid, 1, rng, real_only)[0]
+    return pair_from_arrays(grid, z[:grid.n], z[grid.n:], kappa)
 
 
 def coercivity_sample(which: str, trials: int, seed: int,
@@ -498,60 +530,73 @@ def coercivity_sample(which: str, trials: int, seed: int,
       'phi_e_Gtilde' Phi_E on the complement of {e+, e-, T(i Q1), T(Lambda Q)}
       'L_I'          <L_I v, v> for real v with (v, Q1)_{Hdot1} = 0
       'E_I'          <E_I v, v> for real v with (v, T(Q1))_{Hdot1} = 0
+
+    The trials are drawn, projected and evaluated COERCIVITY_BATCH at a
+    time as one (batch, 2n) array of stacked pairs (u; v): the constraints
+    c_i are linear, so the coefficients of the directions d_j that make
+    every c_i vanish on a trial solve G x = c(h), G[i, j] = c_i(d_j), for
+    the whole batch at once.  The batches continue one RNG stream, so the
+    trials do not depend on the batch size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    grid = bundle.grid
     dirs = build_directions(bundle)
-    ratios = []
+    real_only = which in ("L_I", "E_I")
     if which == "phi_G":
         ops = (assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I"))
-        constraints = [
-            lambda h: quad_form(bundle.q_vec, h, "phi", bundle, ops),
-            lambda h: h1dot_inner(dirs["i_q1"], h),
-            lambda h: h1dot_inner(dirs["lambda_q"], h),
-        ]
+        zq = stack_pair(bundle.q_vec)
+        forms = [lambda z: form_rows(ops, zq, z)]
+        h1_dirs = [dirs["i_q1"], dirs["lambda_q"]]
         directions = [dirs["q"], dirs["i_q1"], dirs["lambda_q"]]
-        form = lambda h: quad_form(h, h, "phi", bundle, ops)
-        real_only = False
     elif which == "phi_e_Gtilde":
         if spectral is None:
             raise ValueError("phi_e_Gtilde sampling needs the spectral result")
         ops = (assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I"))
-        ep, em = spectral.e_plus, spectral.e_minus
-        constraints = [
-            lambda h: quad_form(h, ep, "phi_e", bundle, ops),
-            lambda h: quad_form(h, em, "phi_e", bundle, ops),
-            lambda h: h1dot_inner(dirs["t_i_q1"], h),
-            lambda h: h1dot_inner(dirs["t_lambda_q"], h),
-        ]
-        directions = [ep, em, dirs["t_i_q1"], dirs["t_lambda_q"]]
-        form = lambda h: quad_form(h, h, "phi_e", bundle, ops)
-        real_only = False
-    elif which in ("L_I", "E_I"):
+        zp, zm = stack_pair(spectral.e_plus), stack_pair(spectral.e_minus)
+        forms = [lambda z: form_rows(ops, z, zp), lambda z: form_rows(ops, z, zm)]
+        h1_dirs = [dirs["t_i_q1"], dirs["t_lambda_q"]]
+        directions = [spectral.e_plus, spectral.e_minus, dirs["t_i_q1"], dirs["t_lambda_q"]]
+    elif real_only:
         if which == "L_I":
             op = assemble_L(bundle, "L_I")
             dvec = bundle.q1_vec
         else:
             op = assemble_E(bundle, "E_I")
             dvec = transform_T(bundle.q1_vec)
-        constraints = [lambda h: h1dot_inner(dvec, h)]
-        directions = [dvec]
-        form = lambda h: float(op.quad(np.concatenate([h.u.real, h.v.real]),
-                                       np.concatenate([h.u.real, h.v.real])))
-        real_only = True
+        forms = []
+        h1_dirs = directions = [dvec]
     else:
         raise ValueError(f"unknown coercivity target {which!r}")
 
-    G = np.array([[c(dvec) for dvec in directions] for c in constraints])   # trial-free
-    for _ in range(trials):
-        h = random_decaying_pair(bundle.grid, bundle.kappa, rng, real_only)
-        h = _project(h, constraints, directions, G)
-        nrm = h1dot_norm(h)
-        if nrm < 1e-12:
-            continue
-        ratios.append(form(h) / nrm ** 2)
-    ratios = np.array(ratios)
+    h1_grads = [pair_gradients(grid, stack_pair(d)) for d in h1_dirs]
+
+    def constraints(z):
+        """c_i(h) of every row h of z, one column per constraint."""
+        dz = pair_gradients(grid, z)
+        return np.column_stack([c(z) for c in forms] +
+                               [h1dot_gradients(grid, g, dz) for g in h1_grads])
+
+    d = np.array([stack_pair(p) for p in directions])
+    if real_only:
+        d = d.real
+    G = constraints(d).T                                     # trial-free
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for start in range(0, trials, COERCIVITY_BATCH):
+        z = random_decaying_batch(grid, min(COERCIVITY_BATCH, trials - start), rng, real_only)
+        coef = np.linalg.solve(G, constraints(z).T)
+        if not np.all(np.isfinite(coef)):
+            raise SpectrumError("projection rank-deficient")
+        for cf, dj in zip(coef, d):
+            z = z - cf[:, None] * dj
+        dz = pair_gradients(grid, z)
+        nrm = np.sqrt(np.maximum(h1dot_gradients(grid, dz, dz), 0.0))
+        keep = ~(nrm < 1e-12)             # a NaN norm stays and shows in the result
+        z = z[keep]
+        form = op.quad(z, z) if real_only else form_rows(ops, z, z)
+        ratios.append(form / nrm[keep] ** 2)
+    ratios = np.concatenate(ratios)
     return {
         "which": which,
         "trials": int(len(ratios)),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from qnls6.grid import (FieldPair, GridError, RadialField, RadialGrid,
-                        h1dot_inner, h1dot_norm, integrate6, laplacian6,
-                        pair_from_arrays, radial_derivative)
+                        h1dot_gradients, h1dot_inner, h1dot_norm, integrate6,
+                        laplacian6, pair_from_arrays, pair_gradients, radial_derivative)
 from qnls6.groundstate import q_closed_form, q_derivative_closed_form
 
 
@@ -155,6 +156,80 @@ class TestCachedDerivativeWeights:
             assert np.array_equal(h1dot_inner(f, g), self._reference_inner(f, g))
             assert np.array_equal(h1dot_norm(f),
                                   np.sqrt(max(self._reference_inner(f, f), 0.0)))
+
+
+class TestVectorizedAssembly:
+    """``quad_weights`` and ``laplacian_matrix`` reproduce their per-node loop
+    forms bit for bit."""
+
+    @staticmethod
+    def _loop_quad_weights(grid):
+        # one pair of 3x3 Vandermonde solves per segment, accumulated in order
+        r = grid.nodes
+        n = grid.n
+        w = np.zeros(n)
+
+        def moments(a, b):
+            return np.array([(b ** (6 + k) - a ** (6 + k)) / (6 + k) for k in range(3)])
+
+        def contrib(x3, a, b):
+            v = np.vander(x3, 3, increasing=True)
+            return np.linalg.solve(v.T, moments(a, b))
+
+        m6 = r[0] ** 6 / 6.0
+        m8 = r[0] ** 8 / 8.0
+        t = (m8 - r[0] ** 2 * m6) / (r[1] ** 2 - r[0] ** 2)
+        w[0] += m6 - t
+        w[1] += t
+        for i in range(n - 1):
+            a, b = r[i], r[i + 1]
+            if i <= 1:
+                p6 = (b ** 6 - a ** 6) / 6.0
+                p7 = (b ** 7 - a ** 7) / 7.0
+                w[i] += (b * p6 - p7) / (b - a)
+                w[i + 1] += (p7 - a * p6) / (b - a)
+            elif i == n - 2:
+                w[n - 3:n] += contrib(r[n - 3:n], a, b)
+            else:
+                w[i - 1:i + 2] += 0.5 * contrib(r[i - 1:i + 2], a, b)
+                w[i:i + 3] += 0.5 * contrib(r[i:i + 3], a, b)
+        return w * np.pi ** 3
+
+    @pytest.mark.parametrize("mapping", ["algebraic", "uniform"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 64, 2048])
+    def test_quad_weights_bit_identical(self, n, mapping):
+        # n = 5 has a single segment with both quadratics
+        grid = RadialGrid(n=n, r_max=200.0, mapping=mapping, stretch=29.0)
+        assert np.array_equal(grid.quad_weights, self._loop_quad_weights(grid))
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "decay4"])
+    @pytest.mark.parametrize("n", [5, 64, 1024])
+    def test_laplacian_matrix_bit_identical(self, n, boundary):
+        grid = RadialGrid(n=n, r_max=200.0, stretch=29.0)
+        sub, diag, sup, corner = grid.laplacian_tridiag(boundary)
+        ref = sp.diags([sub, diag, sup], [-1, 0, 1], format="lil")
+        if corner:
+            ref[-1, -2] += corner
+        ref = ref.tocsr()
+        mat = grid.laplacian_matrix(boundary)
+        assert mat.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mat, attr), getattr(ref, attr))
+
+    def test_derivative_rows_equal_single_fields(self, mid_grid):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((3, 2 * mid_grid.n)) + 1j * rng.standard_normal((3, 2 * mid_grid.n))
+        n = mid_grid.n
+        du, dv = pair_gradients(mid_grid, z)
+        for k in range(3):
+            f = pair_from_arrays(mid_grid, z[k, :n], z[k, n:], 0.5)
+            assert np.array_equal(du[k], radial_derivative(f.first).values)
+            assert np.array_equal(dv[k], radial_derivative(f.second).values)
+        rows = h1dot_gradients(mid_grid, (du, dv), (du[::-1], dv[::-1]))
+        for k in range(3):
+            f = pair_from_arrays(mid_grid, z[k, :n], z[k, n:], 0.5)
+            g = pair_from_arrays(mid_grid, z[2 - k, :n], z[2 - k, n:], 0.5)
+            assert rows[k] == h1dot_inner(f, g)
 
 
 class TestTypes:

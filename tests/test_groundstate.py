@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from qnls6.grid import RadialField, h1dot_inner, h1dot_norm, integrate6
+from qnls6.grid import RadialField, RadialGrid, h1dot_inner, h1dot_norm, integrate6
 from qnls6.functionals import energy, energy_n, hamiltonian, interaction
-from qnls6.groundstate import (_interp_component, _pchip, apply_symmetry, build_bundle,
-                               build_directions, elliptic_residual, lambda_profile, ode_ground_state,
+from qnls6.groundstate import (_bordered_tridiag_solve, _interp_component, _pchip,
+                               apply_symmetry, build_bundle, build_directions,
+                               elliptic_residual, lambda_profile, ode_ground_state,
                                q_closed_form, refine_discrete, transform_T,
                                verify_elliptic)
 from conftest import random_pair
@@ -61,6 +63,44 @@ class TestElliptic:
         refined = elliptic_residual(RadialField(mid_grid, q), order=2, boundary="dirichlet")
         assert refined < 0.2 * sampled
         assert kres < 1e-4
+
+
+class TestBorderedSolve:
+    @staticmethod
+    def _near_singular(shift_rel):
+        # T = Delta_h + 2Q (symmetrized) shifted so that its eigenvalue along
+        # the quasi-kernel v0 is shift_rel times the spectral scale
+        grid = RadialGrid(n=64, r_max=60.0, stretch=9.0)
+        diag, off = grid.symmetrized_tridiag()
+        d = diag + 2.0 * q_closed_form(grid.nodes)
+        evals, vecs = eigh_tridiagonal(d, off)
+        k = int(np.argmin(np.abs(evals)))
+        d = d - evals[k] + shift_rel * np.max(np.abs(evals))
+        return d, off, vecs[:, k]
+
+    @pytest.mark.parametrize("shift_rel", [1e-6, 1e-10, 1e-13])
+    def test_matches_dense_bordered_solve(self, shift_rel):
+        d, off, v0 = self._near_singular(shift_rel)
+        n = len(d)
+        T = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+        M = np.block([[T, v0[:, None]], [v0[None, :], np.zeros((1, 1))]])
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            # refine_discrete hands over right-hand sides with v0 projected out
+            rhs = rng.standard_normal(n)
+            rhs -= (v0 @ rhs) * v0
+            ref = np.linalg.solve(M, np.concatenate([rhs, [0.0]]))[:n]
+            x = _bordered_tridiag_solve(d, off, v0, rhs)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert abs(v0 @ x) <= 1e-12 * np.linalg.norm(x)
+
+    # the kernel residual of the splu bordered solve on the default [grid]
+    # family (r_max = 200, stretch = 29), to the seven digits quoted
+    @pytest.mark.parametrize("n, before", [(256, 1.517766e-05), (512, 5.950637e-06),
+                                           (1024, 3.824018e-06), (2048, 3.388832e-06)])
+    def test_kernel_residual_does_not_rise(self, n, before):
+        _, kres = refine_discrete(RadialGrid(n=n, r_max=200.0, stretch=29.0))
+        assert float(f"{kres:.6e}") <= before
 
 
 class TestBundle:
