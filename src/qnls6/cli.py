@@ -24,8 +24,8 @@ from .config import (ConfigError, ScenarioConfig, parse_a_values, parse_config,
                      parse_radii, parse_recipe)
 from .grid import GridError, RadialGrid, pair_from_arrays
 from .groundstate import (GroundStateBundle, apply_symmetry, build_bundle,
-                          bundle_to_rows, elliptic_residual, transform_T,
-                          verify_elliptic, _interp_component)
+                          bundle_to_rows, elliptic_residual, refine_discrete,
+                          transform_T, verify_elliptic, _interp_component)
 from .functionals import energy, hamiltonian, variational_constants
 from .linops import build_block_E
 from .spectrum import (SpectrumError, SpectralResult, coercivity_sample,
@@ -169,7 +169,7 @@ def scenario_ground_state(cfg: ScenarioConfig, outdir: str) -> dict:
         "six_E_minus_H_rel": abs(6.0 * consts["E_Q"] - consts["H_Q"]) / consts["H_Q"],
         "int_Q3": q3_grid,
         "int_Q3_rel_err": abs(q3_grid - q3_exact) / q3_exact,
-        "discrete_kernel_residual": bundle.discrete_kernel_residual,
+        "discrete_kernel_residual": refine_discrete(grid)[1],
     }
     write_csv(os.path.join(outdir, "ground_state.csv"), ("r", "Q", "LambdaQ"),
               bundle_to_rows(bundle))
@@ -224,6 +224,8 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
                           "the legs start where e^(-lambda1 t) = data_eps, at t > 0")
     if 0.0 in a_values:
         raise ConfigError("[special] a_values must be nonzero (a = 0 is the control leg)")
+    if not all(map(math.isfinite, a_values)):
+        raise ConfigError(f"[special] a_values = {spc.a_values}: every amplitude must be finite")
     grid = _mkgrid(cfg, n_override=spc.n)
     bundle, spectral = _spectral_pipeline(cfg, grid, background="discrete")
     lam = spectral.lambda1
@@ -285,9 +287,9 @@ def _recipe_amplitude(rec: dict, cfg: ScenarioConfig) -> float | None:
     if rec["kind"] not in ("gplus", "gminus", "wa"):
         return None
     a = {"gplus": 1.0, "gminus": -1.0}.get(rec["kind"], rec.get("a"))
-    if not 0 < cfg.special.data_eps < abs(a):
-        raise ConfigError(f"recipe {rec['kind']} with |a| = {abs(a):g}: [special] "
-                          f"data_eps = {cfg.special.data_eps:g} must lie in (0, |a|)")
+    if not 0 < cfg.special.data_eps < abs(a) < math.inf:
+        raise ConfigError(f"recipe {rec['kind']} with |a| = {abs(a):g}: need a finite |a| "
+                          f"and [special] data_eps = {cfg.special.data_eps:g} in (0, |a|)")
     return a
 
 

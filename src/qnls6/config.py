@@ -127,6 +127,8 @@ class ScenarioConfig:
             raise ConfigError(f"[evolution] {exc}") from None
         if self.special.order < 1:
             raise ConfigError(f"[special] order = {self.special.order} must be >= 1")
+        if not 0 < sp.clip_rel < math.inf:
+            raise ConfigError(f"[spectrum] clip_rel = {sp.clip_rel:g} must be positive and finite")
         for rec in self.sweep.recipes:
             parse_recipe(rec)
         parse_a_values(self.special.a_values)

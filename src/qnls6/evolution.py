@@ -215,7 +215,7 @@ class RadialPropagator:
     def __init__(self, grid: RadialGrid, kappa: float):
         self.grid = grid
         self.kappa = kappa
-        self.w_op = np.pi ** 3 * grid.cell_masses
+        self.w_op = grid.op_weights
 
     # -- linear flow ------------------------------------------------------
 

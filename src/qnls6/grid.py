@@ -41,7 +41,8 @@ class GridError(ValueError):
 
 # Bound of the per-grid caches (lru_cache keyed by the grid).  spectrum touches
 # four grids (n, the seed, the 2n check, the cross-check), so 8 never evicts in
-# a run; an entry is O(n) (the refined Q), so a session holds at most 8 of them.
+# a run; an entry is O(n) (the refined Q, the trial modes), so a session holds
+# at most 8 of each.
 GRID_CACHE_SIZE = 8
 
 
@@ -101,6 +102,20 @@ class RadialGrid:
         w = (e[1:] ** 6 - e[:-1] ** 6) / 6.0
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def op_weights(self) -> np.ndarray:
+        """pi^3 times the cell masses: the pairing of the operators and forms."""
+        w = np.pi ** 3 * self.cell_masses
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def sqrt_masses(self) -> np.ndarray:
+        """Square roots of the cell masses: D^{1/2} of D^{1/2} A D^{-1/2}."""
+        s = np.sqrt(self.cell_masses)
+        s.setflags(write=False)
+        return s
 
     @cached_property
     def quad_weights(self) -> np.ndarray:

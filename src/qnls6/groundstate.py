@@ -104,8 +104,7 @@ def refine_discrete(grid: RadialGrid) -> tuple[np.ndarray, float]:
     of the spectrum is negative).  The result is cached per grid and shared
     (read-only) by every caller.
     """
-    m = grid.cell_masses
-    sm = np.sqrt(m)
+    sm = grid.sqrt_masses
     diag, off = grid.symmetrized_tridiag()
     n = grid.n
 
@@ -171,38 +170,33 @@ def _bordered_tridiag_solve(diag, off, v0, rhs):
 class GroundStateBundle:
     """Q and every derived reference object on one grid.
 
-    ``q`` holds closed-form samples; ``q_discrete`` the refined stationary
-    profile of the discrete Laplacian (used by time integration).  The vector
-    objects are built from ``background``, which is one of the two.
+    ``q`` holds closed-form samples; ``q_bg`` the Q of ``background``: the
+    same samples, or for "discrete" the refined stationary profile of the
+    discrete Laplacian (used by time integration).  The vector objects are
+    built from ``q_bg``.
     """
 
     grid: RadialGrid
     kappa: float
     q: RadialField
-    q_discrete: RadialField
     background: str            # "closed-form" or "discrete"
+    q_bg: RadialField
     q_vec: FieldPair           # (sqrt(k) Q, Q)
     q1_vec: FieldPair          # (sqrt(k) Q, 2Q)
     lambda_q: FieldPair        # (sqrt(k) Lambda Q, Lambda Q)
     t_q: FieldPair
     t_q1: FieldPair
     t_lambda_q: FieldPair
-    discrete_kernel_residual: float
-
-    @property
-    def q_bg(self) -> RadialField:
-        return self.q_discrete if self.background == "discrete" else self.q
 
 
 def build_bundle(grid: RadialGrid, kappa: float, background: str = "closed-form") -> GroundStateBundle:
+    """The bundle on ``background``; only "discrete" runs ``refine_discrete``."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if background not in ("closed-form", "discrete"):
         raise ValueError(f"unknown background {background!r}")
     qcf = RadialField(grid, q_closed_form(grid.nodes))
-    qd_vals, kres = refine_discrete(grid)
-    qd = RadialField(grid, qd_vals)
-    base = qd if background == "discrete" else qcf
+    base = RadialField(grid, refine_discrete(grid)[0]) if background == "discrete" else qcf
     sk = np.sqrt(kappa)
     qv = base.values.real
     if background == "discrete":
@@ -214,10 +208,9 @@ def build_bundle(grid: RadialGrid, kappa: float, background: str = "closed-form"
     q1_vec = pair_from_arrays(grid, sk * qv, 2.0 * qv, kappa)
     lambda_q = pair_from_arrays(grid, sk * lam_q, lam_q, kappa)
     return GroundStateBundle(
-        grid=grid, kappa=kappa, q=qcf, q_discrete=qd, background=background,
+        grid=grid, kappa=kappa, q=qcf, background=background, q_bg=base,
         q_vec=q_vec, q1_vec=q1_vec, lambda_q=lambda_q,
-        t_q=transform_T(q_vec), t_q1=transform_T(q1_vec), t_lambda_q=transform_T(lambda_q),
-        discrete_kernel_residual=kres)
+        t_q=transform_T(q_vec), t_q1=transform_T(q1_vec), t_lambda_q=transform_T(lambda_q))
 
 
 def verify_elliptic(bundle: GroundStateBundle, order: int = 4, boundary: str = "decay4") -> float:

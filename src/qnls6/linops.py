@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .grid import FieldPair, RadialGrid
-from .groundstate import GroundStateBundle, transform_T
-
-_LABELS = ("L_R", "L_I", "E_R", "E_I")
+from .grid import FieldPair, RadialGrid, pair_from_arrays
+from .groundstate import GroundStateBundle
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,7 @@ class PairOperator:
         return self.mat @ stacked
 
     def op_weights(self) -> np.ndarray:
-        m = self.grid.cell_masses
-        return np.pi ** 3 * np.concatenate([m, m])
+        return np.tile(self.grid.op_weights, 2)
 
     def quad(self, a: np.ndarray, b: np.ndarray):
         """<A a, b> with the cell-mass pairing; real stacked inputs of shape
@@ -73,8 +71,7 @@ class PairOperator:
 
     def symmetric_dense(self) -> np.ndarray:
         """D^{1/2} A D^{-1/2} as a dense symmetric matrix (dirichlet rule only)."""
-        m = self.grid.cell_masses
-        d = np.sqrt(np.concatenate([m, m]))
+        d = np.tile(self.grid.sqrt_masses, 2)
         M = self.mat.toarray()
         S = (M * d[:, None]) / d[None, :]
         return 0.5 * (S + S.T)
@@ -87,8 +84,7 @@ class PairOperator:
         ``k`` of the (3, 2n) result holds the k-th subdiagonal.
         """
         n = self.n
-        m = self.grid.cell_masses
-        d = np.sqrt(np.concatenate([m, m]))
+        d = np.tile(self.grid.sqrt_masses, 2)
         S = sp.diags(d) @ self.mat @ sp.diags(1.0 / d)
         perm = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()
         S = (0.5 * (S + S.T)).tocsr()[perm][:, perm].tocoo()
@@ -160,14 +156,23 @@ class BlockOperatorE:
         Z = sp.csr_matrix((n2, n2))
         return sp.bmat([[Z, -self.e_i.mat], [self.e_r.mat, Z]], format="csc")
 
+    def shifted_inverse(self, s: float) -> spla.LinearOperator:
+        """(script_E - s)^{-1} on the layout of ``sparse_real``, from one splu
+        of ``sparse_real() - s I``; ``rmatvec`` solves with its transpose."""
+        n4 = 4 * self.grid.n
+        lu = spla.splu((self.sparse_real() - s * sp.identity(n4, format="csc")).tocsc())
+        return spla.LinearOperator((n4, n4), matvec=lu.solve, dtype=float,
+                                   rmatvec=lambda x: lu.solve(x, trans="T"))
+
+    def solve_shifted(self, s: float, b: np.ndarray) -> np.ndarray:
+        """(script_E - s)^{-1} b for a complex stacked pair b = (h; g)."""
+        return unpack_real(self.shifted_inverse(s).matvec(pack_real(b)))
+
     def kernel_residuals(self, bundle: GroundStateBundle) -> dict:
         """Relative residuals of script_E on T(i bQ1) and T(Lambda bQ)."""
-        tq1 = transform_T(bundle.q1_vec)
-        tlq = bundle.t_lambda_q
-        z_iq1 = 1j * np.concatenate([tq1.u, tq1.v])
-        z_lq = np.concatenate([tlq.u, tlq.v]).astype(complex)
         out = {}
-        for name, z in (("t_i_q1", z_iq1), ("t_lambda_q", z_lq)):
+        for name, z in (("t_i_q1", 1j * stack_pair(bundle.t_q1)),
+                        ("t_lambda_q", stack_pair(bundle.t_lambda_q))):
             res = self.apply_complex(z)
             out[name] = float(np.linalg.norm(res) / np.linalg.norm(z))
         return out
@@ -182,6 +187,27 @@ def build_block_E(bundle: GroundStateBundle, boundary: str = "dirichlet",
 def stack_pair(p: FieldPair) -> np.ndarray:
     """The stacked (u; v) of a pair, the layout of the operators and forms."""
     return np.concatenate([p.u, p.v])
+
+
+def unstack_pair(grid: RadialGrid, z: np.ndarray, kappa: float) -> FieldPair:
+    """The pair of a stacked (u; v) of shape (2n,), the inverse of ``stack_pair``."""
+    return pair_from_arrays(grid, z[:grid.n], z[grid.n:], kappa)
+
+
+def pack_real(z: np.ndarray) -> np.ndarray:
+    """The real layout (Re z; Im z) of ``sparse_real`` of a complex stacked pair z."""
+    return np.concatenate([z.real, z.imag])
+
+
+def unpack_real(x: np.ndarray) -> np.ndarray:
+    """The complex stacked pair of a real layout x, the inverse of ``pack_real``."""
+    half = len(x) // 2
+    return x[:half] + 1j * x[half:]
+
+
+def weighted_norm(grid: RadialGrid, z: np.ndarray) -> float:
+    """The cell-mass L^2 norm of a stacked pair (u; v)."""
+    return float(np.sqrt(np.sum(np.tile(grid.op_weights, 2) * np.abs(z) ** 2)))
 
 
 def quad_form(a: FieldPair, b: FieldPair, which: str, bundle: GroundStateBundle,

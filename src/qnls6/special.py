@@ -32,13 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .grid import FieldPair, h1dot_norm, pair_from_arrays
+from .grid import FieldPair, h1dot_norm
 from .groundstate import GroundStateBundle, transform_T
 from .functionals import energy, hamiltonian
-from .linops import BlockOperatorE, bilinear_N, build_block_E
+from .linops import bilinear_N, build_block_E, stack_pair, unstack_pair, weighted_norm
 from .spectrum import SpectralResult
 from .evolution import EvolutionConfig, RadialPropagator, TrajectoryRecord, run_batch
 
@@ -82,36 +80,27 @@ def _forcing(profiles, j: int) -> FieldPair:
 
 
 def approx_profiles(bundle: GroundStateBundle, spectral: SpectralResult,
-                    a: float, k: int, block: BlockOperatorE | None = None) -> ApproxSolution:
+                    a: float, k: int) -> ApproxSolution:
     """Solve the profile recursion up to order k (g_1 = a e_+)."""
     if k < 1:
         raise ValueError("order k must be >= 1")
-    if block is None:
-        block = build_block_E(bundle)
+    block = build_block_E(bundle)
     lam = spectral.lambda1
-    n = bundle.grid.n
     profiles = [a * spectral.e_plus]
     residuals = [spectral.residual]
-    E4 = block.sparse_real()
     for j in range(2, k + 1):
-        rhs_pair = _forcing(profiles, j)
-        rhs = 1j * np.concatenate([rhs_pair.u, rhs_pair.v])
-        mat = (E4 - j * lam * sp.identity(4 * n, format="csc")).tocsc()
+        rhs = 1j * stack_pair(_forcing(profiles, j))
         try:
-            lu = spla.splu(mat)
+            z = block.solve_shifted(j * lam, rhs)
         except RuntimeError as exc:
             raise ShootingError(
                 f"shifted solve at order {j} is singular: j*lambda1 appears to touch "
                 f"the spectrum ({exc})") from exc
-        sol = lu.solve(np.concatenate([rhs.real, rhs.imag]))
-        g = pair_from_arrays(bundle.grid, sol[:n] + 1j * sol[2 * n:3 * n],
-                             sol[n:2 * n] + 1j * sol[3 * n:], bundle.kappa)
-        applied = block.apply_complex(np.concatenate([g.u, g.v]))
-        res = np.linalg.norm(applied - j * lam * np.concatenate([g.u, g.v]) - rhs)
+        res = np.linalg.norm(block.apply_complex(z) - j * lam * z - rhs)
         res /= max(np.linalg.norm(rhs), 1e-300)
         if res > 1e-8:
             raise ShootingError(f"ill-conditioned shifted solve at order {j}: rel residual {res:.2e}")
-        profiles.append(g)
+        profiles.append(unstack_pair(bundle.grid, z, bundle.kappa))
         residuals.append(float(res))
     return ApproxSolution(a=a, k=k, lambda1=lam, profiles=tuple(profiles),
                           shift_residuals=tuple(residuals), kappa=bundle.kappa)
@@ -129,8 +118,7 @@ def eps_k_tail_terms(sol: ApproxSolution) -> dict:
 
 
 def residual_eps_k(sol: ApproxSolution, bundle: GroundStateBundle,
-                   t_grid: np.ndarray, block: BlockOperatorE | None = None,
-                   method: str = "tail") -> dict:
+                   t_grid: np.ndarray, method: str = "tail") -> dict:
     """Evaluate eps_k(t) and fit the decay slope of log||eps_k||.
 
     Norms reported in both the weighted L^2 and the Hdot1 sense; the
@@ -139,12 +127,10 @@ def residual_eps_k(sol: ApproxSolution, bundle: GroundStateBundle,
     while the residual stays above the floating-point cancellation floor);
     ``method='tail'`` evaluates the closed-form quadratic tail.
     """
-    w = np.pi ** 3 * np.concatenate([bundle.grid.cell_masses, bundle.grid.cell_masses])
     if method == "tail":
         terms = eps_k_tail_terms(sol)
     elif method == "direct":
-        if block is None:
-            block = build_block_E(bundle)
+        block = build_block_E(bundle)
     else:
         raise ValueError(f"unknown method {method!r}")
     l2, h1 = [], []
@@ -152,17 +138,13 @@ def residual_eps_k(sol: ApproxSolution, bundle: GroundStateBundle,
         if method == "tail":
             eps = np.zeros(2 * bundle.grid.n, dtype=complex)
             for j, term in terms.items():
-                eps += -1j * math.exp(-j * sol.lambda1 * t) * np.concatenate([term.u, term.v])
+                eps += -1j * math.exp(-j * sol.lambda1 * t) * stack_pair(term)
         else:
             U = sol.evaluate(t)
-            dU = sol.time_derivative(t)
-            z = np.concatenate([U.u, U.v])
-            nl = bilinear_N(U, U)
-            eps = np.concatenate([dU.u, dU.v]) + block.apply_complex(z) \
-                - 1j * np.concatenate([nl.u, nl.v])
-        l2.append(float(np.sqrt(np.sum(w * np.abs(eps) ** 2))))
-        h1.append(h1dot_norm(pair_from_arrays(bundle.grid, eps[:bundle.grid.n],
-                                              eps[bundle.grid.n:], bundle.kappa)))
+            eps = (stack_pair(sol.time_derivative(t)) + block.apply_complex(stack_pair(U))
+                   - 1j * stack_pair(bilinear_N(U, U)))
+        l2.append(weighted_norm(bundle.grid, eps))
+        h1.append(h1dot_norm(unstack_pair(bundle.grid, eps, bundle.kappa)))
     l2 = np.array(l2)
     h1 = np.array(h1)
     if sol.a == 0.0 or np.all(l2 == 0.0):

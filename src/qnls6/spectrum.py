@@ -67,12 +67,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import (FieldPair, RadialGrid, h1dot_gradients, pair_from_arrays,
+from .grid import (GRID_CACHE_SIZE, FieldPair, RadialGrid, h1dot_gradients,
                    pair_gradients)
 from .groundstate import (GroundStateBundle, _interp_component, build_bundle,
                           build_directions, transform_T)
 from .linops import (BlockOperatorE, PairOperator, assemble_E, assemble_L,
-                     build_block_E, form_rows, quad_form, stack_pair)
+                     build_block_E, form_rows, pack_real, quad_form, stack_pair,
+                     unpack_real, unstack_pair, weighted_norm)
 
 
 class SpectrumError(RuntimeError):
@@ -115,13 +116,9 @@ class SqrtEI:
     kernel_index: int
     kernel_eig: float
 
-    def _d(self) -> np.ndarray:
-        m = self.op.grid.cell_masses
-        return np.sqrt(np.concatenate([m, m]))
-
     def apply(self, stacked: np.ndarray) -> np.ndarray:
         """E_I^{1/2} on nodal values (kernel component annihilated)."""
-        d = self._d()
+        d = np.tile(self.op.grid.sqrt_masses, 2)
         y = self.basis.T @ (d * stacked)
         return (self.basis @ (self.sqrt_eigs * y)) / d
 
@@ -129,7 +126,7 @@ class SqrtEI:
         return self.basis @ (self.sqrt_eigs * (self.basis.T @ vec))
 
     def project_out_kernel(self, stacked: np.ndarray) -> np.ndarray:
-        d = self._d()
+        d = np.tile(self.op.grid.sqrt_masses, 2)
         v0 = self.basis[:, self.kernel_index]
         y = d * stacked
         return (y - (v0 @ y) * v0) / d
@@ -144,10 +141,7 @@ def sqrt_ei(e_i: PairOperator, bundle: GroundStateBundle,
     """
     S = e_i.symmetric_dense()
     eigs, basis = sla.eigh(S)
-    m = bundle.grid.cell_masses
-    d = np.sqrt(np.concatenate([m, m]))
-    tq1 = transform_T(bundle.q1_vec)
-    ref = d * np.concatenate([tq1.u.real, tq1.v.real])
+    ref = np.tile(bundle.grid.sqrt_masses, 2) * stack_pair(bundle.t_q1).real
     ref = ref / np.linalg.norm(ref)
     kernel_index = int(np.argmax(np.abs(basis.T @ ref)))
     clip = clip_rel * float(np.max(np.abs(eigs)))
@@ -232,24 +226,17 @@ class SpectralResult:
         }
 
 
-def _weighted_norm(grid: RadialGrid, stacked: np.ndarray) -> float:
-    w = np.pi ** 3 * np.concatenate([grid.cell_masses, grid.cell_masses])
-    return float(np.sqrt(np.real(np.sum(w * np.abs(stacked) ** 2))))
-
-
-def _hn_inner(grid: RadialGrid, kappa: float, a: np.ndarray, b: np.ndarray) -> float:
-    """(a, b)_{H_N} = <(-Lap a1, -kappa Lap a2), b> with cell-mass weights."""
-    n = grid.n
-    w = np.pi ** 3 * grid.cell_masses
-    t1 = np.sum(w * (-grid.apply_laplacian(a[:n])) * b[:n])
-    t2 = kappa * np.sum(w * (-grid.apply_laplacian(a[n:])) * b[n:])
+def _hn_inner(a: FieldPair, b: FieldPair) -> float:
+    """Re (a, b)_{H_N} = Re <(-Lap a1, -kappa Lap a2), b> with cell-mass weights."""
+    grid, w = a.grid, a.grid.op_weights
+    t1 = np.sum(w * (-grid.apply_laplacian(a.u)) * b.u)
+    t2 = a.kappa * np.sum(w * (-grid.apply_laplacian(a.v)) * b.v)
     return float(np.real(t1 + t2))
 
 
 def _symmetrized_generator(block: BlockOperatorE) -> tuple[sp.csr_matrix, np.ndarray]:
     """D script_E D^{-1} (D the cell-mass square roots on all 4n entries), and D."""
-    m = block.grid.cell_masses
-    D4 = np.sqrt(np.concatenate([m, m, m, m]))
+    D4 = np.tile(block.grid.sqrt_masses, 4)
     return sp.diags(D4) @ block.sparse_real() @ sp.diags(1.0 / D4), D4
 
 
@@ -286,7 +273,8 @@ def _shift_invert(S: sp.csr_matrix, shift: float, x: np.ndarray, fixed: int,
 
 def _seed(bundle: GroundStateBundle, block: BlockOperatorE,
           clip_rel: float) -> tuple[float, np.ndarray, dict]:
-    """lambda_c and the stacked (e1; e2) of the symmetric-product route, seeded coarse.
+    """lambda_c and the complex stacked e1 + i e2 of the symmetric-product route,
+    seeded coarse.
 
     The dense oracle (sqrt_ei, negative_eigenpair_tt) runs on the grid of the
     same family (r_max, mapping, stretch, background) with
@@ -304,14 +292,13 @@ def _seed(bundle: GroundStateBundle, block: BlockOperatorE,
     root = sqrt_ei(cblock.e_i, cbundle, clip_rel)
     mu, g, info = negative_eigenpair_tt(cblock.e_r, root)
     lam = math.sqrt(-mu)
-    m = cgrid.cell_masses
-    e1 = root.apply_sym(g) / np.sqrt(np.concatenate([m, m]))
+    e1 = root.apply_sym(g) / np.tile(cgrid.sqrt_masses, 2)
     e2 = (cblock.e_r.mat @ e1) / lam
     nc = cgrid.n
-    # columns: the first and second component of e1 + i e2
-    u, v = _interp_component(cgrid.nodes, (e1 + 1j * e2).reshape(2, nc).T, grid.nodes).T
-    x = np.concatenate([u.real, v.real, u.imag, v.imag])
-    return lam, x, {"tt_residual": info["tt_residual"], "seed_n": nc, "seed_lambda1": lam}
+    # columns: the first and second component of e1 + i e2, interpolated and
+    # stacked again
+    z = _interp_component(cgrid.nodes, (e1 + 1j * e2).reshape(2, nc).T, grid.nodes).T.ravel()
+    return lam, z, {"tt_residual": info["tt_residual"], "seed_n": nc, "seed_lambda1": lam}
 
 
 def _ei_kernel_eig(e_i: PairOperator, clip_rel: float) -> float:
@@ -351,48 +338,38 @@ def _compressed_negative_count(e_r: PairOperator, k: np.ndarray, tol: float) -> 
     return neg + int(k @ x > 0) - 1
 
 
-def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
-                clip_rel: float = 1e-10) -> SpectralResult:
+def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralResult:
     """Unstable eigenpair of script_E by shift-invert on the sparse generator.
 
     Seeded by the symmetric-product pair at min(n, SEED_N) nodes; see the
     module docstring for the route and its two certificates.
     """
-    if block is None:
-        block = build_block_E(bundle)
+    block = build_block_E(bundle)
     grid = bundle.grid
-    n = grid.n
-    lam_c, x, info = _seed(bundle, block, clip_rel)
+    lam_c, z, info = _seed(bundle, block, clip_rel)
     S, D4 = _symmetrized_generator(block)
 
-    def resid_of(e1v, e2v, lamv):
-        z = e1v + 1j * e2v
-        res = block.apply_complex(z) - lamv * z
-        return _weighted_norm(grid, res) / _weighted_norm(grid, z)
+    def resid_of(y, lamv):
+        return weighted_norm(grid, block.apply_complex(y) - lamv * y) / weighted_norm(grid, y)
 
-    res0 = resid_of(x[:2 * n], x[2 * n:], lam_c)
-    lam, x = _shift_invert(S, lam_c, x * D4, FIXED_SHIFT_SOLVES, POLISH_SOLVES)
-    e1 = x[:2 * n] / D4[:2 * n]
-    e2 = x[2 * n:] / D4[2 * n:]
-    res1 = resid_of(e1, e2, lam)
+    res0 = resid_of(z, lam_c)
+    lam, x = _shift_invert(S, lam_c, pack_real(z) * D4, FIXED_SHIFT_SOLVES, POLISH_SOLVES)
+    z = unpack_real(x / D4)
+    res1 = resid_of(z, lam)
 
     # normalization: |Phi_E(e+, e-)| = 1 (value itself is negative), then fix
-    # the overall sign through the kinetic pairing with T(bQ)
+    # the overall sign through the kinetic pairing of Re e+ with T(bQ)
     ops = (block.e_r, block.e_i)
-    ep = pair_from_arrays(grid, e1[:n] + 1j * e2[:n], e1[n:] + 1j * e2[n:], bundle.kappa)
-    em = ep.conj()
-    pairing = quad_form(ep, em, "phi_e", bundle, ops)
+    ep = unstack_pair(grid, z, bundle.kappa)
+    pairing = quad_form(ep, ep.conj(), "phi_e", bundle, ops)
     if abs(pairing) < 1e-300:
         raise SpectrumError("Phi_E(e+, e-) vanished; eigenpair degenerate")
     scale = 1.0 / math.sqrt(abs(pairing))
-    e1 *= scale
-    e2 *= scale
-    tq = np.concatenate([bundle.t_q.u.real, bundle.t_q.v.real])
-    if _hn_inner(grid, bundle.kappa, e1, tq) < 0:
-        e1, e2 = -e1, -e2
-    ep = pair_from_arrays(grid, e1[:n] + 1j * e2[:n], e1[n:] + 1j * e2[n:], bundle.kappa)
+    if _hn_inner(ep, bundle.t_q) < 0:
+        scale = -scale
+    ep = unstack_pair(grid, scale * z, bundle.kappa)
     em = ep.conj()
-    norm_sq = _weighted_norm(grid, np.concatenate([ep.u, ep.v])) ** 2
+    norm_sq = weighted_norm(grid, stack_pair(ep)) ** 2
     phi_p = quad_form(ep, ep, "phi_e", bundle, ops) / norm_sq
     phi_m = quad_form(em, em, "phi_e", bundle, ops) / norm_sq
     normalization = quad_form(ep, em, "phi_e", bundle, ops)
@@ -400,7 +377,7 @@ def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
     # the two certificates: ker(E_I) is one-dimensional, and E_R has one
     # negative direction on its complement (the inertia of TT)
     kernel_eig = _ei_kernel_eig(block.e_i, clip_rel)
-    sm = np.sqrt(grid.cell_masses)
+    sm = grid.sqrt_masses
     k = np.column_stack([sm * bundle.t_q1.u.real, sm * bundle.t_q1.v.real]).ravel()
     n_negative = _compressed_negative_count(block.e_r, k / np.linalg.norm(k),
                                             NEGATIVE_GAP * lam * lam)
@@ -409,7 +386,7 @@ def eigenpair_e(bundle: GroundStateBundle, block: BlockOperatorE | None = None,
                           normalization=float(normalization),
                           residual=res1, residual_unpolished=res0,
                           phi_e_plus=float(phi_p), phi_e_minus=float(phi_m),
-                          mu=-lam * lam, kernel_eig=kernel_eig, n=n, info=info)
+                          mu=-lam * lam, kernel_eig=kernel_eig, n=grid.n, info=info)
 
 
 def lambda1_inverse_iteration(bundle: GroundStateBundle, lam_guess: float) -> float:
@@ -432,8 +409,7 @@ def dense_cross_check(bundle: GroundStateBundle) -> dict:
     +-lambda1, a two-dimensional radial kernel, everything else imaginary.
     """
     block = build_block_E(bundle)
-    m = bundle.grid.cell_masses
-    D4 = np.sqrt(np.concatenate([m, m, m, m]))
+    D4 = np.tile(bundle.grid.sqrt_masses, 4)
     M = block.sparse_real().toarray()
     M = (M * D4[:, None]) / D4[None, :]
     ev = sla.eigvals(M)
@@ -460,14 +436,11 @@ def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
     so the result is a function of the arguments alone.
     """
     block = build_block_E(bundle)
-    n4 = 4 * bundle.grid.n
     out = {}
     state = np.random.get_state()
     try:
         for j in j_values:
-            lu = spla.splu((block.sparse_real() - j * lam1 * sp.identity(n4, format="csc")).tocsc())
-            op = spla.LinearOperator((n4, n4), matvec=lu.solve,
-                                     rmatvec=lambda x: lu.solve(x, trans="T"))
+            op = block.shifted_inverse(j * lam1)
             np.random.seed(ONENORM_SEED)
             out[f"resolvent_norm_j{j}"] = float(spla.onenormest(op))
     finally:
@@ -479,7 +452,7 @@ def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
 # coercivity sampling
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=GRID_CACHE_SIZE)
 def _decaying_modes(grid: RadialGrid) -> np.ndarray:
     """The r^p exp(-sigma r^2) modes of the trial fields on the grid, one per row."""
     r = grid.nodes
@@ -505,19 +478,17 @@ def random_decaying_batch(grid: RadialGrid, trials: int, rng: np.random.Generato
         cu, cv = c[..., 0], c[..., 1]
     else:
         cu, cv = c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
-    z = np.zeros((trials, 2 * grid.n), dtype=float if real_only else complex)
-    u, v = z[:, :grid.n], z[:, grid.n:]
+    z = np.zeros((trials, 2, grid.n), dtype=float if real_only else complex)
     for k, base in enumerate(modes):
-        u += cu[:, k, None] * base
-        v += cv[:, k, None] * base
-    return z
+        z[:, 0] += cu[:, k, None] * base
+        z[:, 1] += cv[:, k, None] * base
+    return z.reshape(trials, 2 * grid.n)
 
 
 def random_decaying_pair(grid: RadialGrid, kappa: float, rng: np.random.Generator,
                          real_only: bool = False) -> FieldPair:
     """Smooth decaying trial field: one trial of ``random_decaying_batch``."""
-    z = random_decaying_batch(grid, 1, rng, real_only)[0]
-    return pair_from_arrays(grid, z[:grid.n], z[grid.n:], kappa)
+    return unstack_pair(grid, random_decaying_batch(grid, 1, rng, real_only)[0], kappa)
 
 
 def coercivity_sample(which: str, trials: int, seed: int,

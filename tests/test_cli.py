@@ -318,6 +318,30 @@ kappa = 0.5
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "data_eps" in err or "a_values" in err
 
+    @pytest.mark.parametrize("scenario,body", [
+        ("special", "[special]\nn = 64\na_values = 1, inf\n"),
+        ("special", "[special]\nn = 64\na_values = nan\n"),
+        ("special", "[special]\nn = 64\na_values = -1e400\n"),
+        ("evolve", "[evolution]\nn = 64\n[sweep]\nrecipe = wa:inf\n"),
+    ], ids=["special-a-inf", "special-a-nan", "special-a-overflow", "recipe-wa-inf"])
+    def test_nonfinite_amplitude_is_one_config_error_line(self, tmp_path, capsys, scenario,
+                                                          body):
+        cfg = self._write(tmp_path, f"scenario = {scenario}\n[physics]\nkappa = 0.5\n{body}")
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1e-10", "inf"])
+    def test_bad_clip_rel_is_one_config_error_line(self, tmp_path, capsys, value):
+        # no eigenvalue falls under a NaN or zero clip: both kernel checks would pass
+        cfg = self._write(tmp_path, "scenario = spectrum\n[physics]\nkappa = 0.5\n"
+                                    f"[spectrum]\nn = 64\ncross_check_n = 48\n"
+                                    f"coercivity_trials = 2\nclip_rel = {value}\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [spectrum] clip_rel") and err.count("\n") == 1
+
     def test_short_run_reports_nan_virial_checks(self, tmp_path, capsys):
         # 20 steps at monitor_stride 20: two monitor points, too few for the
         # centered-difference identity checks, which read NaN; the run succeeds

@@ -258,3 +258,13 @@ class TestTypes:
         assert mid_grid.nodes[0] > 0
         assert mid_grid.nodes[-1] == pytest.approx(mid_grid.r_max)
         assert np.all(mid_grid.quad_weights > 0)
+
+
+class TestMetric:
+    def test_op_weights_and_sqrt_masses_are_the_cell_mass_forms(self, mid_grid):
+        m = mid_grid.cell_masses
+        assert np.array_equal(mid_grid.op_weights, np.pi ** 3 * m)
+        assert np.array_equal(mid_grid.sqrt_masses, np.sqrt(m))
+        for a in (mid_grid.op_weights, mid_grid.sqrt_masses):
+            with pytest.raises(ValueError):
+                a[0] = 1.0

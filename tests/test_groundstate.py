@@ -278,3 +278,17 @@ class TestDirections:
         r = g.nodes
         exact = 2 * r ** 2 * np.exp(-r ** 2) + r * (2 * r - 2 * r ** 3) * np.exp(-r ** 2)
         assert np.max(np.abs(lam - exact)) < 5e-3
+
+
+class TestBundleBackground:
+    def test_closed_form_bundle_does_not_refine(self):
+        grid = RadialGrid(n=97, r_max=50.0, stretch=7.0)     # no other test uses it
+        before = refine_discrete.cache_info()
+        bundle = build_bundle(grid, 0.5)
+        assert refine_discrete.cache_info() == before
+        assert bundle.q_bg is bundle.q
+
+    def test_discrete_bundle_holds_the_refined_q(self, bundle_mid_discrete):
+        q, _ = refine_discrete(bundle_mid_discrete.grid)
+        assert np.array_equal(bundle_mid_discrete.q_bg.values, q)
+        assert np.array_equal(bundle_mid_discrete.q_vec.v, q)

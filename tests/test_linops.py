@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qnls6.grid import laplacian6, pair_from_arrays, RadialField
+from qnls6.grid import laplacian6, pair_from_arrays, RadialField, RadialGrid
 from qnls6.functionals import energy, hamiltonian, interaction
-from qnls6.groundstate import build_directions, transform_T
+from qnls6.groundstate import build_bundle, build_directions, transform_T
 from qnls6.linops import (assemble_E, assemble_L, bilinear_N, build_block_E,
-                          export_triplets, nonlinear_map, quad_form)
+                          export_triplets, nonlinear_map, quad_form, stack_pair,
+                          unstack_pair)
 from conftest import random_pair
 
 
@@ -212,3 +213,26 @@ class TestDiagonalizationTrick:
         lhs = assemble_L(bundle, "L_R").quad(stacked(v).real, stacked(v).real)
         rhs = scalar_form(w1, 2.0) + scalar_form(w2, -1.0)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestPairLayouts:
+    def test_unstack_inverts_stack(self, bundle_mid):
+        p = random_pair(bundle_mid.grid, 0.5, np.random.default_rng(5))
+        back = unstack_pair(p.grid, stack_pair(p), p.kappa)
+        assert np.array_equal(back.u, p.u) and np.array_equal(back.v, p.v)
+        assert back.kappa == p.kappa and back.grid == p.grid
+
+    def test_shifted_solve_matches_dense_real_system(self):
+        grid = RadialGrid(n=64, r_max=60.0, stretch=9.0)
+        bundle = build_bundle(grid, 0.5)
+        block = build_block_E(bundle)
+        b = stack_pair(random_pair(grid, 0.5, np.random.default_rng(8)))
+        s = 0.37
+        z = block.solve_shifted(s, b)
+        A = block.sparse_real().toarray() - s * np.eye(4 * grid.n)
+        x = np.linalg.solve(A, np.concatenate([b.real, b.imag]))
+        expect = x[:2 * grid.n] + 1j * x[2 * grid.n:]
+        assert np.max(np.abs(z - expect)) <= 1e-12 * np.max(np.abs(expect))
+        # and it solves script_E z - s z = b in the complex form
+        res = block.apply_complex(z) - s * z - b
+        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(b)
