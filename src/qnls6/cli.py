@@ -25,7 +25,7 @@ from .config import (ConfigError, ScenarioConfig, parse_a_values, parse_config,
 from .grid import GridError, RadialGrid, pair_from_arrays
 from .groundstate import (GroundStateBundle, apply_symmetry, build_bundle,
                           bundle_to_rows, elliptic_residual, refine_discrete,
-                          transform_T, verify_elliptic, _interp_component)
+                          transform_T, _interp_component)
 from .functionals import energy, hamiltonian, variational_constants
 from .linops import build_block_E
 from .spectrum import (SpectrumError, SpectralResult, coercivity_sample,
@@ -158,7 +158,7 @@ def scenario_ground_state(cfg: ScenarioConfig, outdir: str) -> dict:
     q3_exact = math.pi ** 3 * 24.0 ** 3 / 60.0
     summary = {
         "scenario": "ground-state",
-        "elliptic_residual": verify_elliptic(bundle),
+        "elliptic_residual": elliptic_residual(bundle.q),
         "elliptic_residual_order2": elliptic_residual(bundle.q, order=2),
         "pohozaev_ratio": consts["pohozaev_ratio"],
         "C_GN": consts["C_GN"],
@@ -222,6 +222,11 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     if not 0 < spc.data_eps < 1:
         raise ConfigError(f"[special] data_eps = {spc.data_eps:g} must lie in (0, 1): "
                           "the legs start where e^(-lambda1 t) = data_eps, at t > 0")
+    for lo, hi in (("window_lo", "window_hi"), ("window1_lo", "window1_hi")):
+        x_lo, x_hi = getattr(spc, lo), getattr(spc, hi)
+        if not 0 < x_lo < x_hi < math.inf:
+            raise ConfigError(f"[special] {lo} = {x_lo:g}, {hi} = {x_hi:g}: "
+                              f"the fit window needs 0 < {lo} < {hi} < inf")
     if 0.0 in a_values:
         raise ConfigError("[special] a_values must be nonzero (a = 0 is the control leg)")
     if not all(map(math.isfinite, a_values)):

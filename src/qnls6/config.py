@@ -125,6 +125,10 @@ class ScenarioConfig:
             self.evolution.config()
         except ValueError as exc:   # a bad field, or a virial radius that is no number
             raise ConfigError(f"[evolution] {exc}") from None
+        try:
+            EvolutionConfig(dt=self.special.dt, t_end=0.0)   # the legs step by [special] dt
+        except ValueError as exc:
+            raise ConfigError(f"[special] {exc}") from None
         if self.special.order < 1:
             raise ConfigError(f"[special] order = {self.special.order} must be >= 1")
         if not 0 < sp.clip_rel < math.inf:

@@ -66,9 +66,9 @@ the maximum over the first half.
 
 The variational dichotomy below the threshold energy predicts the outcome
 from the initial data alone: E < E(Q) with H < H(Q) scatters, E < E(Q) with
-H > H(Q) blows up.  ``detect`` reports the dynamical verdict alone;
-``reconcile`` turns a conclusive verdict that contradicts the prediction
-into "undecided".
+H > H(Q) blows up.  ``dynamical_verdict`` reports the verdict from the
+trajectory alone; ``reconcile`` turns a conclusive verdict that contradicts
+the prediction into "undecided".
 """
 
 from __future__ import annotations
@@ -616,17 +616,6 @@ def reconcile(verdict: str, reason: str, prediction: str | None) -> tuple[str, s
         return verdict, reason
     return "undecided", (f"variational prediction {prediction} disagrees with "
                          f"dynamical verdict {verdict} ({reason})")
-
-
-def detect(record: TrajectoryRecord, delta0: float | None = None,
-           lambda_series: np.ndarray | None = None,
-           decay_ratio: float = 0.2) -> str:
-    """Classification: blowup / trapped / global-decaying / undecided.
-
-    The rules are those of ``dynamical_verdict``; the scattering evidence is
-    the local L^4 density on r < L4_BALL_RADIUS (a proxy, never a proof).
-    """
-    return dynamical_verdict(record, delta0, lambda_series, decay_ratio)[0]
 
 
 # ---------------------------------------------------------------------------

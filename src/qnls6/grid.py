@@ -419,13 +419,8 @@ def _onesided_weights(x0, xs):
     return np.linalg.solve(V, b)
 
 
-def integrate6(f: RadialField):
-    """Quadrature for int_{R^6} f dx; returns a complex scalar."""
-    val = np.sum(f.grid.quad_weights * f.values)
-    return complex(val)
-
-
 def integrate6_samples(grid: RadialGrid, samples: np.ndarray):
+    """Quadrature for int_{R^6} f dx of the samples of f; returns a complex scalar."""
     return complex(np.sum(grid.quad_weights * samples))
 
 

@@ -213,12 +213,8 @@ def build_bundle(grid: RadialGrid, kappa: float, background: str = "closed-form"
         t_q=transform_T(q_vec), t_q1=transform_T(q1_vec), t_lambda_q=transform_T(lambda_q))
 
 
-def verify_elliptic(bundle: GroundStateBundle, order: int = 4, boundary: str = "decay4") -> float:
-    """Relative residual ||Delta Q + Q^2||_2 / ||Q^2||_2 of the closed form."""
-    return elliptic_residual(bundle.q, order=order, boundary=boundary)
-
-
 def elliptic_residual(qf: RadialField, order: int = 4, boundary: str = "decay4") -> float:
+    """Relative residual ||Delta Q + Q^2||_2 / ||Q^2||_2 of the samples qf."""
     q = qf.values.real
     grid = qf.grid
     nrm2 = np.sum(grid.quad_weights * q ** 4)

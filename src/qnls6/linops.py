@@ -72,9 +72,12 @@ class PairOperator:
     def symmetric_dense(self) -> np.ndarray:
         """D^{1/2} A D^{-1/2} as a dense symmetric matrix (dirichlet rule only)."""
         d = np.tile(self.grid.sqrt_masses, 2)
-        M = self.mat.toarray()
-        S = (M * d[:, None]) / d[None, :]
-        return 0.5 * (S + S.T)
+        S = self.mat.toarray()
+        S *= d[:, None]
+        S /= d[None, :]
+        S += S.T
+        S *= 0.5
+        return S
 
     def symmetric_banded(self) -> np.ndarray:
         """``symmetric_dense`` in the lower band storage of ``eigvals_banded``.

@@ -52,13 +52,13 @@ class ModulationPoint:
 class ModulationFrame:
     """Cached operators and reference quantities for repeated decompositions."""
 
-    def __init__(self, bundle: GroundStateBundle, delta0: float | None = None):
+    def __init__(self, bundle: GroundStateBundle):
         self.bundle = bundle
         self.ops = (assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I"))
         self.dirs = build_directions(bundle)
         self.H_Q = hamiltonian(bundle.q_vec)
         self.phi_QQ = quad_form(bundle.q_vec, bundle.q_vec, "phi", bundle, self.ops)
-        self.delta0 = 0.1 * self.H_Q if delta0 is None else delta0
+        self.delta0 = 0.1 * self.H_Q
         self._r_half_q = self._half_radius(bundle.q_vec)
 
     @staticmethod
@@ -85,13 +85,10 @@ NEWTON_MAX_ITER, NEWTON_TOL = 40, 1e-11
 DELTA_FLOOR = 1e-12
 
 
-def decompose(u: FieldPair, bundle: GroundStateBundle,
+def decompose(u: FieldPair, bundle: GroundStateBundle, frame: ModulationFrame,
               guess: tuple[float, float] | None = None,
-              frame: ModulationFrame | None = None,
               t: float = 0.0) -> tuple[ModulationPoint, FieldPair]:
     """Newton decomposition; raises ModulationError outside the delta gate."""
-    if frame is None:
-        frame = ModulationFrame(bundle)
     delta = gap_delta(u, bundle)
     if delta >= frame.delta0:
         raise ModulationError(
@@ -140,9 +137,7 @@ def decompose(u: FieldPair, bundle: GroundStateBundle,
 
 
 def orthogonality_residuals(h: FieldPair, bundle: GroundStateBundle,
-                            frame: ModulationFrame | None = None) -> dict:
-    if frame is None:
-        frame = ModulationFrame(bundle)
+                            frame: ModulationFrame) -> dict:
     return {
         "i_q1": h1dot_inner(h, frame.dirs["i_q1"]),
         "lambda_q": h1dot_inner(h, frame.dirs["lambda_q"]),
@@ -186,15 +181,13 @@ class ModulationTrack:
 
 
 def track(states: list[tuple[float, FieldPair]], bundle: GroundStateBundle,
-          frame: ModulationFrame | None = None) -> ModulationTrack:
+          frame: ModulationFrame) -> ModulationTrack:
     """Per-sample decomposition with warm-start continuation."""
-    if frame is None:
-        frame = ModulationFrame(bundle)
     rows = []
     guess = None
     for t, state in states:
         try:
-            pt, _ = decompose(state, bundle, guess=guess, frame=frame, t=t)
+            pt, _ = decompose(state, bundle, frame, guess=guess, t=t)
             guess = (pt.theta, pt.lam)
         except ModulationError:
             pt = ModulationPoint(t=t, theta=np.nan, lam=np.nan, alpha=np.nan,

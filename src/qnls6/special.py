@@ -205,46 +205,26 @@ class SpecialTrajectory:
         return -self.fitted_slope(np.abs(self.hn_gap), 0.02, 0.3)
 
 
-def _run_legs(bundle: GroundStateBundle, data: list, t_far: float, dt: float,
-              snap_times: tuple) -> list:
-    """Backward legs from each state of data at t_far down to 0, as one batch.
-
-    Every leg is measured against reference_H = H_N(T(bQ)).
-    """
-    tq = bundle.t_q
-    h_ref = RadialPropagator(bundle.grid, bundle.kappa).discrete_H(tq.u, tq.v, "transformed")
-    cfg = EvolutionConfig(dt=dt, t_end=0.0, system="transformed", monitor_stride=50,
-                          snapshot_times=snap_times, blowup_H_factor=1e6)
-    return run_batch(data, cfg, reference_H=h_ref, t0=t_far)
-
-
-def control_leg(bundle: GroundStateBundle, t_far: float, dt: float,
-                snap_times: tuple) -> TrajectoryRecord:
-    """Backward integration of the bare discrete ground state over the leg."""
-    return _run_legs(bundle, [bundle.t_q], t_far, dt, snap_times)[0]
-
-
 def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far: float,
-               dt: float = 1e-3, n_snapshots: int = 60,
-               control: TrajectoryRecord | None = None):
+               dt: float, n_snapshots: int):
     """Backward shooting of W^a for the profile set of every a in sols, as one batch.
 
-    Each leg starts from W_k^a(t_far) = T(bQ) + U_k^a(t_far).  Unless
-    ``control`` is given, the control leg from T(bQ) runs in the same batch:
-    the legs share grid, dt, t_far and the snapshot times.  Returns the
-    control record and one SpecialTrajectory per profile set.
+    Each leg starts from W_k^a(t_far) = T(bQ) + U_k^a(t_far) and runs down to
+    0 in one batch behind the control leg from T(bQ), its first member: the
+    legs share grid, dt, t_far and the snapshot times, and every one is
+    measured against reference_H = H_N(T(bQ)).  Returns the control record
+    and one SpecialTrajectory per profile set.
     """
     if any(sol.a == 0.0 for sol in sols):
-        raise ValueError("a = 0 is the control leg; use control_leg()")
+        raise ValueError("a = 0 is the control leg, which every batch runs first")
     snap_times = tuple(np.linspace(t_far, 0.0, n_snapshots))
     tq = bundle.t_q
-    data = [tq + sol.evaluate(t_far) for sol in sols]
-    if control is None:
-        data.insert(0, tq)
     prop = RadialPropagator(bundle.grid, bundle.kappa)
-    recs = _run_legs(bundle, data, t_far, dt, snap_times)
-    if control is None:
-        control = recs.pop(0)
+    cfg = EvolutionConfig(dt=dt, t_end=0.0, system="transformed", monitor_stride=50,
+                          snapshot_times=snap_times, blowup_H_factor=1e6)
+    data = [tq] + [tq + sol.evaluate(t_far) for sol in sols]
+    control, *recs = run_batch(data, cfg, reference_H=prop.discrete_H(tq.u, tq.v, "transformed"),
+                               t0=t_far)
     return control, [_trajectory(bundle, spectral, sol, t_far, rec, control, prop)
                      for sol, rec in zip(sols, recs)]
 
@@ -280,28 +260,6 @@ def _trajectory(bundle: GroundStateBundle, spectral: SpectralResult, sol: Approx
                              times=np.array(times), dev_wk=np.array(dev),
                              dev_wk_raw=np.array(dev_raw), dev_first=np.array(dev1),
                              hn_gap=np.array(hng), record=rec, state_at=states)
-
-
-def shoot_w(bundle: GroundStateBundle, spectral: SpectralResult, a: float, k: int,
-            dt: float = 1e-3, data_eps: float = 1e-2, n_snapshots: int = 60,
-            t_far: float | None = None, control: TrajectoryRecord | None = None,
-            sol: ApproxSolution | None = None) -> SpecialTrajectory:
-    """Backward shooting from W_k^a(t_far) = T(bQ) + U_k^a(t_far) down to t=0.
-
-    The bundle must use the discrete background so that T(bQ) is stationary
-    for the integrator up to the truncation obstruction; the control leg
-    removes that drift from the deviation series.  Without ``control`` it
-    runs in one batch with this leg (``shoot_legs``).
-    """
-    if a == 0.0:
-        raise ValueError("a = 0 is the control leg; use control_leg()")
-    if t_far is None:
-        t_far = leg_start(spectral.lambda1, a, data_eps)
-    if sol is None:
-        sol = approx_profiles(bundle, spectral, a, k)
-    elif sol.a != a or sol.k < k:
-        raise ValueError("supplied profile set does not match (a, k)")
-    return shoot_legs(bundle, spectral, [sol], t_far, dt, n_snapshots, control)[1][0]
 
 
 def leg_start(lambda1: float, a: float, data_eps: float) -> float:

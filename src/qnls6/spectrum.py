@@ -139,8 +139,9 @@ def sqrt_ei(e_i: PairOperator, bundle: GroundStateBundle,
     Any eigenvalue under the clip threshold other than the kernel channel
     signals an unexpected kernel dimension and raises.
     """
-    S = e_i.symmetric_dense()
-    eigs, basis = sla.eigh(S)
+    # the exactly symmetric matrix is its own transpose, a Fortran-order view
+    # that LAPACK overwrites without a copy
+    eigs, basis = sla.eigh(e_i.symmetric_dense().T, overwrite_a=True)
     ref = np.tile(bundle.grid.sqrt_masses, 2) * stack_pair(bundle.t_q1).real
     ref = ref / np.linalg.norm(ref)
     kernel_index = int(np.argmax(np.abs(basis.T @ ref)))
@@ -169,11 +170,12 @@ def negative_eigenpair_tt(e_r: PairOperator, root: SqrtEI,
 
     Returns (mu, g, info); raises if no negative eigenvalue is found.
     """
-    S_er = e_r.symmetric_dense()
     SQ = root.basis * root.sqrt_eigs[None, :]
-    half = S_er @ (SQ @ root.basis.T)
-    T = (root.basis @ SQ.T @ half)
-    T = 0.5 * (T + T.T)
+    half = e_r.symmetric_dense() @ (SQ @ root.basis.T)
+    T = root.basis @ SQ.T @ half
+    del SQ, half
+    T += T.T
+    T *= 0.5
     eigs, vecs = sla.eigh(T)
     scale = float(np.max(np.abs(eigs)))
     neg = np.where(eigs < -tol_scale * scale)[0]
@@ -410,9 +412,10 @@ def dense_cross_check(bundle: GroundStateBundle) -> dict:
     """
     block = build_block_E(bundle)
     D4 = np.tile(bundle.grid.sqrt_masses, 4)
-    M = block.sparse_real().toarray()
-    M = (M * D4[:, None]) / D4[None, :]
-    ev = sla.eigvals(M)
+    M = block.sparse_real().toarray(order="F")
+    M *= D4[:, None]
+    M /= D4[None, :]
+    ev = sla.eigvals(M, overwrite_a=True)
     scale = float(np.max(np.abs(ev)))
     realish = ev[(np.abs(ev.imag) <= DENSE_TOL * np.maximum(np.abs(ev.real), 1.0)) &
                  (np.abs(ev.real) > DENSE_TOL)]
@@ -483,12 +486,6 @@ def random_decaying_batch(grid: RadialGrid, trials: int, rng: np.random.Generato
         z[:, 0] += cu[:, k, None] * base
         z[:, 1] += cv[:, k, None] * base
     return z.reshape(trials, 2 * grid.n)
-
-
-def random_decaying_pair(grid: RadialGrid, kappa: float, rng: np.random.Generator,
-                         real_only: bool = False) -> FieldPair:
-    """Smooth decaying trial field: one trial of ``random_decaying_batch``."""
-    return unstack_pair(grid, random_decaying_batch(grid, 1, rng, real_only)[0], kappa)
 
 
 def coercivity_sample(which: str, trials: int, seed: int,

@@ -18,17 +18,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qnls6.grid import RadialGrid, RadialField, h1dot_norm, integrate6, pair_from_arrays
-from qnls6.groundstate import (build_bundle, elliptic_residual, q_closed_form,
-                               transform_T, verify_elliptic)
+from qnls6.grid import RadialGrid, h1dot_norm, integrate6_samples, pair_from_arrays
+from qnls6.groundstate import build_bundle, elliptic_residual, q_closed_form, transform_T
 from qnls6.functionals import energy, hamiltonian, interaction, variational_constants
 from qnls6.linops import assemble_E, assemble_L, build_block_E, quad_form
 from qnls6.spectrum import (coercivity_sample, dense_cross_check, eigenpair_e,
                             lambda1_inverse_iteration)
-from qnls6.special import (approx_profiles, construct_g, control_leg,
-                           default_fit_window, residual_eps_k, shoot_w,
-                           time_translation_mismatch)
-from qnls6.evolution import (EvolutionConfig, check_virial_identity, detect, run,
+from qnls6.special import (approx_profiles, construct_g, default_fit_window,
+                           residual_eps_k, shoot_legs, time_translation_mismatch)
+from qnls6.evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict, run,
                              vr_identity_defect)
 
 
@@ -64,23 +62,19 @@ def spectrum_1024():
 
 @pytest.fixture(scope="session")
 def shot_pipeline():
-    """Discrete-background spectral pipeline and the three shooting legs."""
+    """Discrete-background spectral pipeline and the three shooting legs, shot
+    as one batch behind the control leg (as ``qnls6 special`` shoots them)
+    with the batch's runtime."""
     grid = RadialGrid(n=512, r_max=200.0, stretch=29.0)
     bundle = build_bundle(grid, KAPPA, background="discrete")
     spectral = eigenpair_e(bundle)
     lam = spectral.lambda1
     t_far = math.log(1.0 / 1e-2) / lam
-    snap = tuple(np.linspace(t_far, 0.0, 60))
+    sols = [approx_profiles(bundle, spectral, a, 3) for a in (1.0, -1.0, 2.0)]
     t0 = time.time()
-    ctrl = control_leg(bundle, t_far, 1e-3, snap)
-    shots = {}
-    times = {"control": time.time() - t0}
-    for a in (1.0, -1.0, 2.0):
-        t1 = time.time()
-        shots[a] = shoot_w(bundle, spectral, a, 3, dt=1e-3, data_eps=1e-2,
-                           n_snapshots=60, t_far=t_far, control=ctrl)
-        times[a] = time.time() - t1
-    return bundle, spectral, shots, times
+    _, legs = shoot_legs(bundle, spectral, sols, t_far, 1e-3, 60)
+    runtime = time.time() - t0
+    return bundle, spectral, {sol.a: leg for sol, leg in zip(sols, legs)}, runtime
 
 
 @pytest.fixture(scope="session")
@@ -95,7 +89,7 @@ def evo_512():
 
 def test_criterion_1_elliptic_residual(bundle_2048):
     t0 = time.time()
-    res = verify_elliptic(bundle_2048)
+    res = elliptic_residual(bundle_2048.q)
     elapsed = time.time() - t0
     ok = res <= 1e-6 and elapsed < 1.0
     report(1, ok, f"elliptic residual {res:.3e} (<= 1e-6), runtime {elapsed:.2f}s (< 1s)")
@@ -124,8 +118,8 @@ def test_criterion_4_integral_oracle(bundle_2048):
     oracle = np.pi ** 3 * quad(lambda r: q_closed_form(r) ** 3 * r ** 5, 0, np.inf)[0]
     closed = np.pi ** 3 * 24.0 ** 3 / 60.0
     assert abs(oracle - closed) / closed < 1e-10
-    grid_val = float(np.real(integrate6(RadialField(
-        bundle_2048.grid, bundle_2048.q.values.real ** 3))))
+    grid_val = float(np.real(integrate6_samples(bundle_2048.grid,
+                                                bundle_2048.q.values.real ** 3)))
     rel = abs(grid_val - closed) / closed
     report(4, rel <= 1e-5,
            f"int Q^3 = {grid_val:.9e} vs pi^3 24^3/60, rel err {rel:.3e} (<= 1e-5)")
@@ -223,7 +217,7 @@ def test_criterion_9_residual_slopes(shot_pipeline):
 
 
 def test_criterion_10_special_solutions(shot_pipeline):
-    bundle, spectral, shots, times = shot_pipeline
+    bundle, spectral, shots, runtime = shot_pipeline
     lam = spectral.lambda1
     parts = []
     ok = True
@@ -237,11 +231,10 @@ def test_criterion_10_special_solutions(shot_pipeline):
     gm = construct_g(shots[-1.0], bundle)
     ordering = gm.H_value < gp.H_Q < gp.H_value
     e_gap = max(abs(gp.E_value - gp.E_Q) / gp.E_Q, abs(gm.E_value - gm.E_Q) / gm.E_Q)
-    runtime_ok = max(times[a] for a in (1.0, -1.0)) < 300.0
-    ok = ok and ordering and e_gap <= 1e-3 and runtime_ok
+    ok = ok and ordering and e_gap <= 1e-3 and runtime < 300.0
     parts.append(f"H(G-)={gm.H_value:.1f} < H(Q)={gp.H_Q:.1f} < H(G+)={gp.H_value:.1f}")
     parts.append(f"|E(G+-)-E(Q)|/E(Q) = {e_gap:.2e} (<= 1e-3)")
-    parts.append(f"shot runtime {max(times[a] for a in (1.0, -1.0)):.0f}s (< 300s)")
+    parts.append(f"shot runtime {runtime:.0f}s (< 300s)")
     report(10, ok, "; ".join(parts))
 
 
@@ -306,11 +299,11 @@ def test_criterion_13_dichotomy(evo_512, shot_pipeline):
     rec09 = run(0.9 * bundle.q_vec,
                 EvolutionConfig(dt=1e-3, t_end=25.0, monitor_stride=100, sponge=True),
                 reference_H=h_q)
-    results["0.9"] = detect(rec09, delta0=0.1 * h_q)
+    results["0.9"] = dynamical_verdict(rec09, delta0=0.1 * h_q)[0]
     rec11 = run(1.1 * bundle.q_vec,
                 EvolutionConfig(dt=1e-3, t_end=40.0, monitor_stride=20, adapt=True),
                 reference_H=h_q)
-    results["1.1"] = detect(rec11, delta0=0.1 * h_q)
+    results["1.1"] = dynamical_verdict(rec11, delta0=0.1 * h_q)[0]
     # threshold pair legs (original system, backward in time)
     shot_bundle, _, shots, _ = shot_pipeline
     gp = construct_g(shots[1.0], shot_bundle)

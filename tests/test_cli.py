@@ -342,6 +342,34 @@ kappa = 0.5
         err = capsys.readouterr().err
         assert err.startswith("config error: [spectrum] clip_rel") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf"])
+    @pytest.mark.parametrize("scenario,body", [
+        ("special", "[special]\nn = 64\n"),
+        ("evolve", "[evolution]\nn = 64\n[sweep]\nrecipe = gplus\n"),
+    ], ids=["special", "recipe-gplus"])
+    def test_bad_special_dt_is_one_config_error_line(self, tmp_path, capsys, scenario, body,
+                                                     value):
+        # the shooting legs step by [special] dt, under the [evolution] dt rule
+        cfg = self._write(tmp_path, f"scenario = {scenario}\n[physics]\nkappa = 0.5\n"
+                                    f"{body}[special]\ndt = {value}\n")
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [special] dt") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("window", [
+        "window_lo = 0.5\nwindow_hi = 0.1",
+        "window_lo = nan",
+        "window1_lo = 0.2\nwindow1_hi = 0.1",
+        "window1_hi = inf",
+    ], ids=["reversed", "nan", "reversed-first-order", "unbounded"])
+    def test_bad_fit_window_is_one_config_error_line(self, tmp_path, capsys, window):
+        # checked before anything is built, not after the shooting has run
+        cfg = self._write(tmp_path, "scenario = special\n[physics]\nkappa = 0.5\n"
+                                    f"[special]\nn = 64\n{window}\n")
+        assert main(["special", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [special] window") and err.count("\n") == 1
+
     def test_short_run_reports_nan_virial_checks(self, tmp_path, capsys):
         # 20 steps at monitor_stride 20: two monitor points, too few for the
         # centered-difference identity checks, which read NaN; the run succeeds

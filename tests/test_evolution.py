@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from qnls6.evolution import (FACTOR_CACHE_SIZE, L4_BALL_RADIUS, PADE_POLES,
                              THRESHOLD_E_BAND, EvolutionConfig, RadialPropagator,
                              TrajectoryRecord, _shifted_factors, check_virial_identity,
-                             detect, dynamical_verdict, l4_decay_ratio, linear_propagator,
+                             dynamical_verdict, l4_decay_ratio, linear_propagator,
                              nonlinear_substep, read_checkpoint, reconcile, run, run_batch,
                              variational_prediction, vr_identity_defect,
                              write_checkpoint)
@@ -255,7 +255,7 @@ class TestRun:
                               blowup_H_factor=50.0)
         rec = run(u, cfg, reference_H=hamiltonian(evo_bundle.q_vec))
         assert rec.termination == "blowup"
-        assert detect(rec) == "blowup"
+        assert dynamical_verdict(rec)[0] == "blowup"
 
     def test_subthreshold_decays(self, evo_bundle):
         from qnls6.functionals import hamiltonian
@@ -263,7 +263,7 @@ class TestRun:
         cfg = EvolutionConfig(dt=1e-3, t_end=18.0, monitor_stride=50, sponge=True)
         rec = run(u, cfg, reference_H=hamiltonian(evo_bundle.q_vec))
         assert rec.termination == "completed"
-        assert detect(rec) == "global-decaying"
+        assert dynamical_verdict(rec)[0] == "global-decaying"
 
 
 class TestLocalL4Density:
@@ -313,38 +313,38 @@ class TestDetect:
     def test_blowup(self, evo_grid):
         rec = synthetic_record(evo_grid, self.FLAT, termination="blowup",
                                diagnostic="step collapse")
-        assert detect(rec) == "blowup"
         assert dynamical_verdict(rec) == ("blowup", "step collapse")
 
     def test_instability_is_undecided(self, evo_grid):
         rec = synthetic_record(evo_grid, self.DECAYING, termination="instability",
                                diagnostic="non-finite state")
-        assert detect(rec) == "undecided"
+        assert dynamical_verdict(rec)[0] == "undecided"
         assert "non-finite state" in dynamical_verdict(rec)[1]
 
     def test_trapped(self, evo_grid):
         delta = [1.0] * 8 + [0.01] * 8
         rec = synthetic_record(evo_grid, self.FLAT, delta=delta)
-        assert detect(rec, delta0=0.1) == "trapped"
+        assert dynamical_verdict(rec, delta0=0.1)[0] == "trapped"
         # without delta0, or with a collapsing scale, the run is not trapped
-        assert detect(rec) == "undecided"
-        assert detect(rec, delta0=0.1, lambda_series=np.array([1.0, 100.0])) == "undecided"
+        assert dynamical_verdict(rec)[0] == "undecided"
+        collapsing = dynamical_verdict(rec, delta0=0.1, lambda_series=np.array([1.0, 100.0]))
+        assert collapsing[0] == "undecided"
 
     def test_global_decaying(self, evo_grid):
         rec = synthetic_record(evo_grid, self.DECAYING)
         assert l4_decay_ratio(rec) == pytest.approx(0.05)
-        assert detect(rec) == "global-decaying"
-        assert detect(rec, delta0=0.1) == "global-decaying"
+        assert dynamical_verdict(rec)[0] == "global-decaying"
+        assert dynamical_verdict(rec, delta0=0.1)[0] == "global-decaying"
 
     def test_undecided(self, evo_grid):
         rec = synthetic_record(evo_grid, self.FLAT)
-        assert detect(rec) == "undecided"
-        assert detect(synthetic_record(evo_grid, [0.0] * 16)) == "undecided"
+        assert dynamical_verdict(rec)[0] == "undecided"
+        assert dynamical_verdict(synthetic_record(evo_grid, [0.0] * 16))[0] == "undecided"
 
     def test_decay_ratio_cut(self, evo_grid):
         rec = synthetic_record(evo_grid, [1.0] * 12 + [0.3] * 4)
-        assert detect(rec) == "undecided"
-        assert detect(rec, decay_ratio=0.5) == "global-decaying"
+        assert dynamical_verdict(rec)[0] == "undecided"
+        assert dynamical_verdict(rec, decay_ratio=0.5)[0] == "global-decaying"
 
     def test_prediction_agreement(self, evo_grid):
         decaying = dynamical_verdict(synthetic_record(evo_grid, self.DECAYING))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from qnls6.grid import RadialField, RadialGrid, h1dot_inner, h1dot_norm, integrate6
+from qnls6.grid import RadialField, RadialGrid, h1dot_inner, h1dot_norm
 from qnls6.functionals import energy, energy_n, hamiltonian, interaction
 from qnls6.groundstate import (_bordered_tridiag_solve, _interp_component, _pchip,
                                apply_symmetry, build_bundle, build_directions,
                                elliptic_residual, lambda_profile, ode_ground_state,
-                               q_closed_form, refine_discrete, transform_T,
-                               verify_elliptic)
+                               q_closed_form, refine_discrete, transform_T)
 from conftest import random_pair
 
 
@@ -42,7 +41,7 @@ class TestClosedForm:
 
 class TestElliptic:
     def test_residual_small(self, bundle_mid):
-        assert verify_elliptic(bundle_mid) < 1e-5
+        assert elliptic_residual(bundle_mid.q) < 1e-5
 
     def test_zero_field_convention(self, mid_grid):
         z = RadialField(mid_grid, np.zeros(mid_grid.n))

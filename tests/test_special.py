@@ -7,8 +7,8 @@ from qnls6.grid import RadialGrid, h1dot_norm
 from qnls6.groundstate import build_bundle
 from qnls6.spectrum import eigenpair_e
 from qnls6.special import (ApproxSolution, ShootingError, approx_profiles,
-                           construct_g, control_leg, default_fit_window,
-                           residual_eps_k, shoot_legs, shoot_w)
+                           construct_g, default_fit_window, residual_eps_k,
+                           shoot_amplitudes, shoot_legs)
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +79,8 @@ class TestShooting:
         bundle, spectral = shot_setup
         lam = spectral.lambda1
         t_far = math.log(1.0 / 2e-2) / lam
-        snap = tuple(np.linspace(t_far, 0.0, 40))
-        ctrl = control_leg(bundle, t_far, 2e-3, snap)
-        plus = shoot_w(bundle, spectral, 1.0, 3, dt=2e-3, data_eps=2e-2,
-                       n_snapshots=40, t_far=t_far, control=ctrl)
-        minus = shoot_w(bundle, spectral, -1.0, 3, dt=2e-3, data_eps=2e-2,
-                        n_snapshots=40, t_far=t_far, control=ctrl)
+        sols = [approx_profiles(bundle, spectral, a, 3) for a in (1.0, -1.0)]
+        _, (plus, minus) = shoot_legs(bundle, spectral, sols, t_far, 2e-3, 40)
         return bundle, spectral, plus, minus
 
     def test_leg_completes(self, shots):
@@ -127,34 +123,27 @@ class TestShooting:
         assert abs(gp.E_value - gp.E_Q) / gp.E_Q < 5e-3
         assert abs(gm.E_value - gm.E_Q) / gm.E_Q < 5e-3
 
-    def test_rejects_zero_amplitude(self, shot_setup):
-        bundle, spectral = shot_setup
-        with pytest.raises(ValueError):
-            shoot_w(bundle, spectral, 0.0, 3)
-
     def test_rejects_oversized_data(self, shot_setup):
         bundle, spectral = shot_setup
         with pytest.raises(ShootingError):
-            shoot_w(bundle, spectral, 0.5, 3, data_eps=2.0)
+            shoot_amplitudes(bundle, spectral, [0.5], 3, 1e-3, 60, data_eps=2.0, t_far=None)
 
 
 class TestBatchedLegs:
     def test_batch_equals_legs_run_one_at_a_time(self, shot_setup):
+        # one-leg batches against one two-leg batch: the control record and
+        # every leg agree bit for bit
         bundle, spectral = shot_setup
         t_far = math.log(1.0 / 5e-2) / spectral.lambda1
-        snap = tuple(np.linspace(t_far, 0.0, 12))
         sols = [approx_profiles(bundle, spectral, a, 2) for a in (1.0, -1.0)]
-        ctrl = control_leg(bundle, t_far, 4e-3, snap)
-        alone = [shoot_w(bundle, spectral, s.a, 2, dt=4e-3, n_snapshots=12, t_far=t_far,
-                         control=ctrl, sol=s) for s in sols]
-        ctrl_b, batched = shoot_legs(bundle, spectral, sols, t_far, dt=4e-3, n_snapshots=12)
-        pair_b = shoot_w(bundle, spectral, 1.0, 2, dt=4e-3, n_snapshots=12, t_far=t_far,
-                         sol=sols[0])
-        assert np.array_equal(ctrl_b.H, ctrl.H)
-        assert [t for t, _ in ctrl_b.snapshots] == [t for t, _ in ctrl.snapshots]
-        for (_, a), (_, b) in zip(ctrl_b.snapshots, ctrl.snapshots):
-            assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-        for one, many in ((alone[0], batched[0]), (alone[1], batched[1]), (alone[0], pair_b)):
+        alone = [shoot_legs(bundle, spectral, [s], t_far, 4e-3, 12) for s in sols]
+        ctrl_b, batched = shoot_legs(bundle, spectral, sols, t_far, 4e-3, 12)
+        for ctrl, _ in alone:
+            assert np.array_equal(ctrl_b.H, ctrl.H)
+            assert [t for t, _ in ctrl_b.snapshots] == [t for t, _ in ctrl.snapshots]
+            for (_, a), (_, b) in zip(ctrl_b.snapshots, ctrl.snapshots):
+                assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        for (_, [one]), many in zip(alone, batched):
             for name in ("times", "dev_wk", "dev_wk_raw", "dev_first", "hn_gap"):
                 assert np.array_equal(getattr(one, name), getattr(many, name)), name
             assert np.array_equal(one.record.final_state.u, many.record.final_state.u)
@@ -165,4 +154,4 @@ class TestBatchedLegs:
         bundle, spectral = shot_setup
         sol = approx_profiles(bundle, spectral, a=0.0, k=2)
         with pytest.raises(ValueError, match="control leg"):
-            shoot_legs(bundle, spectral, [sol], 1.0)
+            shoot_legs(bundle, spectral, [sol], 1.0, 1e-3, 10)

@@ -9,7 +9,7 @@ from qnls6.linops import assemble_E, assemble_L, build_block_E, quad_form
 from qnls6.spectrum import (SpectrumError, coercivity_sample, dense_cross_check,
                             eigenpair_e, lambda1_inverse_iteration,
                             negative_eigenpair_tt, random_decaying_batch,
-                            random_decaying_pair, shifted_solve_conditioning, sqrt_ei)
+                            shifted_solve_conditioning, sqrt_ei)
 from conftest import random_pair
 
 
@@ -275,8 +275,8 @@ class TestCoercivity:
                 u += cu * base
                 v += cv * base
         for _ in range(2):
-            h = random_decaying_pair(grid, 0.5, np.random.default_rng(31), real_only)
-            assert np.array_equal(h.u, u) and np.array_equal(h.v, v)
+            z = random_decaying_batch(grid, 1, np.random.default_rng(31), real_only)[0]
+            assert np.array_equal(z, np.concatenate([u, v]))
 
 
 class TestBatchedCoercivity:
@@ -353,21 +353,12 @@ class TestBatchedCoercivity:
         for key in ("min_ratio", "median_ratio", "max_ratio"):
             assert abs(split[key] - whole[key]) <= 1e-12 * abs(whole[key])
 
-    @pytest.mark.parametrize("real_only", [False, True])
-    def test_pair_is_one_trial_of_the_batch(self, real_only, mid_grid):
-        rng_pair, rng_batch = np.random.default_rng(41), np.random.default_rng(41)
-        h = random_decaying_pair(mid_grid, 0.5, rng_pair, real_only)
-        z = random_decaying_batch(mid_grid, 1, rng_batch, real_only)
-        assert np.array_equal(_stack(h), z[0])
-        # both drew the same stream, so they continue alike
-        assert rng_pair.standard_normal() == rng_batch.standard_normal()
-
     def test_batch_rows_continue_the_stream(self, mid_grid):
         rng = np.random.default_rng(43)
-        singles = [random_decaying_pair(mid_grid, 0.5, rng) for _ in range(3)]
+        singles = [random_decaying_batch(mid_grid, 1, rng)[0] for _ in range(3)]
         z = random_decaying_batch(mid_grid, 3, np.random.default_rng(43))
-        for k, h in enumerate(singles):
-            assert np.array_equal(_stack(h), z[k])
+        for k, row in enumerate(singles):
+            assert np.array_equal(row, z[k])
 
 
 class TestResolvent:
