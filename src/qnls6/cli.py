@@ -32,7 +32,8 @@ from .spectrum import (SpectrumError, SpectralResult, coercivity_sample,
                        dense_cross_check, eigenpair_e, lambda1_inverse_iteration,
                        shifted_solve_conditioning)
 from .special import (ShootingError, construct_g, default_fit_window, leg_start,
-                      residual_eps_k, shoot_amplitudes, time_translation_mismatch)
+                      residual_eps_k, shoot_amplitudes, time_translation_mismatch,
+                      tq_step_defect)
 from .evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict,
                         l4_decay_ratio, reconcile, run_batch, variational_prediction,
                         vr_identity_defect, write_checkpoint)
@@ -222,13 +223,18 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     if not 0 < spc.data_eps < 1:
         raise ConfigError(f"[special] data_eps = {spc.data_eps:g} must lie in (0, 1): "
                           "the legs start where e^(-lambda1 t) = data_eps, at t > 0")
-    for lo, hi in (("window_lo", "window_hi"), ("window1_lo", "window1_hi")):
-        x_lo, x_hi = getattr(spc, lo), getattr(spc, hi)
-        if not 0 < x_lo < x_hi < math.inf:
-            raise ConfigError(f"[special] {lo} = {x_lo:g}, {hi} = {x_hi:g}: "
-                              f"the fit window needs 0 < {lo} < {hi} < inf")
+    windows = [(lo, hi, getattr(spc, lo), getattr(spc, hi))
+               for lo, hi in (("window_lo", "window_hi"), ("window1_lo", "window1_hi"))]
+    for lo, hi, x_lo, x_hi in windows:
+        if not 0 < x_lo < x_hi <= 1:
+            raise ConfigError(f"[special] {lo} = {x_lo:g}, {hi} = {x_hi:g}: the fit window "
+                              f"in x = e^(-lambda1 t) <= 1 needs 0 < {lo} < {hi} <= 1")
+    if spc.n_snapshots < 3:
+        raise ConfigError(f"[special] n_snapshots = {spc.n_snapshots} must be >= 3: "
+                          "a slope is fitted to 3 or more snapshots")
     if 0.0 in a_values:
-        raise ConfigError("[special] a_values must be nonzero (a = 0 is the control leg)")
+        raise ConfigError("[special] a_values must be nonzero "
+                          "(a = 0 gives U_k = 0, a leg with nothing to fit)")
     if not all(map(math.isfinite, a_values)):
         raise ConfigError(f"[special] a_values = {spc.a_values}: every amplitude must be finite")
     grid = _mkgrid(cfg, n_override=spc.n)
@@ -236,9 +242,16 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     lam = spectral.lambda1
     # every leg starts at the time of |a| = 1, so the legs share one batch
     t_far = leg_start(lam, 1.0, spc.data_eps)
+    x_snap = np.exp(-lam * np.linspace(t_far, 0.0, spc.n_snapshots))
+    for lo, hi, x_lo, x_hi in windows:
+        count = int(np.count_nonzero((x_snap >= x_lo) & (x_snap <= x_hi)))
+        if count < 3:
+            raise ConfigError(f"[special] {lo} = {x_lo:g}, {hi} = {x_hi:g}: {count} of the "
+                              f"{spc.n_snapshots} snapshots fall in the window, the fit needs 3")
     shots = shoot_amplitudes(bundle, spectral, a_values, spc.order, spc.dt, spc.n_snapshots,
                              spc.data_eps, t_far)
-    summary = {"scenario": "special", "lambda1": lam, "t_far": t_far, "k": spc.order}
+    summary = {"scenario": "special", "lambda1": lam, "t_far": t_far, "k": spc.order,
+               "tq_step_defect": tq_step_defect(bundle, spc.dt)}
     for a in a_values:
         sol, shot = shots[a]
         tag = f"a{a:+g}"
@@ -249,8 +262,8 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
         summary[f"{tag}_dev_slope"] = shot.fitted_slope(shot.dev_wk, spc.window_lo, spc.window_hi)
         summary[f"{tag}_delta_rate"] = shot.hn_gap_rate()
         write_csv(os.path.join(outdir, f"shot_{tag}.csv"),
-                  ("t", "dev_wk", "dev_wk_raw", "dev_first", "hn_gap"),
-                  zip(shot.times, shot.dev_wk, shot.dev_wk_raw, shot.dev_first, shot.hn_gap))
+                  ("t", "dev_wk", "dev_first", "hn_gap"),
+                  zip(shot.times, shot.dev_wk, shot.dev_first, shot.hn_gap))
         fit = residual_eps_k(sol, bundle, default_fit_window(lam))
         summary[f"{tag}_epsk_slope_l2"] = fit["slope_l2"]
         summary[f"{tag}_epsk_slope_h1"] = fit["slope_h1"]
@@ -395,7 +408,7 @@ def scenario_modulate(cfg: ScenarioConfig, outdir: str) -> dict:
         snapshot_stride=max(1, cfg.evolution.snapshot_stride or 5))
     h_q = hamiltonian(bundle.q_vec)
     frame = ModulationFrame(bundle)
-    trk = track(record.snapshots, bundle, frame)
+    trk = track(record.snapshots, frame)
     write_csv(os.path.join(outdir, "modulation.csv"),
               ("t", "theta", "lambda", "alpha", "delta", "h_norm", "converged"),
               trk.csv_rows())

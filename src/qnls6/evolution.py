@@ -342,8 +342,21 @@ def run(u0: FieldPair, cfg: EvolutionConfig, reference_H: float | None = None,
     return run_batch([u0], cfg, reference_H, t0)[0]
 
 
+def fixed_point_images(T: FieldPair, h: float, system: str):
+    """(Y*, N_h L_h Y*, L_{h/2} Y*) of the fused Strang maps of step h, as (1, n) row pairs.
+
+    Y* = N_h L_{h/2} T is T carried with h/2 owed; the defect of a carried
+    step at T is N_h L_h Y* - Y*, that of a payment L_{h/2} Y* - T, which is
+    S_h T - T for the full Strang step S_h.
+    """
+    prop = RadialPropagator(T.grid, T.kappa)
+    c1 = _c1(system)
+    y = _rk4(*prop.apply_linear(T.u[None], T.v[None], h / 2), h, c1)
+    return y, _rk4(*prop.apply_linear(*y, h), h, c1), prop.apply_linear(*y, h / 2)
+
+
 def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None,
-              t0: float = 0.0) -> list[TrajectoryRecord]:
+              t0: float = 0.0, fixed_point: FieldPair | None = None) -> list[TrajectoryRecord]:
     """``run`` for each state of u0s (one grid and kappa): one record each.
 
     ``reference_H`` is None, one value, or one value (or None) per member.
@@ -353,6 +366,13 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
     monitor point (termination "blowup" or "instability").  Adaptive members
     run one at a time (B = 1), since a step halving shared by the batch
     would change a member's result.
+
+    ``fixed_point`` T balances the fixed-step Strang maps (Bermudez-Vazquez
+    well-balancing): every carried step and every payment subtracts its
+    defect at T (``fixed_point_images``), so that T is stepped to T bit for
+    bit and a state near T moves only by its own deviation from it.  The
+    defects are computed once, for the signed step; a halved step,
+    Crank-Nicolson or the sponge would need others, so those are refused.
     """
     u0s = list(u0s)
     if not u0s:
@@ -366,12 +386,20 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
     duration = cfg.t_end - t0
     if duration == 0:
         raise ValueError("empty integration interval")
+    if fixed_point is not None:
+        if cfg.adapt or cfg.scheme != "strang-split" or cfg.sponge:
+            raise ValueError("fixed_point balances fixed Strang steps only "
+                             "(no adapt, Crank-Nicolson or sponge)")
+        if fixed_point.grid != grid or fixed_point.kappa != kappa:
+            raise ValueError("fixed_point must share the batch's grid and kappa")
     if cfg.adapt and len(u0s) > 1:
         return [run(u0, cfg, ref, t0) for u0, ref in zip(u0s, refs)]
     prop = RadialPropagator(grid, kappa)
     sgn = 1.0 if duration > 0 else -1.0
     dt = sgn * cfg.dt
     c1 = _c1(cfg.system)
+    if fixed_point is not None:
+        carried, stepped, paid = fixed_point_images(fixed_point, dt, cfg.system)
     cn = _make_cn_stepper(prop, c1) if cfg.scheme == "crank-nicolson" else None
     sponge = _sponge_profile(grid, cfg) if cfg.sponge else None
     damping = lru_cache(maxsize=1)(lambda h: np.exp(-sponge * abs(h)))
@@ -461,6 +489,17 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
     # owes nothing.  An adaptive step whose max-norm grows by more than
     # GROWTH_LIMIT is retried from the carried state at h/2, owing the same;
     # the last adaptive step is cut to end at t_end.
+    # With a fixed point T the maps are balanced (T -> Y* -> Y* -> T): the
+    # step after a payment owes nothing and maps T to Y* unchanged, and a
+    # carried step or a payment subtracts its defect at T.  x - (s - y) is
+    # written (x - s) + y, which is y bit for bit when x = s.
+    def pay(U, V, owed):
+        U, V = prop.apply_linear(U, V, owed)
+        if fixed_point is not None:
+            U -= paid[0]; U += fixed_point.u
+            V -= paid[1]; V += fixed_point.v
+        return U, V
+
     nsteps = max(1, int(round(abs(duration) / cfg.dt)))     # fixed steps
     h, t, k, owed, min_dt = dt, t0, 0, 0.0, abs(dt)
     peak = max(np.max(np.abs(U)), np.max(np.abs(V)))
@@ -472,6 +511,9 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
         with np.errstate(over="ignore", invalid="ignore"):
             if cn is None:
                 Un, Vn = _rk4(*prop.apply_linear(U, V, owed + h / 2), h, c1)
+                if fixed_point is not None and owed:
+                    Un -= stepped[0]; Un += carried[0]
+                    Vn -= stepped[1]; Vn += carried[1]
             else:
                 Un, Vn = cn(U, V, h)
         if sponge is not None:
@@ -494,7 +536,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
         if k % cfg.monitor_stride and not last:
             continue
         if owed:
-            U, V = prop.apply_linear(U, V, owed)
+            U, V = pay(U, V, owed)
             owed = 0.0
         finite = np.all(np.isfinite(U), axis=1) & np.all(np.isfinite(V), axis=1)
         end(~finite, "instability", "non-finite state", k, min_dt)
@@ -504,7 +546,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
         if last:
             break
     if owed:
-        U, V = prop.apply_linear(U, V, owed)
+        U, V = pay(U, V, owed)
     end(np.ones(rows.size, bool), *outcome, k, min_dt)
     return records
 

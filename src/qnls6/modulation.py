@@ -85,10 +85,11 @@ NEWTON_MAX_ITER, NEWTON_TOL = 40, 1e-11
 DELTA_FLOOR = 1e-12
 
 
-def decompose(u: FieldPair, bundle: GroundStateBundle, frame: ModulationFrame,
+def decompose(u: FieldPair, frame: ModulationFrame,
               guess: tuple[float, float] | None = None,
               t: float = 0.0) -> tuple[ModulationPoint, FieldPair]:
-    """Newton decomposition; raises ModulationError outside the delta gate."""
+    """Newton decomposition against frame.bundle; raises ModulationError outside the delta gate."""
+    bundle = frame.bundle
     delta = gap_delta(u, bundle)
     if delta >= frame.delta0:
         raise ModulationError(
@@ -136,8 +137,8 @@ def decompose(u: FieldPair, bundle: GroundStateBundle, frame: ModulationFrame,
     return point, h
 
 
-def orthogonality_residuals(h: FieldPair, bundle: GroundStateBundle,
-                            frame: ModulationFrame) -> dict:
+def orthogonality_residuals(h: FieldPair, frame: ModulationFrame) -> dict:
+    bundle = frame.bundle
     return {
         "i_q1": h1dot_inner(h, frame.dirs["i_q1"]),
         "lambda_q": h1dot_inner(h, frame.dirs["lambda_q"]),
@@ -180,18 +181,17 @@ class ModulationTrack:
         }
 
 
-def track(states: list[tuple[float, FieldPair]], bundle: GroundStateBundle,
-          frame: ModulationFrame) -> ModulationTrack:
-    """Per-sample decomposition with warm-start continuation."""
+def track(states: list[tuple[float, FieldPair]], frame: ModulationFrame) -> ModulationTrack:
+    """Per-sample decomposition against frame.bundle with warm-start continuation."""
     rows = []
     guess = None
     for t, state in states:
         try:
-            pt, _ = decompose(state, bundle, frame, guess=guess, t=t)
+            pt, _ = decompose(state, frame, guess=guess, t=t)
             guess = (pt.theta, pt.lam)
         except ModulationError:
             pt = ModulationPoint(t=t, theta=np.nan, lam=np.nan, alpha=np.nan,
-                                 delta=gap_delta(state, bundle), h_norm=np.nan,
+                                 delta=gap_delta(state, frame.bundle), h_norm=np.nan,
                                  converged=False)
         rows.append(pt)
     return ModulationTrack(

@@ -15,10 +15,11 @@ the orders k+1 .. 2k, so log ||eps_k|| decays with slope -(k+1) lambda1.
 True trajectories W^a are produced by shooting: initial data
 W_k^a(t_far) = T(bQ) + U_k^a(t_far) at a time where the perturbation has size
 ``data_eps``, integrated backward.  Uniqueness of the decaying solution means
-any trajectory obeying the decay bound is W^a.  A control leg with a = 0
-(data exactly T(bQ)) measures the systematic drift of the discrete flow --
-the sampled ground state is stationary only up to the truncation obstruction
--- and is subtracted state-wise from all deviation diagnostics.
+any trajectory obeying the decay bound is W^a.  The sampled ground state is
+stationary only up to the truncation obstruction, and the Strang step adds a
+defect of its own, which would grow along e_+ over a leg; the legs step the
+map balanced at T(bQ) (``run_batch``'s ``fixed_point``), which keeps T(bQ)
+fixed exactly, and the deviations are measured from T(bQ) itself.
 
 The threshold pair comes out by undoing the componentwise rescaling:
 G+- = T^{-1}(W^{+-1}(. + t0)) with t0 chosen so the sign of
@@ -38,7 +39,9 @@ from .groundstate import GroundStateBundle, transform_T
 from .functionals import energy, hamiltonian
 from .linops import bilinear_N, build_block_E, stack_pair, unstack_pair, weighted_norm
 from .spectrum import SpectralResult
-from .evolution import EvolutionConfig, RadialPropagator, TrajectoryRecord, run_batch
+from .evolution import (EvolutionConfig, RadialPropagator, TrajectoryRecord,
+                        fixed_point_images, linear_propagator, nonlinear_substep,
+                        run_batch)
 
 
 class ShootingError(RuntimeError):
@@ -171,10 +174,9 @@ class SpecialTrajectory:
     lambda1: float
     t_far: float
     times: np.ndarray            # snapshot times, decreasing toward 0
-    dev_wk: np.ndarray           # ||W - W_k||_Hdot1, control-subtracted
-    dev_wk_raw: np.ndarray
-    dev_first: np.ndarray        # ||W - T(Q) - a e^{-l t} e_+||, control-subtracted
-    hn_gap: np.ndarray           # H_N(W) - H_N(T(Q)), control-subtracted
+    dev_wk: np.ndarray           # ||W - W_k||_Hdot1
+    dev_first: np.ndarray        # ||W - T(Q) - a e^{-l t} e_+||_Hdot1
+    hn_gap: np.ndarray           # H_N(W) - H_N(T(Q)), discrete H
     record: TrajectoryRecord
     state_at: dict               # t -> FieldPair (transformed frame)
 
@@ -210,56 +212,55 @@ def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far:
     """Backward shooting of W^a for the profile set of every a in sols, as one batch.
 
     Each leg starts from W_k^a(t_far) = T(bQ) + U_k^a(t_far) and runs down to
-    0 in one batch behind the control leg from T(bQ), its first member: the
-    legs share grid, dt, t_far and the snapshot times, and every one is
-    measured against reference_H = H_N(T(bQ)).  Returns the control record
-    and one SpecialTrajectory per profile set.
+    0 with the step map balanced at T(bQ): the legs share grid, dt, t_far and
+    the snapshot times, and every one is measured against reference_H =
+    H_N(T(bQ)).  Returns the defect that the balancing removes
+    (``tq_step_defect``) and one SpecialTrajectory per profile set.
     """
     if any(sol.a == 0.0 for sol in sols):
-        raise ValueError("a = 0 is the control leg, which every batch runs first")
+        raise ValueError("a = 0 gives U_k = 0: a leg that stays at T(bQ) has nothing to fit")
     snap_times = tuple(np.linspace(t_far, 0.0, n_snapshots))
     tq = bundle.t_q
     prop = RadialPropagator(bundle.grid, bundle.kappa)
+    h_tq = prop.discrete_H(tq.u, tq.v, "transformed")
     cfg = EvolutionConfig(dt=dt, t_end=0.0, system="transformed", monitor_stride=50,
                           snapshot_times=snap_times, blowup_H_factor=1e6)
-    data = [tq] + [tq + sol.evaluate(t_far) for sol in sols]
-    control, *recs = run_batch(data, cfg, reference_H=prop.discrete_H(tq.u, tq.v, "transformed"),
-                               t0=t_far)
-    return control, [_trajectory(bundle, spectral, sol, t_far, rec, control, prop)
-                     for sol, rec in zip(sols, recs)]
+    recs = run_batch([tq + sol.evaluate(t_far) for sol in sols], cfg, reference_H=h_tq,
+                     t0=t_far, fixed_point=tq)
+    legs = [_trajectory(bundle, spectral, sol, t_far, rec, prop, h_tq)
+            for sol, rec in zip(sols, recs)]
+    return tq_step_defect(bundle, dt), legs
+
+
+def tq_step_defect(bundle: GroundStateBundle, dt: float) -> float:
+    """||S_h T(bQ) - T(bQ)|| / (dt ||T(bQ)||), cell-mass norm, S_h the legs' Strang step (h = -dt)."""
+    tq = bundle.t_q
+    prop = RadialPropagator(bundle.grid, bundle.kappa)
+    _, _, (su, sv) = fixed_point_images(tq, -dt, "transformed")
+    return math.sqrt(prop.discrete_mass(su[0] - tq.u, sv[0] - tq.v)
+                     / prop.discrete_mass(tq.u, tq.v)) / dt
 
 
 def _trajectory(bundle: GroundStateBundle, spectral: SpectralResult, sol: ApproxSolution,
-                t_far: float, rec: TrajectoryRecord, control: TrajectoryRecord,
-                prop: RadialPropagator) -> SpecialTrajectory:
-    """Control-subtracted deviation diagnostics of one shooting leg."""
+                t_far: float, rec: TrajectoryRecord, prop: RadialPropagator,
+                h_tq: float) -> SpecialTrajectory:
+    """Deviation diagnostics of one shooting leg, h_tq = H_N(T(bQ)) (discrete H)."""
     if rec.termination != "completed":
         raise ShootingError(f"shooting leg terminated early: {rec.termination} ({rec.diagnostic})")
     a, lam, tq = sol.a, spectral.lambda1, bundle.t_q
-    ctrl_states = {round(t, 9): s for t, s in control.snapshots}
-    times, dev, dev_raw, dev1, hng = [], [], [], [], []
+    times, dev, dev1, hng = [], [], [], []
     states = {}
     ep = spectral.e_plus
     for t, state in rec.snapshots:
-        key = round(t, 9)
-        if key not in ctrl_states:
-            continue
-        w0 = ctrl_states[key]
-        wk = tq + sol.evaluate(t)
-        drift = w0 - tq
-        dev.append(h1dot_norm(state - wk - drift))
-        dev_raw.append(h1dot_norm(state - wk))
-        first = tq + (a * math.exp(-lam * t)) * ep
-        dev1.append(h1dot_norm(state - first - drift))
-        gap = (prop.discrete_H(state.u, state.v, "transformed")
-               - prop.discrete_H(w0.u, w0.v, "transformed"))
-        hng.append(gap)
+        dev.append(h1dot_norm(state - (tq + sol.evaluate(t))))
+        dev1.append(h1dot_norm(state - (tq + (a * math.exp(-lam * t)) * ep)))
+        hng.append(prop.discrete_H(state.u, state.v, "transformed") - h_tq)
         times.append(t)
-        states[key] = state
+        states[round(t, 9)] = state
     return SpecialTrajectory(a=a, k=sol.k, lambda1=lam, t_far=t_far,
                              times=np.array(times), dev_wk=np.array(dev),
-                             dev_wk_raw=np.array(dev_raw), dev_first=np.array(dev1),
-                             hn_gap=np.array(hng), record=rec, state_at=states)
+                             dev_first=np.array(dev1), hn_gap=np.array(hng), record=rec,
+                             state_at=states)
 
 
 def leg_start(lambda1: float, a: float, data_eps: float) -> float:
@@ -276,7 +277,7 @@ def shoot_amplitudes(bundle: GroundStateBundle, spectral: SpectralResult, amplit
     """{a: (profile set, SpecialTrajectory)} over the distinct amplitudes, each solved once.
 
     A leg starts at ``t_far``, or at ``leg_start`` when that is None; the legs
-    of one start time run as one ``shoot_legs`` batch behind one control leg.
+    of one start time run as one ``shoot_legs`` batch.
     """
     groups = {}
     for a in dict.fromkeys(amplitudes):
@@ -335,12 +336,19 @@ def time_translation_mismatch(shot_ref: SpecialTrajectory, shot_scaled: SpecialT
 
     The shift log|a|/lambda1 is not commensurate with the snapshot lattice,
     so the nearest reference snapshot is advanced by the fractional offset
-    with a single Strang micro-step of the same discrete flow (local error
-    O(offset^3), far below the comparison tolerance).  Returns the max
-    relative Hdot1 mismatch over the overlap.
+    with a single Strang micro-step M of the same discrete flow (local error
+    O(offset^3), far below the comparison tolerance), balanced at T(bQ) as
+    the legs are: (M(x) - M(T(bQ))) + T(bQ).  Returns the max relative Hdot1
+    mismatch over the overlap.
     """
-    from .evolution import linear_propagator, nonlinear_substep
     prop = RadialPropagator(bundle.grid, bundle.kappa)
+    tq = bundle.t_q
+
+    def micro(state, offset):
+        state = linear_propagator(state, offset / 2, prop)
+        state = nonlinear_substep(state, offset, "transformed")
+        return linear_propagator(state, offset / 2, prop)
+
     lam = shot_ref.lambda1
     shift = math.log(abs(shot_scaled.a)) / lam
     ref_times = np.array(sorted(shot_ref.state_at.keys()))
@@ -355,9 +363,7 @@ def time_translation_mismatch(shot_ref: SpecialTrajectory, shot_scaled: SpecialT
             continue
         ref_state = shot_ref.state_at[t_near]
         if abs(offset) > 1e-12:
-            ref_state = linear_propagator(ref_state, offset / 2, prop)
-            ref_state = nonlinear_substep(ref_state, offset, "transformed")
-            ref_state = linear_propagator(ref_state, offset / 2, prop)
+            ref_state = (micro(ref_state, offset) - micro(tq, offset)) + tq
         diff = h1dot_norm(state - ref_state)
         scale = max(h1dot_norm(ref_state), 1e-300)
         worst = max(worst, diff / scale)

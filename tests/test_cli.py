@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -370,6 +371,29 @@ kappa = 0.5
         err = capsys.readouterr().err
         assert err.startswith("config error: [special] window") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("body,key", [
+        ("n_snapshots = 1", "n_snapshots"),
+        ("n_snapshots = 2", "n_snapshots"),
+        ("window_lo = 2\nwindow_hi = 3", "window_lo"),
+        ("window1_hi = 1.5", "window1_lo"),
+        ("n_snapshots = 5", "window_lo"),
+    ], ids=["one-snapshot", "two-snapshots", "window-above-1", "first-order-window-above-1",
+            "three-snapshots-short-in-window"])
+    def test_unfittable_sampling_is_config_error_before_shooting(self, tmp_path, capsys,
+                                                                 monkeypatch, body, key):
+        # x = e^(-lambda1 t) <= 1 on the legs, and a slope needs 3 snapshots in
+        # its window: refused before any leg is stepped, not after the shooting
+        import qnls6.special as special_mod
+
+        def no_shooting(*args, **kwargs):
+            raise AssertionError("a leg was stepped")
+        monkeypatch.setattr(special_mod, "run_batch", no_shooting)
+        cfg = self._write(tmp_path, "scenario = special\n[physics]\nkappa = 0.5\n"
+                                    f"[special]\nn = 64\n{body}\n")
+        assert main(["special", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [special] {key}") and err.count("\n") == 1
+
     def test_short_run_reports_nan_virial_checks(self, tmp_path, capsys):
         # 20 steps at monitor_stride 20: two monitor points, too few for the
         # centered-difference identity checks, which read NaN; the run succeeds
@@ -583,7 +607,7 @@ n_snapshots = 24
 
     def test_threshold_sweep_shoots_each_start_time_once(self, tmp_path, monkeypatch):
         # gplus and wa:1 are one amplitude, and gplus and gminus start at one
-        # time: one batch of the control leg and two amplitude legs
+        # time: one batch of two amplitude legs
         import qnls6.special as special_mod
         real = special_mod.run_batch
         batches = []
@@ -596,7 +620,7 @@ n_snapshots = 24
         text = self.THRESHOLD_SWEEP + "[sweep]\n" + "".join(f"recipe = {r}\n" for r in recipes)
         sweep = tmp_path / "sweep"
         assert main(["evolve", "--config", self._write(tmp_path, text), "--out", str(sweep)]) == 0
-        assert batches == [3]
+        assert batches == [2]
         rows = json.loads((sweep / "evolve.summary.json").read_text())["runs"]
         for i, recipe in enumerate(recipes):
             text = self.THRESHOLD_SWEEP + f"[sweep]\nrecipe = {recipe}\n"
@@ -660,6 +684,17 @@ n_snapshots = 24
         assert summary["gminus_H"] < summary["gminus_H_Q"]
         assert os.path.exists(os.path.join(out, "gminus_initial.csv"))
         assert os.path.exists(os.path.join(out, "shot_a+1.csv"))
+
+    def test_special_summary_reports_tq_step_defect(self, tmp_path):
+        # the defect of the legs' step map at T(bQ), which the balancing removes
+        cfg = self._write(tmp_path, "scenario = special\n[physics]\nkappa = 0.5\n"
+                                    "[special]\nn = 64\ndt = 0.01\ndata_eps = 0.05\n")
+        out = tmp_path / "spc"
+        assert main(["special", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "special.summary.json").read_text())
+        assert 0 < summary["tq_step_defect"] < math.inf
+        header = (out / "shot_a+1.csv").read_text().splitlines()[1]
+        assert header == "t,dev_wk,dev_first,hn_gap"
 
 
 def test_cli_import_leaves_slow_scipy_modules_out():

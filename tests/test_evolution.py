@@ -700,3 +700,47 @@ class TestSnapshotTimes:
                               snapshot_times=(0.0135, 0.05))
         rec = run(gaussian_pair(evo_grid), cfg)
         assert [t for t, _ in rec.snapshots] == pytest.approx([0.02, 0.05])
+
+
+class TestFixedPoint:
+    """run_batch(..., fixed_point=T): the fixed-step Strang maps balanced at T."""
+
+    CFG = EvolutionConfig(dt=3e-3, t_end=0.0, system="transformed", monitor_stride=7,
+                          snapshot_times=tuple(np.linspace(0.6, 0.0, 5)))
+
+    def test_balanced_members_equal_solo_runs(self, evo_grid, evo_bundle):
+        # 200 steps at stride 7: payments mid-run and one owed at the end
+        rng = np.random.default_rng(207)
+        tq = evo_bundle.t_q
+        members = [tq + random_pair(evo_grid, 0.5, rng, scale=1e-2), tq]
+        batch = run_batch(members, self.CFG, reference_H=1.0, t0=0.6, fixed_point=tq)
+        for u0, rec in zip(members, batch):
+            assert_same_record(rec, run_batch([u0], self.CFG, reference_H=1.0, t0=0.6,
+                                              fixed_point=tq)[0])
+        assert np.array_equal(batch[1].final_state.u, tq.u)
+        assert np.array_equal(batch[1].final_state.v, tq.v)
+
+    def test_balancing_removes_the_drift_of_the_fixed_point(self, evo_grid, evo_bundle):
+        # near T the raw and balanced runs differ by T's own drift, to first order
+        rng = np.random.default_rng(208)
+        tq = evo_bundle.t_q
+        u0 = tq + random_pair(evo_grid, 0.5, rng, scale=1e-3)
+        raw_u0, raw_tq = (rec.final_state for rec in run_batch([u0, tq], self.CFG, t0=0.6))
+        bal_u0 = run_batch([u0], self.CFG, t0=0.6, fixed_point=tq)[0].final_state
+        drift = h1dot_norm(raw_tq - tq)
+        assert drift > 1e-6
+        assert h1dot_norm((raw_u0 - bal_u0) - (raw_tq - tq)) < 1e-2 * drift
+
+    @pytest.mark.parametrize("change", [dict(adapt=True), dict(scheme="crank-nicolson"),
+                                        dict(sponge=True)], ids=["adapt", "cn", "sponge"])
+    def test_refuses_maps_it_cannot_balance(self, evo_bundle, change):
+        tq = evo_bundle.t_q
+        cfg = EvolutionConfig(dt=1e-3, t_end=1e-2, system="transformed", **change)
+        with pytest.raises(ValueError, match="fixed_point"):
+            run_batch([tq], cfg, fixed_point=tq)
+
+    def test_fixed_point_shares_the_grid(self, evo_grid, evo_bundle):
+        other = build_bundle(RadialGrid(n=64, r_max=120.0, stretch=19.0), kappa=0.5).t_q
+        cfg = EvolutionConfig(dt=1e-3, t_end=1e-2, system="transformed")
+        with pytest.raises(ValueError, match="fixed_point"):
+            run_batch([evo_bundle.t_q], cfg, fixed_point=other)

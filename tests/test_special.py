@@ -6,9 +6,11 @@ import pytest
 from qnls6.grid import RadialGrid, h1dot_norm
 from qnls6.groundstate import build_bundle
 from qnls6.spectrum import eigenpair_e
+from qnls6.evolution import (EvolutionConfig, RadialPropagator, linear_propagator,
+                             nonlinear_substep, run_batch)
 from qnls6.special import (ApproxSolution, ShootingError, approx_profiles,
                            construct_g, default_fit_window, residual_eps_k,
-                           shoot_amplitudes, shoot_legs)
+                           shoot_amplitudes, shoot_legs, tq_step_defect)
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +111,16 @@ class TestShooting:
             rate = shot.hn_gap_rate()
             assert rate == pytest.approx(spectral.lambda1, rel=0.15)
 
-    def test_control_subtraction_improves(self, shots):
-        _, _, plus, _ = shots
-        m = plus.window_mask(0.05, 0.3)
-        assert np.max(plus.dev_wk[m]) < 0.5 * np.max(plus.dev_wk_raw[m])
+    def test_balanced_map_keeps_tq_fixed(self, shot_setup):
+        # the balanced step map returns T(bQ) bit for bit; the raw map drifts
+        bundle, _ = shot_setup
+        tq = bundle.t_q
+        cfg = EvolutionConfig(dt=4e-3, t_end=0.0, system="transformed", monitor_stride=50)
+        balanced, = run_batch([tq], cfg, t0=2.0, fixed_point=tq)
+        raw, = run_batch([tq], cfg, t0=2.0)
+        assert np.array_equal(balanced.final_state.u, tq.u)
+        assert np.array_equal(balanced.final_state.v, tq.v)
+        assert h1dot_norm(raw.final_state - tq) / h1dot_norm(tq) > 1e-7
 
     def test_threshold_pair_properties(self, shots):
         bundle, _, plus, minus = shots
@@ -131,20 +139,14 @@ class TestShooting:
 
 class TestBatchedLegs:
     def test_batch_equals_legs_run_one_at_a_time(self, shot_setup):
-        # one-leg batches against one two-leg batch: the control record and
-        # every leg agree bit for bit
+        # one-leg batches against one two-leg batch: every leg agrees bit for bit
         bundle, spectral = shot_setup
         t_far = math.log(1.0 / 5e-2) / spectral.lambda1
         sols = [approx_profiles(bundle, spectral, a, 2) for a in (1.0, -1.0)]
         alone = [shoot_legs(bundle, spectral, [s], t_far, 4e-3, 12) for s in sols]
-        ctrl_b, batched = shoot_legs(bundle, spectral, sols, t_far, 4e-3, 12)
-        for ctrl, _ in alone:
-            assert np.array_equal(ctrl_b.H, ctrl.H)
-            assert [t for t, _ in ctrl_b.snapshots] == [t for t, _ in ctrl.snapshots]
-            for (_, a), (_, b) in zip(ctrl_b.snapshots, ctrl.snapshots):
-                assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        _, batched = shoot_legs(bundle, spectral, sols, t_far, 4e-3, 12)
         for (_, [one]), many in zip(alone, batched):
-            for name in ("times", "dev_wk", "dev_wk_raw", "dev_first", "hn_gap"):
+            for name in ("times", "dev_wk", "dev_first", "hn_gap"):
                 assert np.array_equal(getattr(one, name), getattr(many, name)), name
             assert np.array_equal(one.record.final_state.u, many.record.final_state.u)
             assert np.array_equal(one.record.final_state.v, many.record.final_state.v)
@@ -153,5 +155,23 @@ class TestBatchedLegs:
     def test_rejects_zero_amplitude(self, shot_setup):
         bundle, spectral = shot_setup
         sol = approx_profiles(bundle, spectral, a=0.0, k=2)
-        with pytest.raises(ValueError, match="control leg"):
+        with pytest.raises(ValueError, match="nothing to fit"):
             shoot_legs(bundle, spectral, [sol], 1.0, 1e-3, 10)
+
+    def test_legs_report_the_balancing_defect(self, shot_setup):
+        # the first element of shoot_legs is ||S_h T(bQ) - T(bQ)|| / (dt ||T(bQ)||),
+        # S_h one Strang step of the legs (h = -dt; at dt = 1e-3 the public
+        # substeps take one Pade step per half, as run_batch does)
+        bundle, spectral = shot_setup
+        t_far = math.log(1.0 / 5e-2) / spectral.lambda1
+        sol = approx_profiles(bundle, spectral, 1.0, 2)
+        defect, _ = shoot_legs(bundle, spectral, [sol], t_far, 4e-3, 12)
+        assert defect == tq_step_defect(bundle, 4e-3)
+        tq, h = bundle.t_q, -1e-3
+        step = linear_propagator(nonlinear_substep(linear_propagator(tq, h / 2), h,
+                                                   "transformed"), h / 2) - tq
+        prop = RadialPropagator(bundle.grid, bundle.kappa)
+        expected = math.sqrt(prop.discrete_mass(step.u, step.v)
+                             / prop.discrete_mass(tq.u, tq.v)) / abs(h)
+        assert expected > 0
+        assert tq_step_defect(bundle, abs(h)) == pytest.approx(expected, rel=1e-4)
