@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, ScenarioConfig, parse_a_values, parse_config,
+from .config import (ConfigError, ScenarioConfig, SpecialBlock, parse_a_values, parse_config,
                      parse_radii, parse_recipe)
 from .grid import GridError, RadialGrid, pair_from_arrays
 from .groundstate import (GroundStateBundle, apply_symmetry, build_bundle,
@@ -28,20 +28,17 @@ from .groundstate import (GroundStateBundle, apply_symmetry, build_bundle,
                           transform_T, _interp_component)
 from .functionals import energy, hamiltonian, variational_constants
 from .linops import build_block_E
-from .spectrum import (SpectrumError, SpectralResult, coercivity_sample,
-                       dense_cross_check, eigenpair_e, lambda1_inverse_iteration,
-                       shifted_solve_conditioning)
-from .special import (ShootingError, construct_g, default_fit_window, leg_start,
-                      residual_eps_k, shoot_amplitudes, time_translation_mismatch,
-                      tq_step_defect)
+from .spectrum import (SpectralResult, coercivity_sample, dense_cross_check, eigenpair_e,
+                       lambda1_inverse_iteration, shifted_solve_conditioning)
+from .special import (HN_GAP_WINDOW, construct_g, default_fit_window, leg_start, residual_eps_k,
+                      shoot_amplitudes, time_translation_mismatch, tq_step_defect)
 from .evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict,
-                        l4_decay_ratio, reconcile, run_batch, variational_prediction,
-                        vr_identity_defect, write_checkpoint)
-from .modulation import (ModulationError, ModulationFrame, comparability_band,
-                         track, verify_rate_bound)
+                        l4_decay_ratio, read_checkpoint, reconcile, run_batch,
+                        variational_prediction, vr_identity_defect, write_checkpoint)
+from .modulation import ModulationFrame, comparability_band, track, verify_rate_bound
 
-_NUMERICAL_ERRORS = (SpectrumError, ShootingError, GridError, ModulationError,
-                     np.linalg.LinAlgError, RuntimeError)
+# SpectrumError, ShootingError and ModulationError are RuntimeErrors
+_NUMERICAL_ERRORS = (GridError, np.linalg.LinAlgError, RuntimeError)
 
 
 # ---------------------------------------------------------------------------
@@ -217,37 +214,50 @@ def scenario_spectrum(cfg: ScenarioConfig, outdir: str) -> dict:
     return summary
 
 
-def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
-    spc = cfg.special
-    a_values = parse_a_values(spc.a_values)
-    if not 0 < spc.data_eps < 1:
-        raise ConfigError(f"[special] data_eps = {spc.data_eps:g} must lie in (0, 1): "
-                          "the legs start where e^(-lambda1 t) = data_eps, at t > 0")
-    windows = [(lo, hi, getattr(spc, lo), getattr(spc, hi))
-               for lo, hi in (("window_lo", "window_hi"), ("window1_lo", "window1_hi"))]
-    for lo, hi, x_lo, x_hi in windows:
-        if not 0 < x_lo < x_hi <= 1:
-            raise ConfigError(f"[special] {lo} = {x_lo:g}, {hi} = {x_hi:g}: the fit window "
-                              f"in x = e^(-lambda1 t) <= 1 needs 0 < {lo} < {hi} <= 1")
+def _check_leg_sampling(spc: SpecialBlock, a: float, windows) -> None:
+    """Refuse a [special] sampling on which a shooting leg of W^a cannot be fitted.
+
+    The leg starts where |a| e^(-lambda1 t) = data_eps, and its n_snapshots
+    even times down to t = 0 sit at x = e^(-lambda1 t) = (data_eps/|a|)^s, s
+    even from 1 to 0, whatever lambda1 is: this runs before anything is built.
+    Each fit (name, lo, hi) in ``windows`` needs 0 < lo < hi <= 1 and 3 of them.
+    """
+    if not 0 < spc.data_eps < abs(a) < math.inf:
+        raise ConfigError(f"[special] data_eps = {spc.data_eps:g} for a leg of |a| = {abs(a):g}: "
+                          "a leg starts where |a| e^(-lambda1 t) = data_eps, at t > 0, so it "
+                          "needs a finite |a| and data_eps in (0, |a|)")
     if spc.n_snapshots < 3:
         raise ConfigError(f"[special] n_snapshots = {spc.n_snapshots} must be >= 3: "
                           "a slope is fitted to 3 or more snapshots")
-    if 0.0 in a_values:
-        raise ConfigError("[special] a_values must be nonzero "
-                          "(a = 0 gives U_k = 0, a leg with nothing to fit)")
-    if not all(map(math.isfinite, a_values)):
-        raise ConfigError(f"[special] a_values = {spc.a_values}: every amplitude must be finite")
+    x = (spc.data_eps / abs(a)) ** np.linspace(1.0, 0.0, spc.n_snapshots)
+    for name, lo, hi in windows:
+        if not 0 < lo < hi <= 1:
+            raise ConfigError(f"{name} = [{lo:g}, {hi:g}]: the fit window in "
+                              "x = e^(-lambda1 t) <= 1 needs 0 < lo < hi <= 1")
+        count = int(np.count_nonzero((x >= lo) & (x <= hi)))
+        if count < 3:
+            raise ConfigError(f"{name} = [{lo:g}, {hi:g}]: {count} of the {spc.n_snapshots} "
+                              f"snapshots (x from {x[0]:.3g} to 1) fall in it, the fit needs 3")
+
+
+# the window of hn_gap_rate, behind every delta_rate and G+-
+_HN_WINDOW = ("[special] data_eps, n_snapshots: the delta_rate window", *HN_GAP_WINDOW)
+
+
+def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
+    spc = cfg.special
+    a_values = parse_a_values(spc.a_values)
+    if not all(0 < abs(a) < math.inf for a in a_values):
+        raise ConfigError(f"[special] a_values = {spc.a_values}: every amplitude must be finite "
+                          "and nonzero (a = 0 gives U_k = 0, a leg with nothing to fit)")
+    # every leg starts at the time of |a| = 1, so the legs share one batch
+    windows = [(f"[special] {lo}, {hi}", getattr(spc, lo), getattr(spc, hi))
+               for lo, hi in (("window_lo", "window_hi"), ("window1_lo", "window1_hi"))]
+    _check_leg_sampling(spc, 1.0, windows + [_HN_WINDOW])
     grid = _mkgrid(cfg, n_override=spc.n)
     bundle, spectral = _spectral_pipeline(cfg, grid, background="discrete")
     lam = spectral.lambda1
-    # every leg starts at the time of |a| = 1, so the legs share one batch
     t_far = leg_start(lam, 1.0, spc.data_eps)
-    x_snap = np.exp(-lam * np.linspace(t_far, 0.0, spc.n_snapshots))
-    for lo, hi, x_lo, x_hi in windows:
-        count = int(np.count_nonzero((x_snap >= x_lo) & (x_snap <= x_hi)))
-        if count < 3:
-            raise ConfigError(f"[special] {lo} = {x_lo:g}, {hi} = {x_hi:g}: {count} of the "
-                              f"{spc.n_snapshots} snapshots fall in the window, the fit needs 3")
     shots = shoot_amplitudes(bundle, spectral, a_values, spc.order, spc.dt, spc.n_snapshots,
                              spc.data_eps, t_far)
     summary = {"scenario": "special", "lambda1": lam, "t_far": t_far, "k": spc.order,
@@ -285,48 +295,55 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     return summary
 
 
-def _recipe_amplitude(rec: dict, cfg: ScenarioConfig) -> float | None:
-    """Amplitude a of a threshold-pair recipe (gplus, gminus, wa:<a>), else None.
+def _prepare_recipe(text: str, cfg: ScenarioConfig, grid: RadialGrid) -> tuple[dict, object]:
+    """(parsed recipe, what it needs before anything is built): the amplitude a
+    of a threshold-pair recipe (gplus, gminus, wa:<a>), the state of a file:
+    or chk: recipe on ``grid``, else None.
 
-    Its leg starts at the time t > 0 where |a| e^(-lambda1 t) = [special] data_eps.
-    Raises ConfigError, before anything is built, for a recipe the scenario
-    cannot use: such an amplitude, a qscale off 0 < lambda < inf or with a
-    non-finite scale or theta, or an unreadable file.
+    Raises ConfigError naming the recipe, before anything is built, for one the
+    scenario cannot use: a leg ``_check_leg_sampling`` refuses, a qscale off
+    0 < lambda < inf or with a non-finite scale or theta, an unreadable
+    profile, or a checkpoint that is unreadable or of another grid or kappa.
     """
-    if rec["kind"] == "qscale" and not (0 < rec["lam"] < math.inf and
-                                        all(map(math.isfinite, (rec["scale"], rec["theta"])))):
-        raise ConfigError(f"recipe qscale:{rec['scale']:g}:theta={rec['theta']:g}:lambda="
-                          f"{rec['lam']:g}: need a finite scale and theta and 0 < lambda < inf")
-    if rec["kind"] == "file":
-        try:
-            open(rec["path"], encoding="utf-8").close()
-        except OSError as exc:
-            raise ConfigError(f"recipe file:{rec['path']}: {exc}") from None
-    if rec["kind"] not in ("gplus", "gminus", "wa"):
-        return None
-    a = {"gplus": 1.0, "gminus": -1.0}.get(rec["kind"], rec.get("a"))
-    if not 0 < cfg.special.data_eps < abs(a) < math.inf:
-        raise ConfigError(f"recipe {rec['kind']} with |a| = {abs(a):g}: need a finite |a| "
-                          f"and [special] data_eps = {cfg.special.data_eps:g} in (0, |a|)")
-    return a
+    rec = parse_recipe(text)
+    kind = rec["kind"]
+    try:
+        if kind == "qscale" and not (0 < rec["lam"] < math.inf and
+                                     all(map(math.isfinite, (rec["scale"], rec["theta"])))):
+            raise ConfigError("need a finite scale and theta and 0 < lambda < inf")
+        if kind == "file":
+            return rec, load_profile_csv(rec["path"], grid, cfg.physics.kappa)
+        if kind == "chk":
+            state, _ = read_checkpoint(rec["path"], grid)
+            if state.kappa != cfg.physics.kappa:
+                raise ConfigError(f"checkpoint kappa = {state.kappa:.17g} is not "
+                                  f"[physics] kappa = {cfg.physics.kappa:.17g}")
+            return rec, state
+        if kind not in ("gplus", "gminus", "wa"):
+            return rec, None
+        a = {"gplus": 1.0, "gminus": -1.0}.get(kind, rec.get("a"))
+        _check_leg_sampling(cfg.special, a, () if kind == "wa" else (_HN_WINDOW,))
+        return rec, a
+    except (OSError, ValueError) as exc:   # ConfigError, GridError of a checkpoint
+        raise ConfigError(f"recipe {text!r}: {exc}") from None
 
 
-def _initial_from_recipe(rec: dict, a: float | None, bundle: GroundStateBundle,
-                         threshold: tuple | None):
-    """Initial data and the bundle whose Q it was built against.
+def _initial_from_recipe(rec: dict, given, bundle: GroundStateBundle, threshold: tuple | None):
+    """Initial data and the bundle whose Q it was built against; ``given`` is
+    what ``_prepare_recipe`` returned.
 
-    A threshold-pair recipe of amplitude ``a`` reads its shot from ``threshold``,
-    (discrete-background bundle, ``shoot_amplitudes`` shots).  E(G+-) = E(Q)
-    holds for that Q, so their E/E(Q) and H/H(Q) are taken against it: the
-    closed-form Q's energy differs by 2e-3 at n = 128, r_max = 60.
+    A threshold-pair recipe reads its shot from ``threshold``, (discrete-background
+    bundle, ``shoot_amplitudes`` shots).  E(G+-) = E(Q) holds for that Q, so their
+    E/E(Q) and H/H(Q) are taken against it: the closed-form Q's energy differs by
+    2e-3 at n = 128, r_max = 60.
     """
     if rec["kind"] == "qscale":
         base = apply_symmetry(bundle.q_vec, rec["theta"], rec["lam"])
         return rec["scale"] * base, bundle
-    if rec["kind"] == "file":
-        return load_profile_csv(rec["path"], bundle.grid, bundle.kappa), bundle
+    if rec["kind"] in ("file", "chk"):
+        return given, bundle
     bundle_d, shots = threshold
-    shot = shots[a][1]
+    shot = shots[given][1]
     if rec["kind"] == "wa":
         t0 = min(shot.state_at.keys())
         return transform_T(shot.state_at[t0], inverse=True), bundle_d
@@ -341,19 +358,17 @@ def _evolve_recipes(cfg: ScenarioConfig, recipes, **evo_overrides) -> list:
     Q a state was built against; its H(Q) is the run's reference_H.
     """
     evo = _evo_config(cfg, **evo_overrides)
-    parsed = [parse_recipe(text) for text in recipes]
-    amplitudes = [_recipe_amplitude(rec, cfg) for rec in parsed]   # raises before any build
     grid = _mkgrid(cfg, n_override=cfg.evolution.n)
+    prepared = [_prepare_recipe(text, cfg, grid) for text in recipes]   # before any build
     bundle = build_bundle(grid, cfg.physics.kappa)
     threshold = None
-    wanted = [a for a in amplitudes if a is not None]
+    wanted = [a for rec, a in prepared if rec["kind"] in ("gplus", "gminus", "wa")]
     if wanted:
         spc = cfg.special
         bundle_d, spectral = _spectral_pipeline(cfg, grid, background="discrete")
         threshold = bundle_d, shoot_amplitudes(bundle_d, spectral, wanted, spc.order, spc.dt,
                                                spc.n_snapshots, spc.data_eps, None)
-    built = [_initial_from_recipe(rec, a, bundle, threshold)
-             for rec, a in zip(parsed, amplitudes)]
+    built = [_initial_from_recipe(rec, given, bundle, threshold) for rec, given in prepared]
     records = run_batch([initial for initial, _ in built], evo,
                         reference_H=[hamiltonian(ref.q_vec) for _, ref in built])
     return [(initial, ref, rec) for (initial, ref), rec in zip(built, records)]
@@ -490,14 +505,14 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output_dir = args.out
         cfg.validate()
-    except (OSError, ValueError) as exc:   # ConfigError, malformed JSON, a recipe's number
+    except (OSError, ValueError) as exc:   # ConfigError, malformed JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     try:
         summary = _SCENARIO_FNS[args.scenario](cfg, outdir)
-    except ConfigError as exc:   # an input the scenario cannot use (an amplitude)
+    except ConfigError as exc:   # an input the scenario cannot use (a leg, a checkpoint)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except _NUMERICAL_ERRORS as exc:

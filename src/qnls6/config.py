@@ -249,6 +249,7 @@ def _fmt(v) -> str:
 
 
 def print_config(cfg: ScenarioConfig) -> str:
+    """The text of cfg; an oracle: test_config_round_trip checks parse(print(cfg)) == cfg."""
     out = [f"scenario = {cfg.scenario}", f"seed = {cfg.seed}",
            f"output_dir = {cfg.output_dir}", ""]
     for section in ("grid", "physics", "evolution", "spectrum", "special"):
@@ -264,36 +265,46 @@ def print_config(cfg: ScenarioConfig) -> str:
     return "\n".join(out)
 
 
+def _number(token: str, where: str) -> float:
+    """float(token); a ConfigError naming ``where`` when it is no number."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ConfigError(f"{where}: {token.strip()!r} is not a number") from None
+
+
 def parse_recipe(text: str) -> dict:
     """Initial-data recipes: qscale:<s>[:theta=<v>][:lambda=<v>], gplus, gminus,
-    wa:<a>, file:<path>."""
+    wa:<a>, file:<path> (a profile CSV) and chk:<path> (a checkpoint of the
+    [evolution] grid and [physics] kappa, run from t = 0)."""
+    where = f"recipe {text!r}"
     parts = text.strip().split(":")
     kind = parts[0]
     if kind == "qscale":
         if len(parts) < 2:
-            raise ConfigError(f"recipe {text!r}: qscale needs a scale")
-        out = {"kind": "qscale", "scale": float(parts[1]), "theta": 0.0, "lam": 1.0}
+            raise ConfigError(f"{where}: qscale needs a scale")
+        out = {"kind": "qscale", "scale": _number(parts[1], where), "theta": 0.0, "lam": 1.0}
         for extra in parts[2:]:
             k, _, v = extra.partition("=")
             if k == "theta":
-                out["theta"] = float(v)
+                out["theta"] = _number(v, where)
             elif k == "lambda":
-                out["lam"] = float(v)
+                out["lam"] = _number(v, where)
             else:
-                raise ConfigError(f"recipe {text!r}: unknown modifier {k!r}")
+                raise ConfigError(f"{where}: unknown modifier {k!r}")
         return out
     if kind in ("gplus", "gminus"):
         if len(parts) > 1:
-            raise ConfigError(f"recipe {text!r}: no modifiers allowed")
+            raise ConfigError(f"{where}: no modifiers allowed")
         return {"kind": kind}
     if kind == "wa":
         if len(parts) != 2:
-            raise ConfigError(f"recipe {text!r}: wa needs an amplitude")
-        return {"kind": "wa", "a": float(parts[1])}
-    if kind == "file":
+            raise ConfigError(f"{where}: wa needs an amplitude")
+        return {"kind": "wa", "a": _number(parts[1], where)}
+    if kind in ("file", "chk"):
         if len(parts) < 2:
-            raise ConfigError(f"recipe {text!r}: file needs a path")
-        return {"kind": "file", "path": ":".join(parts[1:])}
+            raise ConfigError(f"{where}: {kind} needs a path")
+        return {"kind": kind, "path": ":".join(parts[1:])}
     raise ConfigError(f"unknown recipe kind {kind!r}")
 
 
@@ -301,12 +312,9 @@ def parse_radii(spec: str) -> tuple:
     """Comma list of virial radii; 'inf' is the unlocalized sentinel."""
     if not spec.strip():
         return ()
-    out = []
-    for token in spec.split(","):
-        token = token.strip()
-        out.append(math.inf if token in ("inf", "infinity") else float(token))
-    return tuple(out)
+    return tuple(_number(tok, f"virial_radii = {spec}") for tok in spec.split(","))
 
 
 def parse_a_values(spec: str) -> tuple:
-    return tuple(float(tok) for tok in spec.split(",") if tok.strip())
+    return tuple(_number(tok, f"[special] a_values = {spec}") for tok in spec.split(",")
+                 if tok.strip())

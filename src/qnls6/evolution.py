@@ -247,9 +247,6 @@ class RadialPropagator:
     def discrete_P(self, u, v):
         return _per_row(np.real(np.sum(self.w_op * u * u * np.conj(v), axis=-1)))
 
-    def discrete_E(self, u, v, system: str = "original"):
-        return _energy(self.discrete_H(u, v, system), self.discrete_P(u, v), system)
-
     def discrete_mass(self, u, v):
         return _per_row(np.sum(self.w_op * (np.abs(u) ** 2 + np.abs(v) ** 2), axis=-1))
 
@@ -627,13 +624,11 @@ _PREDICTED_VERDICT = {"scattering": "global-decaying", "blowup": "blowup"}
 
 
 def dynamical_verdict(record: TrajectoryRecord, delta0: float | None = None,
-                      lambda_series: np.ndarray | None = None,
                       decay_ratio: float = 0.2) -> tuple[str, str]:
     """Verdict from the trajectory alone, with the reason for it.
 
     blowup on a blow-up termination; undecided on instability; trapped when
-    delta stays below delta0 over the second half (and lambda_series, if
-    given, varies by less than a factor 10); global-decaying when
+    delta stays below delta0 over the second half; global-decaying when
     l4_decay_ratio is below decay_ratio; else undecided.
     """
     if record.termination == "blowup":
@@ -642,10 +637,8 @@ def dynamical_verdict(record: TrajectoryRecord, delta0: float | None = None,
         return "undecided", f"instability: {record.diagnostic}"
     nt = len(record.times)
     if delta0 is not None and np.all(np.isfinite(record.delta)):
-        tail = record.delta[nt // 2:]
-        if np.max(tail) < delta0:
-            if lambda_series is None or (np.max(lambda_series) / max(np.min(lambda_series), 1e-300) < 10):
-                return "trapped", f"delta below {delta0:.6g} over the second half"
+        if np.max(record.delta[nt // 2:]) < delta0:
+            return "trapped", f"delta below {delta0:.6g} over the second half"
     ratio = l4_decay_ratio(record)
     if ratio < decay_ratio:
         return "global-decaying", f"local L4 ratio {ratio:.3g} < {decay_ratio:g}"
@@ -683,6 +676,7 @@ def write_checkpoint(path: str, pair: FieldPair, t: float) -> None:
 
 
 def read_checkpoint(path: str, grid: RadialGrid) -> tuple[FieldPair, float]:
+    """(pair, t) of a checkpoint; GridError if it is truncated, no checkpoint or of another grid."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:

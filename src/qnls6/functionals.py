@@ -43,15 +43,6 @@ from .grid import FieldPair, RadialGrid, integrate6_samples, radial_derivative
 from .groundstate import GroundStateBundle
 
 
-@dataclass(frozen=True)
-class ConservedSet:
-    H: float
-    P: float
-    E: float
-    mass: float
-    momentum: np.ndarray  # identically zero for radial states
-
-
 def _grad_sq(u: FieldPair):
     du = radial_derivative(u.first).values
     dv = radial_derivative(u.second).values
@@ -65,7 +56,8 @@ def hamiltonian(u: FieldPair) -> float:
 
 
 def hamiltonian_n(u: FieldPair) -> float:
-    """Kinetic functional of the transformed system: ||grad u||^2 + k ||grad v||^2."""
+    """Kinetic functional of the transformed system: ||grad u||^2 + k ||grad v||^2.
+    An oracle (with ``energy_n``) of test_energy_relation's E(T^-1 w) = 2 E_N(w)."""
     gu, gv = _grad_sq(u)
     w = u.grid.quad_weights
     return float(np.sum(w * gu) + u.kappa * np.sum(w * gv))
@@ -80,23 +72,8 @@ def energy(u: FieldPair) -> float:
 
 
 def energy_n(u: FieldPair) -> float:
+    """E_N = H_N/2 - P, an oracle of test_energy_relation's E(T^-1 w) = 2 E_N(w)."""
     return 0.5 * hamiltonian_n(u) - interaction(u)
-
-
-def mass6(u: FieldPair) -> float:
-    """Diagnostic L^2 mass; not conserved by the flow except at kappa = 1/2."""
-    return float(np.real(integrate6_samples(u.grid, np.abs(u.u) ** 2 + np.abs(u.v) ** 2)))
-
-
-def momentum(u: FieldPair) -> np.ndarray:
-    """Momentum of a radial state vanishes identically; returned as exact zeros."""
-    return np.zeros(6)
-
-
-def conserved_set(u: FieldPair) -> ConservedSet:
-    H = hamiltonian(u)
-    P = interaction(u)
-    return ConservedSet(H=H, P=P, E=0.5 * (H - P), mass=mass6(u), momentum=momentum(u))
 
 
 def gap_delta(u: FieldPair, bundle: GroundStateBundle) -> float:
@@ -130,6 +107,7 @@ def check_inequalities(samples: list[FieldPair], bundle: GroundStateBundle,
     Margins are normalized by H(f)^{3/2} (or H(Q) E(f) for the convexity
     check) and are nonnegative when the inequality holds.  Violations beyond
     ``tol`` are collected, not raised: they indicate a discretization bug.
+    An oracle: TestVariational checks the sharp interaction inequality with it.
     """
     consts = variational_constants(bundle)
     HQ, EQ = consts["H_Q"], consts["E_Q"]
@@ -265,5 +243,6 @@ def mass_type_vr(u: FieldPair, weight: VirialWeight,
 
 
 def f_infinity_gap(u: FieldPair, bundle: GroundStateBundle) -> float:
-    """F_inf on the threshold manifold: equals 8 kappa (H(Q) - H(u)) when E(u)=E(Q)."""
+    """F_inf on the threshold manifold: equals 8 kappa (H(Q) - H(u)) when E(u)=E(Q).
+    An oracle: test_signed_gap_on_threshold_states checks the F_inf identity with it."""
     return 8.0 * u.kappa * (hamiltonian(bundle.q_vec) - hamiltonian(u))

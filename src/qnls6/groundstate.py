@@ -63,7 +63,8 @@ def ode_ground_state(r_eval: np.ndarray, q0: float = 1.0, rtol: float = 1e-11) -
 
     Starts from the regular series Q = q0 - q0^2 r^2/12 + q0^3 r^4/192 at a
     small radius.  Scale invariance means every q0 > 0 gives a decaying
-    solution; q0 = 1 reproduces the closed form.
+    solution; q0 = 1 reproduces the closed form.  An oracle: test_ode_cross_check
+    checks the closed-form Q against it.
     """
     # imported here: scipy.integrate (and scipy.optimize under it) would
     # add a quarter second to every CLI start-up for this cross-check

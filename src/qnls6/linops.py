@@ -1,4 +1,4 @@
-"""Linearized operators around the ground state, quadratic forms, remainder maps.
+"""Linearized operators around the ground state, quadratic forms, the polarization B_N.
 
 Around bQ = (sqrt(k) Q, Q) the real and imaginary parts of a perturbation are
 governed by the matrix Schrodinger operators (acting on real pairs)
@@ -64,7 +64,8 @@ class PairOperator:
         return float(s) if s.ndim == 0 else s
 
     def symmetry_defect(self) -> float:
-        """|| W A - (W A)^T || / || W A ||  (Frobenius), W = diag(weights)."""
+        """|| W A - (W A)^T || / || W A ||  (Frobenius), W = diag(weights).
+        An oracle: test_symmetry_defect checks discrete self-adjointness with it."""
         W = sp.diags(self.op_weights())
         M = (W @ self.mat).toarray()
         return float(np.linalg.norm(M - M.T) / np.linalg.norm(M))
@@ -100,42 +101,30 @@ class PairOperator:
         return band
 
 
-def _kinetic_blocks(grid: RadialGrid, k1: float, k2: float, boundary: str, order: int):
-    lap = grid.laplacian_matrix(boundary, order)
-    return -k1 * lap, -k2 * lap
-
-
-def _assemble(grid: RadialGrid, kappa: float, qvals: np.ndarray, label: str,
-              boundary: str, order: int) -> PairOperator:
-    if label in ("L_R", "L_I"):
-        kin2 = 0.5 * kappa
-        off = np.sqrt(kappa) * qvals
-    else:
-        kin2 = kappa
-        off = np.sqrt(2.0 * kappa) * qvals
+def _assemble(bundle: GroundStateBundle, label: str, family: tuple, boundary: str,
+              order: int) -> PairOperator:
+    if label not in family:
+        raise ValueError(f"which must be {family[0]} or {family[1]}, got {label!r}")
+    grid, kappa, qvals = bundle.grid, bundle.kappa, bundle.q_bg.values.real
+    # second kinetic weight and squared coupling: (k/2, k) for L, (k, 2k) for E
+    kin2, c2 = (0.5 * kappa, kappa) if label.startswith("L_") else (kappa, 2.0 * kappa)
     sign = -1.0 if label.endswith("_R") else 1.0
-    A11, A22 = _kinetic_blocks(grid, 1.0, kin2, boundary, order)
+    lap = grid.laplacian_matrix(boundary, order)
     diag_pot = sp.diags(sign * qvals)
-    off_pot = sp.diags(-off)
-    mat = sp.bmat([[A11 + diag_pot, off_pot], [off_pot, A22]], format="csr")
+    off_pot = sp.diags(-(np.sqrt(c2) * qvals))
+    mat = sp.bmat([[-lap + diag_pot, off_pot], [off_pot, -kin2 * lap]], format="csr")
     return PairOperator(label=label, grid=grid, kappa=kappa, mat=mat,
                         boundary=boundary, order=order)
 
 
 def assemble_L(bundle: GroundStateBundle, which: str,
                boundary: str = "dirichlet", order: int = 2) -> PairOperator:
-    if which not in ("L_R", "L_I"):
-        raise ValueError(f"which must be L_R or L_I, got {which!r}")
-    return _assemble(bundle.grid, bundle.kappa, bundle.q_bg.values.real, which,
-                     boundary, order)
+    return _assemble(bundle, which, ("L_R", "L_I"), boundary, order)
 
 
 def assemble_E(bundle: GroundStateBundle, which: str,
                boundary: str = "dirichlet", order: int = 2) -> PairOperator:
-    if which not in ("E_R", "E_I"):
-        raise ValueError(f"which must be E_R or E_I, got {which!r}")
-    return _assemble(bundle.grid, bundle.kappa, bundle.q_bg.values.real, which,
-                     boundary, order)
+    return _assemble(bundle, which, ("E_R", "E_I"), boundary, order)
 
 
 @dataclass(frozen=True)
@@ -181,10 +170,8 @@ class BlockOperatorE:
         return out
 
 
-def build_block_E(bundle: GroundStateBundle, boundary: str = "dirichlet",
-                  order: int = 2) -> BlockOperatorE:
-    return BlockOperatorE(e_r=assemble_E(bundle, "E_R", boundary, order),
-                          e_i=assemble_E(bundle, "E_I", boundary, order))
+def build_block_E(bundle: GroundStateBundle) -> BlockOperatorE:
+    return BlockOperatorE(*form_ops(bundle, "phi_e"))
 
 
 def stack_pair(p: FieldPair) -> np.ndarray:
@@ -213,16 +200,17 @@ def weighted_norm(grid: RadialGrid, z: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.tile(grid.op_weights, 2) * np.abs(z) ** 2)))
 
 
-def quad_form(a: FieldPair, b: FieldPair, which: str, bundle: GroundStateBundle,
-              ops: tuple[PairOperator, PairOperator] | None = None) -> float:
-    """Phi(a,b) ('phi') or Phi_E(a,b) ('phi_e'); ops may be passed to reuse assembly."""
-    if ops is None:
-        if which == "phi":
-            ops = (assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I"))
-        elif which == "phi_e":
-            ops = (assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I"))
-        else:
-            raise ValueError(f"unknown form {which!r}")
+def form_ops(bundle: GroundStateBundle, which: str) -> tuple[PairOperator, PairOperator]:
+    """The operator pair of a form: (L_R, L_I) of Phi ('phi'), (E_R, E_I) of Phi_E ('phi_e')."""
+    if which == "phi":
+        return assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I")
+    if which == "phi_e":
+        return assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I")
+    raise ValueError(f"unknown form {which!r}")
+
+
+def quad_form(a: FieldPair, b: FieldPair, ops: tuple[PairOperator, PairOperator]) -> float:
+    """The form of ``ops`` (``form_ops``, or a block's (e_r, e_i)) at (a, b): Phi or Phi_E."""
     return form_rows(ops, stack_pair(a), stack_pair(b))
 
 
@@ -233,43 +221,11 @@ def form_rows(ops: tuple[PairOperator, PairOperator], za: np.ndarray, zb: np.nda
     return 0.5 * op_r.quad(za.real, zb.real) + 0.5 * op_i.quad(za.imag, zb.imag)
 
 
-def nonlinear_map(h: FieldPair, which: str, bundle: GroundStateBundle | None = None) -> FieldPair:
-    """Pointwise remainder maps of the two linearizations.
-
-    R(h,g) = (conj(h) g, h^2)              quadratic remainder, original system
-    N(h,g) = (2 conj(h) g, h^2)            quadratic remainder, transformed system
-    K(h,g) = (conj(h) Q + sqrt(k) Q g, 2 sqrt(k) Q h)       linear coupling, original
-    B(h,g) = (conj(h) Q + sqrt(2k) Q g, sqrt(2k) Q h)       linear coupling, transformed
-    """
-    u, v = h.u, h.v
-    if which == "R":
-        return h.with_values(np.conj(u) * v, u * u)
-    if which == "N":
-        return h.with_values(2.0 * np.conj(u) * v, u * u)
-    if bundle is None:
-        raise ValueError("maps K and B need the ground-state bundle")
-    q = bundle.q_bg.values.real
-    k = bundle.kappa
-    if which == "K":
-        return h.with_values(np.conj(u) * q + np.sqrt(k) * q * v, 2.0 * np.sqrt(k) * q * u)
-    if which == "B":
-        s = np.sqrt(2.0 * k)
-        return h.with_values(np.conj(u) * q + s * q * v, s * q * u)
-    raise ValueError(f"unknown map {which!r}")
-
-
 def bilinear_N(a: FieldPair, b: FieldPair) -> FieldPair:
-    """Polarization of N: B_N(a,b) = (conj(a1) b2 + conj(b1) a2, a1 b1).
+    """Polarization of the transformed system's quadratic remainder N(h) =
+    (2 conj(h1) h2, h1^2): B_N(a,b) = (conj(a1) b2 + conj(b1) a2, a1 b1).
 
     Symmetric, with N(a) = B_N(a,a) and N(a+b) = N(a) + 2 B_N(a,b) + N(b).
     """
     return a.with_values(np.conj(a.u) * b.v + np.conj(b.u) * a.v, a.u * b.u)
 
-
-def export_triplets(op: PairOperator, path: str) -> None:
-    """Write (row, col, value) rows of the assembled matrix for inspection."""
-    coo = op.mat.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {op.label} n={op.n} kappa={op.kappa:.17g} boundary={op.boundary} order={op.order}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {v:.17g}\n")

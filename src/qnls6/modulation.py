@@ -31,7 +31,7 @@ import numpy as np
 from .grid import FieldPair, h1dot_inner, h1dot_norm, radial_derivative
 from .groundstate import GroundStateBundle, apply_symmetry, build_directions, lambda_profile
 from .functionals import hamiltonian, gap_delta
-from .linops import assemble_L, quad_form
+from .linops import form_ops, quad_form
 
 
 class ModulationError(RuntimeError):
@@ -54,10 +54,10 @@ class ModulationFrame:
 
     def __init__(self, bundle: GroundStateBundle):
         self.bundle = bundle
-        self.ops = (assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I"))
+        self.ops = form_ops(bundle, "phi")
         self.dirs = build_directions(bundle)
         self.H_Q = hamiltonian(bundle.q_vec)
-        self.phi_QQ = quad_form(bundle.q_vec, bundle.q_vec, "phi", bundle, self.ops)
+        self.phi_QQ = quad_form(bundle.q_vec, bundle.q_vec, self.ops)
         self.delta0 = 0.1 * self.H_Q
         self._r_half_q = self._half_radius(bundle.q_vec)
 
@@ -128,22 +128,13 @@ def decompose(u: FieldPair, frame: ModulationFrame,
             damp *= 0.5
         tn += damp * step[0]
         ln += damp * step[1]
-    alpha = quad_form(bundle.q_vec, moved, "phi", bundle, frame.ops) / frame.phi_QQ - 1.0
+    alpha = quad_form(bundle.q_vec, moved, frame.ops) / frame.phi_QQ - 1.0
     h = moved - (1.0 + alpha) * bundle.q_vec
     theta = float((-tn) % (2.0 * math.pi))
     point = ModulationPoint(t=t, theta=theta, lam=1.0 / ln, alpha=float(alpha),
                             delta=float(delta), h_norm=h1dot_norm(h),
                             converged=bool(converged))
     return point, h
-
-
-def orthogonality_residuals(h: FieldPair, frame: ModulationFrame) -> dict:
-    bundle = frame.bundle
-    return {
-        "i_q1": h1dot_inner(h, frame.dirs["i_q1"]),
-        "lambda_q": h1dot_inner(h, frame.dirs["lambda_q"]),
-        "phi_Q_h": quad_form(bundle.q_vec, h, "phi", bundle, frame.ops),
-    }
 
 
 @dataclass

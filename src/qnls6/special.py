@@ -48,6 +48,10 @@ class ShootingError(RuntimeError):
     pass
 
 
+# The fixed window of x = e^{-lambda1 t} that hn_gap_rate fits |hn_gap| on.
+HN_GAP_WINDOW = (0.02, 0.3)
+
+
 @dataclass(frozen=True)
 class ApproxSolution:
     a: float
@@ -203,8 +207,8 @@ class SpecialTrajectory:
         return float(np.polyfit(self.times[m], np.log(series[m]), 1)[0])
 
     def hn_gap_rate(self) -> float:
-        """Decay rate of |hn_gap|, fitted where e^{-lambda1 t} lies in [0.02, 0.3]."""
-        return -self.fitted_slope(np.abs(self.hn_gap), 0.02, 0.3)
+        """Decay rate of |hn_gap|, fitted where e^{-lambda1 t} lies in HN_GAP_WINDOW."""
+        return -self.fitted_slope(np.abs(self.hn_gap), *HN_GAP_WINDOW)
 
 
 def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far: float,

@@ -72,7 +72,7 @@ from .grid import (GRID_CACHE_SIZE, FieldPair, RadialGrid, h1dot_gradients,
 from .groundstate import (GroundStateBundle, _interp_component, build_bundle,
                           build_directions, transform_T)
 from .linops import (BlockOperatorE, PairOperator, assemble_E, assemble_L,
-                     build_block_E, form_rows, pack_real, quad_form, stack_pair,
+                     build_block_E, form_ops, form_rows, pack_real, quad_form, stack_pair,
                      unpack_real, unstack_pair, weighted_norm)
 
 
@@ -124,12 +124,6 @@ class SqrtEI:
 
     def apply_sym(self, vec: np.ndarray) -> np.ndarray:
         return self.basis @ (self.sqrt_eigs * (self.basis.T @ vec))
-
-    def project_out_kernel(self, stacked: np.ndarray) -> np.ndarray:
-        d = np.tile(self.op.grid.sqrt_masses, 2)
-        v0 = self.basis[:, self.kernel_index]
-        y = d * stacked
-        return (y - (v0 @ y) * v0) / d
 
 
 def sqrt_ei(e_i: PairOperator, bundle: GroundStateBundle,
@@ -363,7 +357,7 @@ def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralR
     # the overall sign through the kinetic pairing of Re e+ with T(bQ)
     ops = (block.e_r, block.e_i)
     ep = unstack_pair(grid, z, bundle.kappa)
-    pairing = quad_form(ep, ep.conj(), "phi_e", bundle, ops)
+    pairing = quad_form(ep, ep.conj(), ops)
     if abs(pairing) < 1e-300:
         raise SpectrumError("Phi_E(e+, e-) vanished; eigenpair degenerate")
     scale = 1.0 / math.sqrt(abs(pairing))
@@ -372,9 +366,9 @@ def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralR
     ep = unstack_pair(grid, scale * z, bundle.kappa)
     em = ep.conj()
     norm_sq = weighted_norm(grid, stack_pair(ep)) ** 2
-    phi_p = quad_form(ep, ep, "phi_e", bundle, ops) / norm_sq
-    phi_m = quad_form(em, em, "phi_e", bundle, ops) / norm_sq
-    normalization = quad_form(ep, em, "phi_e", bundle, ops)
+    phi_p = quad_form(ep, ep, ops) / norm_sq
+    phi_m = quad_form(em, em, ops) / norm_sq
+    normalization = quad_form(ep, em, ops)
 
     # the two certificates: ker(E_I) is one-dimensional, and E_R has one
     # negative direction on its complement (the inertia of TT)
@@ -512,7 +506,7 @@ def coercivity_sample(which: str, trials: int, seed: int,
     dirs = build_directions(bundle)
     real_only = which in ("L_I", "E_I")
     if which == "phi_G":
-        ops = (assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I"))
+        ops = form_ops(bundle, "phi")
         zq = stack_pair(bundle.q_vec)
         forms = [lambda z: form_rows(ops, zq, z)]
         h1_dirs = [dirs["i_q1"], dirs["lambda_q"]]
@@ -520,18 +514,14 @@ def coercivity_sample(which: str, trials: int, seed: int,
     elif which == "phi_e_Gtilde":
         if spectral is None:
             raise ValueError("phi_e_Gtilde sampling needs the spectral result")
-        ops = (assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I"))
+        ops = form_ops(bundle, "phi_e")
         zp, zm = stack_pair(spectral.e_plus), stack_pair(spectral.e_minus)
         forms = [lambda z: form_rows(ops, z, zp), lambda z: form_rows(ops, z, zm)]
         h1_dirs = [dirs["t_i_q1"], dirs["t_lambda_q"]]
         directions = [spectral.e_plus, spectral.e_minus, dirs["t_i_q1"], dirs["t_lambda_q"]]
     elif real_only:
-        if which == "L_I":
-            op = assemble_L(bundle, "L_I")
-            dvec = bundle.q1_vec
-        else:
-            op = assemble_E(bundle, "E_I")
-            dvec = transform_T(bundle.q1_vec)
+        op = assemble_L(bundle, which) if which == "L_I" else assemble_E(bundle, which)
+        dvec = bundle.q1_vec if which == "L_I" else transform_T(bundle.q1_vec)
         forms = []
         h1_dirs = directions = [dvec]
     else:

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from qnls6.grid import RadialGrid, h1dot_norm, integrate6_samples, pair_from_arrays
 from qnls6.groundstate import build_bundle, elliptic_residual, q_closed_form, transform_T
 from qnls6.functionals import energy, hamiltonian, interaction, variational_constants
-from qnls6.linops import assemble_E, assemble_L, build_block_E, quad_form
+from qnls6.linops import assemble_E, assemble_L, build_block_E, form_ops, quad_form
 from qnls6.spectrum import (coercivity_sample, dense_cross_check, eigenpair_e,
                             lambda1_inverse_iteration)
 from qnls6.special import (approx_profiles, construct_g, default_fit_window,
@@ -172,8 +172,7 @@ def test_criterion_6_lambda1(spectrum_1024, grid_2048):
 
 def test_criterion_7_form_signs(spectrum_1024):
     bundle, spectral = spectrum_1024
-    ops = (assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I"))
-    phi_tq = quad_form(bundle.t_q, bundle.t_q, "phi_e", bundle, ops)
+    phi_tq = quad_form(bundle.t_q, bundle.t_q, form_ops(bundle, "phi_e"))
     ok = (phi_tq < 0
           and abs(spectral.phi_e_plus) <= 1e-8
           and abs(spectral.phi_e_minus) <= 1e-8

@@ -394,6 +394,90 @@ kappa = 0.5
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [special] {key}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("scenario,body", [
+        ("evolve", "[evolution]\nt_end = 0.1\n[special]\nn = 64\nn_snapshots = 2\n"
+                   "[sweep]\nrecipe = gplus\n"),
+        ("special", "[special]\nn = 64\ndt = 0.01\ndata_eps = 0.5\nn_snapshots = 20\n"
+                    "window_lo = 0.5\nwindow_hi = 1\nwindow1_lo = 0.5\nwindow1_hi = 0.95\n"),
+    ], ids=["gplus-two-snapshots", "special-delta-rate-window-empty"])
+    def test_threshold_sampling_is_config_error_before_shooting(self, tmp_path, capsys,
+                                                                monkeypatch, scenario, body):
+        # the [special] sampling checks of qnls6 special hold for the threshold
+        # recipes too, and cover the fixed window of hn_gap_rate (delta_rate, G+-)
+        import qnls6.special as special_mod
+
+        def no_shooting(*args, **kwargs):
+            raise AssertionError("a leg was stepped")
+        monkeypatch.setattr(special_mod, "run_batch", no_shooting)
+        cfg = self._write(tmp_path, f"scenario = {scenario}\n[grid]\nn = 64\n[physics]\n"
+                                    f"kappa = 0.5\n{body}")
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "[special]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario,body,name", [
+        ("special", "[special]\na_values = 1, abc\n", "[special] a_values"),
+        ("evolve", "[evolution]\nn = 64\n[sweep]\nrecipe = qscale:abc\n",
+         "recipe 'qscale:abc'"),
+    ], ids=["a-values", "recipe"])
+    def test_unparseable_number_names_its_key(self, tmp_path, capsys, scenario, body, name):
+        cfg = self._write(tmp_path, f"scenario = {scenario}\n[physics]\nkappa = 0.5\n{body}")
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert name in err
+
+    CHK_RUN = ("scenario = evolve\n[grid]\nn = {n}\n[physics]\nkappa = {kappa}\n"
+               "[evolution]\nt_end = 0.05\n[sweep]\nrecipe = {recipe}\n")
+
+    def test_chk_recipe_starts_from_the_checkpointed_state(self, tmp_path, monkeypatch):
+        # run A writes final_run0.chk; run B, seeded from it, starts from A's
+        # final state bit for bit, on the same grid and kappa
+        import qnls6.cli as cli_mod
+        calls = []
+
+        def spy(u0s, *args, **kwargs):
+            records = run_batch(u0s, *args, **kwargs)
+            calls.append((list(u0s), records))
+            return records
+        run_batch = cli_mod.run_batch
+        monkeypatch.setattr(cli_mod, "run_batch", spy)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        cfg_a = self._write(tmp_path, self.CHK_RUN.format(n=64, kappa=0.5, recipe="qscale:0.9"))
+        assert main(["evolve", "--config", cfg_a, "--out", str(out_a)]) == 0
+        cfg_b = self._write(tmp_path, self.CHK_RUN.format(
+            n=64, kappa=0.5, recipe=f"chk:{out_a / 'final_run0.chk'}"))
+        assert main(["evolve", "--config", cfg_b, "--out", str(out_b)]) == 0
+        final_a = calls[0][1][0].final_state
+        [initial_b] = calls[1][0]
+        assert initial_b.grid == final_a.grid and initial_b.kappa == final_a.kappa
+        assert np.array_equal(initial_b.u, final_a.u) and np.array_equal(initial_b.v, final_a.v)
+        run_b = json.loads((out_b / "evolve.summary.json").read_text())["runs"][0]
+        assert run_b["termination"] == "completed"
+        assert run_b["final_time"] == pytest.approx(0.05)     # restarted at t = 0
+
+    @pytest.mark.parametrize("n,kappa,truncate", [(96, 0.5, False), (64, 1.0, False),
+                                                  (64, 0.5, True)],
+                             ids=["other-grid", "other-kappa", "truncated"])
+    def test_chk_recipe_refuses_a_foreign_checkpoint(self, tmp_path, capsys, monkeypatch,
+                                                     n, kappa, truncate):
+        import qnls6.cli as cli_mod
+        cfg = self._write(tmp_path, self.CHK_RUN.format(n=64, kappa=0.5, recipe="qscale:0.9"))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        chk = tmp_path / "a" / "final_run0.chk"
+        if truncate:
+            chk.write_bytes(chk.read_bytes()[:-8])
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a bundle was built")
+        monkeypatch.setattr(cli_mod, "build_bundle", no_build)
+        capsys.readouterr()
+        cfg = self._write(tmp_path, self.CHK_RUN.format(n=n, kappa=kappa, recipe=f"chk:{chk}"))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: recipe 'chk:") and err.count("\n") == 1
+
     def test_short_run_reports_nan_virial_checks(self, tmp_path, capsys):
         # 20 steps at monitor_stride 20: two monitor points, too few for the
         # centered-difference identity checks, which read NaN; the run succeeds

@@ -5,10 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from qnls6.functionals import (VirialWeight, check_inequalities, conserved_set,
-                               energy, f_infinity_gap, gap_delta, hamiltonian,
-                               hamiltonian_n, interaction, mass6, mass_type_vr,
-                               momentum, phi_profile, variational_constants,
+from qnls6.functionals import (VirialWeight, check_inequalities, energy, f_infinity_gap,
+                               gap_delta, hamiltonian, hamiltonian_n, interaction,
+                               mass_type_vr, phi_profile, variational_constants,
                                virial_F, virial_I)
 from qnls6.grid import pair_from_arrays, radial_derivative
 from qnls6.groundstate import apply_symmetry, q_closed_form
@@ -59,16 +58,6 @@ class TestConserved:
         rng = np.random.default_rng(12)
         u = random_pair(mid_grid, 0.5, rng)
         assert hamiltonian_n(u) > hamiltonian(u)  # kappa vs kappa/2 weight
-
-    def test_momentum_zero(self, mid_grid):
-        assert np.all(momentum(zero_pair(mid_grid)) == 0.0)
-
-    def test_conserved_set_consistency(self, mid_grid):
-        rng = np.random.default_rng(13)
-        u = random_pair(mid_grid, 0.5, rng)
-        cs = conserved_set(u)
-        assert cs.E == pytest.approx(0.5 * (cs.H - cs.P), rel=1e-15)
-        assert cs.mass == pytest.approx(mass6(u), rel=1e-15)
 
 
 class TestGap:

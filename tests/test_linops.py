@@ -7,9 +7,8 @@ from scipy.optimize import brentq
 from qnls6.grid import laplacian6, pair_from_arrays, RadialField, RadialGrid
 from qnls6.functionals import energy, hamiltonian, interaction
 from qnls6.groundstate import build_bundle, build_directions, transform_T
-from qnls6.linops import (assemble_E, assemble_L, bilinear_N, build_block_E,
-                          export_triplets, nonlinear_map, quad_form, stack_pair,
-                          unstack_pair)
+from qnls6.linops import (assemble_E, assemble_L, bilinear_N, build_block_E, form_ops,
+                          quad_form, stack_pair, unstack_pair)
 from conftest import random_pair
 
 
@@ -83,20 +82,19 @@ class TestBlocks:
 
 class TestForms:
     def test_phi_negative_at_q(self, bundle_mid):
-        val = quad_form(bundle_mid.q_vec, bundle_mid.q_vec, "phi", bundle_mid)
+        val = quad_form(bundle_mid.q_vec, bundle_mid.q_vec, form_ops(bundle_mid, "phi"))
         assert val < 0
 
     def test_phi_e_negative_at_tq(self, bundle_mid):
-        val = quad_form(bundle_mid.t_q, bundle_mid.t_q, "phi_e", bundle_mid)
+        val = quad_form(bundle_mid.t_q, bundle_mid.t_q, form_ops(bundle_mid, "phi_e"))
         assert val < 0
 
     def test_phi_symmetric(self, bundle_mid):
         rng = np.random.default_rng(43)
         a = random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
         b = random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
-        ops = (assemble_L(bundle_mid, "L_R"), assemble_L(bundle_mid, "L_I"))
-        assert quad_form(a, b, "phi", bundle_mid, ops) == pytest.approx(
-            quad_form(b, a, "phi", bundle_mid, ops), rel=1e-12)
+        ops = form_ops(bundle_mid, "phi")
+        assert quad_form(a, b, ops) == pytest.approx(quad_form(b, a, ops), rel=1e-12)
 
     def test_phi_e_anti_selfadjoint_generator(self, bundle_mid_discrete):
         rng = np.random.default_rng(47)
@@ -108,57 +106,31 @@ class TestForms:
         def apply_E(p):
             out = block.apply_complex(stacked(p))
             return p.with_values(out[:bundle.grid.n], out[bundle.grid.n:])
-        lhs = quad_form(apply_E(g), h, "phi_e", bundle, ops)
-        rhs = -quad_form(g, apply_E(h), "phi_e", bundle, ops)
+        lhs = quad_form(apply_E(g), h, ops)
+        rhs = -quad_form(g, apply_E(h), ops)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_phi_e_degenerate_directions(self, bundle_mid_discrete):
         rng = np.random.default_rng(53)
         bundle = bundle_mid_discrete
         dirs = build_directions(bundle)
-        ops = (assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I"))
-        scale = abs(quad_form(bundle.t_q, bundle.t_q, "phi_e", bundle, ops))
+        ops = form_ops(bundle, "phi_e")
+        scale = abs(quad_form(bundle.t_q, bundle.t_q, ops))
         for _ in range(5):
             h = random_pair(bundle.grid, bundle.kappa, rng)
             for d in ("t_i_q1", "t_lambda_q"):
-                val = quad_form(h, dirs[d], "phi_e", bundle, ops)
+                val = quad_form(h, dirs[d], ops)
                 assert abs(val) < 5e-3 * scale
 
 
 class TestNonlinearMaps:
-    def test_zero(self, bundle_mid):
-        z = pair_from_arrays(bundle_mid.grid, np.zeros(bundle_mid.grid.n),
-                             np.zeros(bundle_mid.grid.n), bundle_mid.kappa)
-        for which in ("R", "N", "B", "K"):
-            out = nonlinear_map(z, which, bundle_mid)
-            assert np.all(out.u == 0) and np.all(out.v == 0)
-
-    def test_n_quadratic_homogeneity(self, bundle_mid):
-        rng = np.random.default_rng(59)
-        h = random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
-        doubled = nonlinear_map(2.0 * h, "N")
-        base = nonlinear_map(h, "N")
-        assert np.allclose(doubled.u, 4.0 * base.u)
-        assert np.allclose(doubled.v, 4.0 * base.v)
-
-    def test_map_formulas(self, bundle_mid):
-        rng = np.random.default_rng(61)
-        h = random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
-        q = bundle_mid.q_bg.values.real
-        k = bundle_mid.kappa
-        r_map = nonlinear_map(h, "R")
-        assert np.allclose(r_map.u, np.conj(h.u) * h.v)
-        b_map = nonlinear_map(h, "B", bundle_mid)
-        assert np.allclose(b_map.v, np.sqrt(2 * k) * q * h.u)
-        k_map = nonlinear_map(h, "K", bundle_mid)
-        assert np.allclose(k_map.v, 2 * np.sqrt(k) * q * h.u)
-
     def test_bilinear_polarization(self, bundle_mid):
         rng = np.random.default_rng(67)
         a = random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
         b = random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
-        lhs = nonlinear_map(a + b, "N")
-        rhs = nonlinear_map(a, "N") + 2.0 * bilinear_N(a, b) + nonlinear_map(b, "N")
+        # N(a) = B_N(a, a)
+        lhs = bilinear_N(a + b, a + b)
+        rhs = bilinear_N(a, a) + 2.0 * bilinear_N(a, b) + bilinear_N(b, b)
         assert np.allclose(lhs.u, rhs.u) and np.allclose(lhs.v, rhs.v)
 
     def test_energy_matched_cubic_identity(self, bundle_mid):
@@ -172,22 +144,10 @@ class TestNonlinearMaps:
             hi *= 2
         s = brentq(fn, lo, hi)
         h = s * d
-        phi = quad_form(h, h, "phi", bundle_mid)
+        phi = quad_form(h, h, form_ops(bundle_mid, "phi"))
         w = bundle_mid.grid.quad_weights
         cubic = 0.5 * np.real(np.sum(w * h.u ** 2 * np.conj(h.v)))
         assert phi == pytest.approx(cubic, rel=2e-3, abs=1e-10)
-
-
-class TestExport:
-    def test_triplets_roundtrip(self, bundle_mid, tmp_path):
-        op = assemble_L(bundle_mid, "L_R")
-        path = tmp_path / "lr.txt"
-        export_triplets(op, str(path))
-        rows = [ln.split() for ln in path.read_text().splitlines() if not ln.startswith("#")]
-        mat = op.mat.tocoo()
-        assert len(rows) == mat.nnz
-        i, j, v = rows[0]
-        assert op.mat[int(i), int(j)] == pytest.approx(float(v))
 
 
 class TestDiagonalizationTrick:

@@ -3,9 +3,10 @@ import pytest
 
 from qnls6.functionals import hamiltonian
 from qnls6.groundstate import apply_symmetry
+from qnls6.grid import h1dot_inner
+from qnls6.linops import quad_form
 from qnls6.modulation import (ModulationError, ModulationFrame, comparability_band,
-                              decompose, orthogonality_residuals, track,
-                              verify_rate_bound)
+                              decompose, track, verify_rate_bound)
 from conftest import random_pair
 
 
@@ -49,14 +50,12 @@ class TestDecompose:
         u = bundle_mid.q_vec + 0.01 * random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
         pt, h = decompose(u, frame=frame)
         assert pt.converged
-        res = orthogonality_residuals(h, frame)
-        from qnls6.grid import h1dot_inner
         scale = hamiltonian(bundle_mid.q_vec)
         # the lambda direction inherits the discrete (Q, Lambda Q) defect
         defect = abs(h1dot_inner(bundle_mid.q_vec, bundle_mid.lambda_q))
-        assert abs(res["i_q1"]) < 1e-8 * scale
-        assert abs(res["lambda_q"]) < 3 * defect + 1e-8 * scale
-        assert abs(res["phi_Q_h"]) < 1e-9 * scale
+        assert abs(h1dot_inner(h, frame.dirs["i_q1"])) < 1e-8 * scale
+        assert abs(h1dot_inner(h, frame.dirs["lambda_q"])) < 3 * defect + 1e-8 * scale
+        assert abs(quad_form(bundle_mid.q_vec, h, frame.ops)) < 1e-9 * scale
 
     def test_equivariance(self, bundle_mid, frame):
         rng = np.random.default_rng(303)

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from qnls6.grid import RadialGrid, h1dot_inner, h1dot_norm, pair_from_arrays
 from qnls6.groundstate import build_bundle, build_directions, transform_T
-from qnls6.linops import assemble_E, assemble_L, build_block_E, quad_form
+from qnls6.linops import assemble_E, assemble_L, build_block_E, form_ops, quad_form
 from qnls6.spectrum import (SpectrumError, coercivity_sample, dense_cross_check,
                             eigenpair_e, lambda1_inverse_iteration,
                             negative_eigenpair_tt, random_decaying_batch,
@@ -17,6 +17,14 @@ def _stack(p):
     return np.concatenate([p.u, p.v])
 
 
+def _project_out_kernel(root, stacked):
+    # the kernel channel of the square root removed, in symmetrized coordinates
+    d = np.tile(root.op.grid.sqrt_masses, 2)
+    v0 = root.basis[:, root.kernel_index]
+    y = d * stacked
+    return (y - (v0 @ y) * v0) / d
+
+
 class TestSqrtEI:
     def test_square_reproduces_ei(self, bundle_mid_discrete):
         bundle = bundle_mid_discrete
@@ -24,7 +32,7 @@ class TestSqrtEI:
         root = sqrt_ei(block.e_i, bundle)
         rng = np.random.default_rng(81)
         v = random_pair(bundle.grid, bundle.kappa, rng, real=True)
-        vec = root.project_out_kernel(_stack(v).real)
+        vec = _project_out_kernel(root, _stack(v).real)
         twice = root.apply(root.apply(vec))
         direct = block.e_i.mat @ vec
         err = np.linalg.norm(twice - direct) / np.linalg.norm(direct)
@@ -44,7 +52,7 @@ class TestSqrtEI:
         rng = np.random.default_rng(83)
         for _ in range(5):
             v = _stack(random_pair(bundle.grid, bundle.kappa, rng, real=True)).real
-            v = root.project_out_kernel(v)
+            v = _project_out_kernel(root, v)
             half = root.apply(v)
             m = bundle.grid.cell_masses
             w2 = np.concatenate([m, m])
@@ -132,7 +140,7 @@ def _dense_oracle(bundle, polish_iterations=3):
         lam = float(x @ (S @ x))
     e1, e2 = x[:2 * n] / d, x[2 * n:] / d
     ep = pair_from_arrays(grid, e1[:n] + 1j * e2[:n], e1[n:] + 1j * e2[n:], bundle.kappa)
-    ep = (1.0 / np.sqrt(abs(quad_form(ep, ep.conj(), "phi_e", bundle)))) * ep
+    ep = (1.0 / np.sqrt(abs(quad_form(ep, ep.conj(), form_ops(bundle, "phi_e"))))) * ep
     lap = grid.laplacian_matrix("dirichlet", 2)
     w = np.pi ** 3 * m
     pairing = (np.sum(w * (-(lap @ ep.u.real)) * bundle.t_q.u.real)
@@ -243,15 +251,15 @@ class TestCoercivity:
     def test_degenerate_direction_value(self, bundle_mid, spectral_mid):
         # T(Lambda Q) sits in the kernel sector: Phi_E vanishes there
         bundle = bundle_mid
-        ops = (assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I"))
+        ops = form_ops(bundle, "phi_e")
         tlq = bundle.t_lambda_q
-        val = quad_form(tlq, tlq, "phi_e", bundle, ops)
-        scale = abs(quad_form(bundle.t_q, bundle.t_q, "phi_e", bundle, ops))
+        val = quad_form(tlq, tlq, ops)
+        scale = abs(quad_form(bundle.t_q, bundle.t_q, ops))
         assert abs(val) < 1e-3 * scale
 
     def test_sanity_direction_negative(self, bundle_mid):
         bundle = bundle_mid
-        val = quad_form(bundle.t_q, bundle.t_q, "phi_e", bundle)
+        val = quad_form(bundle.t_q, bundle.t_q, form_ops(bundle, "phi_e"))
         assert val < 0
 
     def test_trials_validated(self, bundle_mid):
@@ -292,21 +300,21 @@ class TestBatchedCoercivity:
         modes = [grid.nodes ** p * np.exp(-s * grid.nodes ** 2)
                  for p in (0, 1, 2, 3) for s in (0.3, 0.6, 1.2, 2.5)]
         if which == "phi_G":
-            ops = (assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I"))
-            constraints = [lambda h: quad_form(bundle.q_vec, h, "phi", bundle, ops),
+            ops = form_ops(bundle, "phi")
+            constraints = [lambda h: quad_form(bundle.q_vec, h, ops),
                            lambda h: h1dot_inner(dirs["i_q1"], h),
                            lambda h: h1dot_inner(dirs["lambda_q"], h)]
             directions = [dirs["q"], dirs["i_q1"], dirs["lambda_q"]]
-            form = lambda h: quad_form(h, h, "phi", bundle, ops)
+            form = lambda h: quad_form(h, h, ops)
         elif which == "phi_e_Gtilde":
-            ops = (assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I"))
+            ops = form_ops(bundle, "phi_e")
             ep, em = spectral.e_plus, spectral.e_minus
-            constraints = [lambda h: quad_form(h, ep, "phi_e", bundle, ops),
-                           lambda h: quad_form(h, em, "phi_e", bundle, ops),
+            constraints = [lambda h: quad_form(h, ep, ops),
+                           lambda h: quad_form(h, em, ops),
                            lambda h: h1dot_inner(dirs["t_i_q1"], h),
                            lambda h: h1dot_inner(dirs["t_lambda_q"], h)]
             directions = [ep, em, dirs["t_i_q1"], dirs["t_lambda_q"]]
-            form = lambda h: quad_form(h, h, "phi_e", bundle, ops)
+            form = lambda h: quad_form(h, h, ops)
         else:
             op = assemble_L(bundle, "L_I") if which == "L_I" else assemble_E(bundle, "E_I")
             dvec = bundle.q1_vec if which == "L_I" else transform_T(bundle.q1_vec)
