@@ -509,10 +509,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     outdir = cfg.output_dir
+    created = not os.path.isdir(outdir)
     os.makedirs(outdir, exist_ok=True)
     try:
         summary = _SCENARIO_FNS[args.scenario](cfg, outdir)
     except ConfigError as exc:   # an input the scenario cannot use (a leg, a checkpoint)
+        if created and not os.listdir(outdir):
+            os.rmdir(outdir)   # a refused run leaves no --out behind
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except _NUMERICAL_ERRORS as exc:

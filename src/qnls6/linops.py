@@ -51,9 +51,6 @@ class PairOperator:
     def n(self) -> int:
         return self.grid.n
 
-    def apply(self, stacked: np.ndarray) -> np.ndarray:
-        return self.mat @ stacked
-
     def op_weights(self) -> np.ndarray:
         return np.tile(self.grid.op_weights, 2)
 

@@ -127,7 +127,7 @@ def test_criterion_4_integral_oracle(bundle_2048):
 
 def test_criterion_5_kernels(bundle_2048):
     def relres(op, vec):
-        out = op.apply(np.concatenate([vec.u, vec.v]).real)
+        out = op.mat @ np.concatenate([vec.u, vec.v]).real
         w = op.op_weights()
         kin = op.grid.laplacian_matrix(op.boundary, op.order)
         scale = np.sqrt(np.sum(w[:op.n] * np.abs(kin @ vec.u.real) ** 2)

@@ -478,6 +478,22 @@ kappa = 0.5
         err = capsys.readouterr().err
         assert err.startswith("config error: recipe 'chk:") and err.count("\n") == 1
 
+    def test_refused_run_leaves_no_new_out_dir(self, tmp_path, capsys):
+        # a checkpoint of another grid is refused inside the scenario: the
+        # --out it created is removed, one that was there already is kept
+        cfg = self._write(tmp_path, self.CHK_RUN.format(n=64, kappa=0.5, recipe="qscale:0.9"))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        cfg = self._write(tmp_path, self.CHK_RUN.format(
+            n=96, kappa=0.5, recipe=f"chk:{tmp_path / 'a' / 'final_run0.chk'}"))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+        assert not (tmp_path / "b").exists()
+        kept = tmp_path / "c"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("kept")
+        assert main(["evolve", "--config", cfg, "--out", str(kept)]) == 1
+        assert (kept / "notes.txt").read_text() == "kept"
+        assert capsys.readouterr().err.count("config error: recipe 'chk:") == 2
+
     def test_short_run_reports_nan_virial_checks(self, tmp_path, capsys):
         # 20 steps at monitor_stride 20: two monitor points, too few for the
         # centered-difference identity checks, which read NaN; the run succeeds

@@ -17,7 +17,7 @@ def stacked(p):
 
 
 def rel_kernel_residual(op, vec):
-    out = op.apply(stacked(vec).real)
+    out = op.mat @ stacked(vec).real
     w = op.op_weights()
     kin = op.grid.laplacian_matrix(op.boundary, op.order)
     scale = np.sqrt(np.sum(w[:op.n] * np.abs(kin @ vec.u.real) ** 2)
@@ -56,7 +56,7 @@ class TestBlocks:
         gv = np.exp(-g.nodes ** 2)
         vec = pair_from_arrays(g, np.zeros(g.n), gv, bundle_mid.kappa)
         op = assemble_L(bundle_mid, "L_R")
-        out = op.apply(stacked(vec).real)
+        out = op.mat @ stacked(vec).real
         k = bundle_mid.kappa
         expected_first = -np.sqrt(k) * bundle_mid.q.values.real * gv
         lap = g.laplacian_matrix("dirichlet", 2)

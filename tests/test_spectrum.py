@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -15,6 +16,12 @@ from conftest import random_pair
 
 def _stack(p):
     return np.concatenate([p.u, p.v])
+
+
+def _root_apply(root, stacked):
+    # E_I^{1/2} on nodal values: the symmetrized root in cell-mass coordinates
+    d = np.tile(root.op.grid.sqrt_masses, 2)
+    return root.apply_sym(d * stacked) / d
 
 
 def _project_out_kernel(root, stacked):
@@ -33,7 +40,7 @@ class TestSqrtEI:
         rng = np.random.default_rng(81)
         v = random_pair(bundle.grid, bundle.kappa, rng, real=True)
         vec = _project_out_kernel(root, _stack(v).real)
-        twice = root.apply(root.apply(vec))
+        twice = _root_apply(root, _root_apply(root, vec))
         direct = block.e_i.mat @ vec
         err = np.linalg.norm(twice - direct) / np.linalg.norm(direct)
         assert err < 5e-4   # kernel channel carries the truncation obstruction
@@ -42,7 +49,7 @@ class TestSqrtEI:
         bundle = bundle_mid_discrete
         root = sqrt_ei(build_block_E(bundle).e_i, bundle)
         tq1 = transform_T(bundle.q1_vec)
-        out = root.apply(_stack(tq1).real)
+        out = _root_apply(root, _stack(tq1).real)
         assert np.linalg.norm(out) < 1e-2 * np.linalg.norm(_stack(tq1).real)
 
     def test_positivity(self, bundle_mid_discrete):
@@ -53,7 +60,7 @@ class TestSqrtEI:
         for _ in range(5):
             v = _stack(random_pair(bundle.grid, bundle.kappa, rng, real=True)).real
             v = _project_out_kernel(root, v)
-            half = root.apply(v)
+            half = _root_apply(root, v)
             m = bundle.grid.cell_masses
             w2 = np.concatenate([m, m])
             lhs = np.sum(w2 * half * half)
@@ -207,6 +214,17 @@ class TestSparseRoute:
             negative_eigenpair_tt(block.e_r, root, tol_scale=1.0)
 
 
+def _full_spectrum_check(bundle):
+    # the oracle: all 4n eigenvalues of the cell-mass scaled D script_E D^{-1}
+    # from one 4n x 4n eigensolve, counted by the same classification
+    from qnls6.spectrum import _dense_counts
+    D4 = np.tile(bundle.grid.sqrt_masses, 4)
+    M = build_block_E(bundle).sparse_real().toarray(order="F")
+    M *= D4[:, None]
+    M /= D4[None, :]
+    return _dense_counts(sla.eigvals(M, overwrite_a=True))
+
+
 class TestDenseCrossCheck:
     @pytest.fixture(scope="class")
     def cross(self):
@@ -224,6 +242,21 @@ class TestDenseCrossCheck:
 
     def test_lambda_agrees_with_symmetric_route(self, cross, spectral_mid):
         assert abs(cross["lambda1_dense"] - spectral_mid.lambda1) / spectral_mid.lambda1 < 1e-2
+
+    @pytest.mark.parametrize("n", [192, 96], ids=["class-grid", "ci-cross-grid"])
+    def test_squared_route_matches_the_full_eigensolve(self, n):
+        bundle = build_bundle(RadialGrid(n=n, r_max=60.0, stretch=9.0), 0.5)
+        full = _full_spectrum_check(bundle)
+        cross = dense_cross_check(bundle)
+        assert cross["n_real"] == full["n_real"]
+        assert cross["n_near_zero"] == full["n_near_zero"]
+        assert cross["lambda1_dense"] == pytest.approx(full["lambda1_dense"], rel=1e-8)
+        assert cross["real_eigs"] == pytest.approx(full["real_eigs"], rel=1e-8)
+        assert cross["spectral_scale"] == pytest.approx(full["spectral_scale"], rel=1e-10)
+        # squaring makes the +- pairing structural; the full spectrum has to
+        # show it on its own
+        lams = full["real_eigs"]
+        assert lams == pytest.approx([-x for x in reversed(lams)], rel=1e-8)
 
 
 class TestCoercivity:
