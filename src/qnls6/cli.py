@@ -505,12 +505,12 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output_dir = args.out
         cfg.validate()
+        outdir = cfg.output_dir
+        created = not os.path.isdir(outdir)
+        os.makedirs(outdir, exist_ok=True)   # an --out naming a file: OSError
     except (OSError, ValueError) as exc:   # ConfigError, malformed JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    outdir = cfg.output_dir
-    created = not os.path.isdir(outdir)
-    os.makedirs(outdir, exist_ok=True)
     try:
         summary = _SCENARIO_FNS[args.scenario](cfg, outdir)
     except ConfigError as exc:   # an input the scenario cannot use (a leg, a checkpoint)

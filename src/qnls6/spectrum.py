@@ -6,21 +6,24 @@ with eigenfunctions e+- = e1 +- i e2 (E_R e1 = lambda1 e2, -E_I e2 = lambda1 e1)
 
 eigenpair_e finds them in O(n) memory at every n, on one code path:
 
-1. Seed.  The dense symmetric-product route runs on the grid of the same
-   family (r_max, mapping, stretch, background) with n_c = min(n, SEED_N)
-   nodes: E_I >= 0 has the one-dimensional kernel span{T(bQ1)}, so its
-   symmetric square root with that channel projected out exists
-   (sqrt_ei), and TT = E_I^{1/2} E_R E_I^{1/2} has a single negative
-   eigenvalue mu_c = -lambda_c^2 (negative_eigenpair_tt).  Its pair
-   e1 = E_I^{1/2} g, e2 = E_R e1 / lambda_c is interpolated to the target
-   nodes.  TT is formed only here: its spectral scale grows like n^4, so a
-   cut relative to it rejects mu on fine grids.
+1. Seed.  Only the shift lambda_c is taken from the dense symmetric-product
+   route, run on the grid of the same family (r_max, mapping, stretch,
+   background) with n_c = min(n, SEED_N) nodes: E_I >= 0 has the
+   one-dimensional kernel span{T(bQ1)}, so its symmetric square root with
+   that channel projected out exists (sqrt_ei), and TT = E_I^{1/2} E_R
+   E_I^{1/2} has a single negative eigenvalue mu_c = -lambda_c^2
+   (negative_eigenpair_tt).  TT is formed only here: its spectral scale
+   grows like n^4, so a cut relative to it rejects mu on fine grids.
 2. Shift-invert.  Inverse iteration on the sparse 4n system (one splu
-   factorization at lambda_c) from the seed, then the Rayleigh-quotient
-   polish, which re-factors at each new quotient and leaves an exact
-   discrete eigenvector; that makes Phi_E(e+-) vanish identically (for an
-   exact pair <E_R e1, e1> = lambda <e1, e2> = -<E_I e2, e2>).
-   lambda1_inverse_iteration is the same iteration from a random start.
+   factorization at lambda_c) from a fixed random start, then the
+   Rayleigh-quotient polish, which re-factors at each new quotient and
+   leaves an exact discrete eigenvector; that makes Phi_E(e+-) vanish
+   identically (for an exact pair <E_R e1, e1> = lambda <e1, e2> =
+   -<E_I e2, e2>).  The rest of the spectrum lies on the imaginary axis, at
+   least lambda_c from the shift, so no start vector is needed from the
+   seed (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, on inverse
+   iteration).  lambda1_inverse_iteration is the same iteration from the
+   same start, without the polish.
 3. Certificates, in place of the two dense eigendecompositions (Sylvester's
    law of inertia; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
    With the components interleaved, the symmetrized E_I and E_R are banded
@@ -69,10 +72,9 @@ import scipy.sparse.linalg as spla
 
 from .grid import (GRID_CACHE_SIZE, FieldPair, RadialGrid, h1dot_gradients,
                    pair_gradients)
-from .groundstate import (GroundStateBundle, _interp_component, build_bundle,
-                          build_directions, transform_T)
+from .groundstate import GroundStateBundle, build_bundle, build_directions, transform_T
 from .linops import (BlockOperatorE, PairOperator, assemble_E, assemble_L,
-                     build_block_E, form_ops, form_rows, pack_real, quad_form, stack_pair,
+                     build_block_E, form_ops, form_rows, quad_form, stack_pair,
                      unpack_real, unstack_pair, weighted_norm)
 
 
@@ -80,9 +82,11 @@ class SpectrumError(RuntimeError):
     pass
 
 
-# The dense symmetric product is formed at min(n, SEED_N) nodes only, to seed
-# the shift (a 2 SEED_N square eigh); see the module docstring.
-SEED_N = 256
+# The dense symmetric product is formed at min(n, SEED_N) nodes only, for the
+# shift lambda_c (two 2 SEED_N square eigh).  At 96 nodes lambda_c is within
+# 0.3 % of lambda1 for kappa in [0.25, 4] (at 32 nodes, 2.2 %, and eigenpair_e
+# still converges); see the module docstring.
+SEED_N = 96
 # Solves with the one factorization at the seed's lambda before the
 # Rayleigh-quotient polish, and the re-factored solves of the polish.
 FIXED_SHIFT_SOLVES = 3
@@ -191,14 +195,14 @@ class SpectralResult:
     e_minus: FieldPair
     normalization: float       # Phi_E(e+, e-) after rescaling (= -1 by convention)
     residual: float            # ||script_E e+ - lambda1 e+|| / ||e+||, weighted L2
-    residual_unpolished: float  # the same for the seed pair, lambda_c on this grid
     phi_e_plus: float          # Phi_E(e+) relative to ||e+||^2
     phi_e_minus: float
     mu: float                  # -lambda1^2, the negative eigenvalue of TT
     kernel_eig: float          # the eigenvalue of E_I under the clip
     n: int
-    # n_negative (TT's negative count), tt_residual (of the seed's TT pair),
-    # seed_n (n_c), seed_lambda1 (lambda_c) and hn_pairing_sign_fixed
+    # n_negative (the certified negative count of TT), tt_residual (of the
+    # TT pair at n_c nodes), seed_n (n_c), seed_lambda1 (lambda_c, the shift)
+    # and hn_pairing_sign_fixed
     info: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -206,7 +210,6 @@ class SpectralResult:
             "lambda1": self.lambda1,
             "normalization": self.normalization,
             "residual": self.residual,
-            "residual_unpolished": self.residual_unpolished,
             "phi_e_plus_rel": self.phi_e_plus,
             "phi_e_minus_rel": self.phi_e_minus,
             "mu": self.mu,
@@ -230,13 +233,14 @@ def _symmetrized_generator(block: BlockOperatorE) -> tuple[sp.csr_matrix, np.nda
     return sp.diags(D4) @ block.sparse_real() @ sp.diags(1.0 / D4), D4
 
 
-def _shift_invert(S: sp.csr_matrix, shift: float, x: np.ndarray, fixed: int,
+def _shift_invert(S: sp.csr_matrix, shift: float, fixed: int,
                   rayleigh: int) -> tuple[float, np.ndarray]:
     """Shift-inverted iteration on the symmetrized generator S.
 
-    The first ``fixed`` solves reuse one factorization at ``shift``; each of
-    the ``rayleigh`` solves after them re-factors at the current Rayleigh
-    quotient (the polish).  Returns (lambda, unit iterate).
+    Starts from one fixed random vector, so every caller runs the same
+    iteration.  The first ``fixed`` solves reuse one factorization at
+    ``shift``; each of the ``rayleigh`` solves after them re-factors at the
+    current Rayleigh quotient (the polish).  Returns (lambda, unit iterate).
     """
     eye = sp.identity(S.shape[0], format="csc")
 
@@ -247,7 +251,8 @@ def _shift_invert(S: sp.csr_matrix, shift: float, x: np.ndarray, fixed: int,
             # s is an eigenvalue to machine precision: step off it
             return spla.splu((S - s * (1.0 + 1e-9) * eye).tocsc())
 
-    x = x / np.linalg.norm(x)
+    x = np.random.default_rng(7).standard_normal(S.shape[0])
+    x /= np.linalg.norm(x)
     lam = shift
     lu = factor(shift) if fixed else None
     for it in range(fixed + rayleigh):
@@ -261,15 +266,12 @@ def _shift_invert(S: sp.csr_matrix, shift: float, x: np.ndarray, fixed: int,
     return lam, x
 
 
-def _seed(bundle: GroundStateBundle, block: BlockOperatorE,
-          clip_rel: float) -> tuple[float, np.ndarray, dict]:
-    """lambda_c and the complex stacked e1 + i e2 of the symmetric-product route,
-    seeded coarse.
+def _seed(bundle: GroundStateBundle, block: BlockOperatorE, clip_rel: float) -> dict:
+    """The shift lambda_c from the dense symmetric-product route on a coarse grid.
 
-    The dense oracle (sqrt_ei, negative_eigenpair_tt) runs on the grid of the
-    same family (r_max, mapping, stretch, background) with
-    n_c = min(n, SEED_N) nodes; e1 = E_I^{1/2} g and e2 = E_R e1 / lambda_c
-    are interpolated to the nodes of the bundle's grid.
+    sqrt_ei and negative_eigenpair_tt run on the grid of the same family
+    (r_max, mapping, stretch, background) with n_c = min(n, SEED_N) nodes.
+    Returns seed_lambda1 (lambda_c), seed_n (n_c) and tt_residual.
     """
     grid = bundle.grid
     cgrid = RadialGrid(n=min(grid.n, SEED_N), r_max=grid.r_max,
@@ -279,16 +281,9 @@ def _seed(bundle: GroundStateBundle, block: BlockOperatorE,
     else:
         cbundle = build_bundle(cgrid, bundle.kappa, background=bundle.background)
         cblock = build_block_E(cbundle)
-    root = sqrt_ei(cblock.e_i, cbundle, clip_rel)
-    mu, g, info = negative_eigenpair_tt(cblock.e_r, root)
-    lam = math.sqrt(-mu)
-    e1 = root.apply_sym(g) / np.tile(cgrid.sqrt_masses, 2)
-    e2 = (cblock.e_r.mat @ e1) / lam
-    nc = cgrid.n
-    # columns: the first and second component of e1 + i e2, interpolated and
-    # stacked again
-    z = _interp_component(cgrid.nodes, (e1 + 1j * e2).reshape(2, nc).T, grid.nodes).T.ravel()
-    return lam, z, {"tt_residual": info["tt_residual"], "seed_n": nc, "seed_lambda1": lam}
+    mu, _, info = negative_eigenpair_tt(cblock.e_r, sqrt_ei(cblock.e_i, cbundle, clip_rel))
+    return {"tt_residual": info["tt_residual"], "seed_n": cgrid.n,
+            "seed_lambda1": math.sqrt(-mu)}
 
 
 def _ei_kernel_eig(e_i: PairOperator, clip_rel: float) -> float:
@@ -331,21 +326,16 @@ def _compressed_negative_count(e_r: PairOperator, k: np.ndarray, tol: float) -> 
 def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralResult:
     """Unstable eigenpair of script_E by shift-invert on the sparse generator.
 
-    Seeded by the symmetric-product pair at min(n, SEED_N) nodes; see the
-    module docstring for the route and its two certificates.
+    Shifted at the symmetric-product lambda_c of min(n, SEED_N) nodes; see
+    the module docstring for the route and its two certificates.
     """
     block = build_block_E(bundle)
     grid = bundle.grid
-    lam_c, z, info = _seed(bundle, block, clip_rel)
+    info = _seed(bundle, block, clip_rel)
     S, D4 = _symmetrized_generator(block)
-
-    def resid_of(y, lamv):
-        return weighted_norm(grid, block.apply_complex(y) - lamv * y) / weighted_norm(grid, y)
-
-    res0 = resid_of(z, lam_c)
-    lam, x = _shift_invert(S, lam_c, pack_real(z) * D4, FIXED_SHIFT_SOLVES, POLISH_SOLVES)
+    lam, x = _shift_invert(S, info["seed_lambda1"], FIXED_SHIFT_SOLVES, POLISH_SOLVES)
     z = unpack_real(x / D4)
-    res1 = resid_of(z, lam)
+    resid = weighted_norm(grid, block.apply_complex(z) - lam * z) / weighted_norm(grid, z)
 
     # normalization: |Phi_E(e+, e-)| = 1 (value itself is negative), then fix
     # the overall sign through the kinetic pairing of Re e+ with T(bQ)
@@ -374,7 +364,7 @@ def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralR
     info = {"n_negative": n_negative, **info, "hn_pairing_sign_fixed": True}
     return SpectralResult(lambda1=lam, e_plus=ep, e_minus=em,
                           normalization=float(normalization),
-                          residual=res1, residual_unpolished=res0,
+                          residual=resid,
                           phi_e_plus=float(phi_p), phi_e_minus=float(phi_m),
                           mu=-lam * lam, kernel_eig=kernel_eig, n=grid.n, info=info)
 
@@ -382,8 +372,7 @@ def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralR
 def lambda1_inverse_iteration(bundle: GroundStateBundle, lam_guess: float) -> float:
     """lambda1 on this grid by shift-inverted iteration only (refinement checks)."""
     S, _ = _symmetrized_generator(build_block_E(bundle))
-    x = np.random.default_rng(7).standard_normal(S.shape[0])
-    return _shift_invert(S, lam_guess, x, REFINE_SOLVES, 0)[0]
+    return _shift_invert(S, lam_guess, REFINE_SOLVES, 0)[0]
 
 
 # ---------------------------------------------------------------------------

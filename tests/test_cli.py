@@ -494,6 +494,24 @@ kappa = 0.5
         assert (kept / "notes.txt").read_text() == "kept"
         assert capsys.readouterr().err.count("config error: recipe 'chk:") == 2
 
+    def test_out_naming_a_file_is_one_config_error_line(self, tmp_path, capsys, monkeypatch):
+        # os.makedirs refuses an existing regular file: one line, exit 1,
+        # before any bundle is built, and the file is left as it was
+        import qnls6.cli as cli_mod
+
+        def no_bundle(*args, **kwargs):
+            raise AssertionError("a bundle was built")
+        monkeypatch.setattr(cli_mod, "build_bundle", no_bundle)
+        cfg = self._write(tmp_path, "scenario = ground-state\n[grid]\nn = 64\n"
+                                    "[physics]\nkappa = 0.5\n")
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert main(["ground-state", "--config", cfg, "--out", str(afile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and str(afile) in err
+        assert afile.read_text() == "kept"
+
     def test_short_run_reports_nan_virial_checks(self, tmp_path, capsys):
         # 20 steps at monitor_stride 20: two monitor points, too few for the
         # centered-difference identity checks, which read NaN; the run succeeds

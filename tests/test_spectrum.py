@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from qnls6.grid import RadialGrid, h1dot_inner, h1dot_norm, pair_from_arrays
 from qnls6.groundstate import build_bundle, build_directions, transform_T
 from qnls6.linops import assemble_E, assemble_L, build_block_E, form_ops, quad_form
-from qnls6.spectrum import (SpectrumError, coercivity_sample, dense_cross_check,
+from qnls6.spectrum import (SEED_N, SpectrumError, coercivity_sample, dense_cross_check,
                             eigenpair_e, lambda1_inverse_iteration,
                             negative_eigenpair_tt, random_decaying_batch,
                             shifted_solve_conditioning, sqrt_ei)
@@ -164,12 +164,17 @@ def _weighted_rel(grid, a, b):
 class TestSparseRoute:
     """eigenpair_e forms TT only at the seed size and shift-inverts on the target grid."""
 
-    @pytest.mark.parametrize("background", ["closed-form", "discrete"])
-    def test_matches_dense_oracle_at_512(self, background):
-        bundle = build_bundle(RadialGrid(n=512, r_max=200.0, stretch=29.0), 0.5,
+    @pytest.mark.parametrize("background,kappa,r_max,stretch", [
+        ("closed-form", 0.5, 200.0, 29.0),
+        ("discrete", 0.5, 200.0, 29.0),
+        ("closed-form", 0.5, 80.0, 9.0),
+        ("closed-form", 2.0, 200.0, 29.0),
+    ], ids=["closed-form", "discrete", "r_max-80-stretch-9", "kappa-2"])
+    def test_matches_dense_oracle_at_512(self, background, kappa, r_max, stretch):
+        bundle = build_bundle(RadialGrid(n=512, r_max=r_max, stretch=stretch), kappa,
                               background=background)
         s = eigenpair_e(bundle)
-        assert s.info["seed_n"] == 256
+        assert s.info["seed_n"] == SEED_N
         lam, ep = _dense_oracle(bundle)
         assert abs(s.lambda1 - lam) / lam < 1e-10
         assert _weighted_rel(bundle.grid, ep, s.e_plus) < 1e-10
@@ -185,14 +190,23 @@ class TestSparseRoute:
         assert fine.info["n_negative"] == 1
 
     def test_seed_is_the_dense_route_on_coarse_grids(self, bundle_mid, spectral_mid):
-        # at n <= SEED_N the seed runs on the grid itself
-        block = build_block_E(bundle_mid)
-        root = sqrt_ei(block.e_i, bundle_mid)
-        mu, _, info = negative_eigenpair_tt(block.e_r, root)
-        assert spectral_mid.info["seed_n"] == bundle_mid.grid.n
+        # the seed is the dense route on the SEED_N grid of the same family
+        grid = bundle_mid.grid
+        seed_bundle = build_bundle(RadialGrid(n=SEED_N, r_max=grid.r_max, mapping=grid.mapping,
+                                              stretch=grid.stretch),
+                                   bundle_mid.kappa, background=bundle_mid.background)
+        seed_block = build_block_E(seed_bundle)
+        mu, _, info = negative_eigenpair_tt(seed_block.e_r, sqrt_ei(seed_block.e_i, seed_bundle))
+        root = sqrt_ei(build_block_E(bundle_mid).e_i, bundle_mid)
+        assert spectral_mid.info["seed_n"] == SEED_N
         assert spectral_mid.info["seed_lambda1"] == pytest.approx(np.sqrt(-mu), rel=1e-14)
         assert spectral_mid.info["tt_residual"] == info["tt_residual"]
         assert spectral_mid.kernel_eig == pytest.approx(root.kernel_eig, abs=1e-9)
+
+    def test_refinement_check_runs_the_same_iteration(self, bundle_mid, spectral_mid):
+        # lambda1_inverse_iteration starts from eigenpair_e's start vector
+        lam = lambda1_inverse_iteration(bundle_mid, spectral_mid.lambda1)
+        assert abs(lam - spectral_mid.lambda1) / spectral_mid.lambda1 < 1e-12
 
     def test_certificate_counts_by_gap_not_sign(self, spectral_mid, bundle_mid):
         # E_R's near-kernel eigenvalue (the Lambda Q direction) is -2.4e-5 at
