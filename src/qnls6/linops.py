@@ -54,11 +54,9 @@ class PairOperator:
     def op_weights(self) -> np.ndarray:
         return np.tile(self.grid.op_weights, 2)
 
-    def quad(self, a: np.ndarray, b: np.ndarray):
-        """<A a, b> with the cell-mass pairing; real stacked inputs of shape
-        (2n,), giving a float, or (B, 2n), giving one value per row."""
-        s = np.real(np.sum(self.op_weights() * (self.mat @ a.T).T * np.conj(b), axis=-1))
-        return float(s) if s.ndim == 0 else s
+    def quad(self, a: np.ndarray, b: np.ndarray) -> float:
+        """<A a, b> with the cell-mass pairing of real stacked pairs (2n,)."""
+        return float(np.real(np.sum(self.op_weights() * (self.mat @ a) * np.conj(b))))
 
     def symmetry_defect(self) -> float:
         """|| W A - (W A)^T || / || W A ||  (Frobenius), W = diag(weights).
@@ -76,26 +74,6 @@ class PairOperator:
         S += S.T
         S *= 0.5
         return S
-
-    def symmetric_banded(self) -> np.ndarray:
-        """``symmetric_dense`` in the lower band storage of ``eigvals_banded``.
-
-        The components are interleaved, (f1_0, f2_0, f1_1, f2_1, ...), which
-        makes the matrix banded with lower bandwidth 2 (order-2 rule): row
-        ``k`` of the (3, 2n) result holds the k-th subdiagonal.
-        """
-        n = self.n
-        d = np.tile(self.grid.sqrt_masses, 2)
-        S = sp.diags(d) @ self.mat @ sp.diags(1.0 / d)
-        perm = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()
-        S = (0.5 * (S + S.T)).tocsr()[perm][:, perm].tocoo()
-        if np.any(np.abs(S.row - S.col) > 2):
-            raise ValueError(f"{self.label} is not banded with bandwidth 2 "
-                             f"({self.boundary}, order {self.order})")
-        band = np.zeros((3, 2 * n))
-        for k in range(3):
-            band[k, :2 * n - k] = S.diagonal(-k)
-        return band
 
 
 def _assemble(bundle: GroundStateBundle, label: str, family: tuple, boundary: str,
@@ -208,13 +186,7 @@ def form_ops(bundle: GroundStateBundle, which: str) -> tuple[PairOperator, PairO
 
 def quad_form(a: FieldPair, b: FieldPair, ops: tuple[PairOperator, PairOperator]) -> float:
     """The form of ``ops`` (``form_ops``, or a block's (e_r, e_i)) at (a, b): Phi or Phi_E."""
-    return form_rows(ops, stack_pair(a), stack_pair(b))
-
-
-def form_rows(ops: tuple[PairOperator, PairOperator], za: np.ndarray, zb: np.ndarray):
-    """``quad_form`` on stacked complex pairs (u; v): (2n,) gives a float,
-    (B, 2n) one value per row (either side may be a single pair)."""
-    op_r, op_i = ops
+    (op_r, op_i), za, zb = ops, stack_pair(a), stack_pair(b)
     return 0.5 * op_r.quad(za.real, zb.real) + 0.5 * op_i.quad(za.imag, zb.imag)
 
 

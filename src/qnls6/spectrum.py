@@ -25,17 +25,22 @@ eigenpair_e finds them in O(n) memory at every n, on one code path:
    iteration).  lambda1_inverse_iteration is the same iteration from the
    same start, without the polish.
 3. Certificates, in place of the two dense eigendecompositions (Sylvester's
-   law of inertia; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
-   With the components interleaved, the symmetrized E_I and E_R are banded
-   with lower bandwidth 2.
-   * ker(E_I): of the lowest eigenvalues of E_I (eigvals_banded), exactly
-     one may lie under the clip of sqrt_ei; it is ``kernel_eig``.
+   law of inertia; Bunch & Kaufman, Math. Comp. 31 (1977) 163).  With the
+   components interleaved, the symmetrized E_I and E_R are banded with lower
+   bandwidth 2; the negative pivots of one unpivoted sparse LU = L D L^T
+   count the eigenvalues under a shift in O(n).
+   * ker(E_I): at most one eigenvalue of E_I lies under
+     tau = min(1, kappa) lambda_D / 2, lambda_D the lowest eigenvalue of the
+     grid's Dirichlet -Delta_h.  E_I's second eigenvalue is set by the box,
+     at 1.01-1.08 min(1, kappa) lambda_D, whatever n; a clip relative to the
+     largest eigenvalue, which grows like n^2, is not.  ``kernel_eig`` is
+     the lowest eigenvalue, by inverse iteration from T(bQ1) at a shift at
+     or below 0.
    * n_negative, the negative count of TT, is the negative inertia of E_R
-     compressed to ker(E_I)^perp = T(bQ1)^perp, which the Haynsworth
-     inertia of the bordered [[E_R, k], [k^T, 0]] gives from one banded
-     eigenvalue count and one banded solve.  Compressed eigenvalues above
-     -NEGATIVE_GAP |mu| count as zero: the tolerance scales with mu, not
-     with the operator's largest eigenvalue, and does not depend on n.
+     compressed to ker(E_I)^perp = T(bQ1)^perp: the Haynsworth inertia of
+     the bordered [[E_R, k], [k^T, 0]] gives it from the pivots of E_R + tol
+     and one solve.  Compressed eigenvalues above -NEGATIVE_GAP |mu| count
+     as zero: the tolerance scales with mu and does not depend on n.
 
 Sign conventions.  Phi_E(e+, e-) = <E_R e1, e1> = <TT g, g> < 0, so the pair
 can be normalized to Phi_E(e+, e-) = -1 but not +1 while keeping
@@ -51,12 +56,10 @@ shifted_solve_conditioning estimates ||(script_E - j lambda1)^{-1}||_1 with
 onenormest, from a fixed seed of numpy's global RNG that it restores after.
 
 coercivity_sample checks Phi, Phi_E, L_I and E_I on the complements of their
-degenerate directions.  Its trials are drawn, projected and evaluated in
-batches of COERCIVITY_BATCH rows of one (batch, 2n) array: one coefficient
-draw per batch continues the per-trial RNG stream, one solve with the
-trial-free Gram matrix projects every row, and the forms and Hdot1 norms are
-row sums.  The cost is O(trials n) in time and O(COERCIVITY_BATCH n) in
-memory.
+degenerate directions.  A trial's projection is linear in its coefficients
+on the decaying modes, and its form and Hdot1 norm are quadratic in them, so
+it is scored on the Gram matrices of the projected basis, built once per
+call in O(n); a trial then costs O(1) in n.
 """
 
 from __future__ import annotations
@@ -70,11 +73,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import (GRID_CACHE_SIZE, FieldPair, RadialGrid, h1dot_gradients,
-                   pair_gradients)
+from .grid import GRID_CACHE_SIZE, FieldPair, RadialGrid, pair_gradients
 from .groundstate import GroundStateBundle, build_bundle, build_directions, transform_T
 from .linops import (BlockOperatorE, PairOperator, assemble_E, assemble_L,
-                     build_block_E, form_ops, form_rows, quad_form, stack_pair,
+                     build_block_E, form_ops, quad_form, stack_pair,
                      unpack_real, unstack_pair, weighted_norm)
 
 
@@ -91,7 +93,7 @@ SEED_N = 96
 # Rayleigh-quotient polish, and the re-factored solves of the polish.
 FIXED_SHIFT_SOLVES = 3
 POLISH_SOLVES = 3
-REFINE_SOLVES = 5      # fixed-shift solves of lambda1_inverse_iteration
+REFINE_SOLVES = 5      # fixed-shift solves of lambda1_inverse_iteration and kernel_eig
 # An iterate whose Rayleigh quotient strays further than this from the shift
 # (relative) has locked onto another eigenvalue.
 WANDER_REL = 0.5
@@ -101,9 +103,6 @@ NEGATIVE_GAP = 0.5
 DENSE_TOL = 1e-4
 # Seed of numpy's global RNG for each onenormest of shifted_solve_conditioning.
 ONENORM_SEED = 0
-# Coercivity trials evaluated at once; bounds the (batch, 2n) temporaries
-# (4 MB per complex array at n = 1024) whatever the trial count.
-COERCIVITY_BATCH = 128
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +118,6 @@ class SqrtEI:
     sqrt_eigs: np.ndarray      # clipped square roots
     kernel_index: int
     kernel_eig: float
-
-    def apply_sym(self, vec: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.sqrt_eigs * (self.basis.T @ vec))
 
 
 def sqrt_ei(e_i: PairOperator, bundle: GroundStateBundle,
@@ -198,7 +194,7 @@ class SpectralResult:
     phi_e_plus: float          # Phi_E(e+) relative to ||e+||^2
     phi_e_minus: float
     mu: float                  # -lambda1^2, the negative eigenvalue of TT
-    kernel_eig: float          # the eigenvalue of E_I under the clip
+    kernel_eig: float          # the lowest eigenvalue of E_I, the one under tau
     n: int
     # n_negative (the certified negative count of TT), tt_residual (of the
     # TT pair at n_c nodes), seed_n (n_c), seed_lambda1 (lambda_c, the shift)
@@ -286,48 +282,79 @@ def _seed(bundle: GroundStateBundle, block: BlockOperatorE, clip_rel: float) -> 
             "seed_lambda1": math.sqrt(-mu)}
 
 
-def _ei_kernel_eig(e_i: PairOperator, clip_rel: float) -> float:
-    """Lowest eigenvalue of E_I, the one allowed under the clip of sqrt_ei."""
-    band = e_i.symmetric_banded()
-    top = band.shape[1] - 1
-    low = sla.eigvals_banded(band, lower=True, select="i", select_range=(0, 1))
-    high = sla.eigvals_banded(band, lower=True, select="i", select_range=(top, top))
-    clip = clip_rel * max(abs(float(low[0])), abs(float(high[0])))
-    if low[1] < clip:
+def _interleaved(op: PairOperator) -> sp.csc_matrix:
+    """D^{1/2} A D^{-1/2} symmetrized, components interleaved as
+    (f1_0, f2_0, f1_1, f2_1, ...): banded with lower bandwidth 2."""
+    n = op.n
+    d = np.tile(op.grid.sqrt_masses, 2)
+    S = sp.diags(d) @ op.mat @ sp.diags(1.0 / d)
+    perm = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()
+    return (0.5 * (S + S.T)).tocsr()[perm][:, perm].tocsc()
+
+
+def _ldlt(S: sp.csc_matrix, shift: float):
+    """Unpivoted LU = L D L^T of the symmetric S - shift, and its negative
+    pivot count, the number of eigenvalues of S under ``shift``.  A singular
+    or pivoted factorization, whose diagonal has no inertia, raises."""
+    A = (S - shift * sp.identity(S.shape[0], format="csc")).tocsc()
+    try:
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0)
+    except RuntimeError as exc:
+        raise SpectrumError(f"inertia count at shift {shift:.3e}: {exc}") from None
+    natural = np.arange(S.shape[0])
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+        raise SpectrumError(f"inertia count at shift {shift:.3e}: the factorization pivoted")
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _ei_kernel_eig(e_i: PairOperator, k: np.ndarray) -> float:
+    """The lowest eigenvalue of E_I, certified the only one under tau (see
+    the module docstring); k, the iteration's start, is the unit T(bQ1) in
+    the layout of ``_interleaved``."""
+    diag, off = e_i.grid.symmetrized_tridiag()
+    lam_d = float(sla.eigh_tridiagonal(-diag, -off, eigvals_only=True,
+                                       select="i", select_range=(0, 0))[0])
+    tau = 0.5 * min(1.0, e_i.kappa) * lam_d
+    S = _interleaved(e_i)
+    count = _ldlt(S, tau)[1]
+    if count > 1:
         raise SpectrumError(
-            f"unexpected kernel dimension: a second eigenvalue of E_I ({low[1]:.3e}) "
-            f"lies under the clip {clip:.3e} beyond span{{T(Q1)}}")
-    return float(low[0])
+            f"unexpected kernel dimension: {count} eigenvalues of E_I lie under "
+            f"tau = {tau:.3e} beyond span{{T(Q1)}}")
+    # 1 / (k . S^{-1} k), when negative, lies below lambda0: iterating there
+    # finds lambda0 also where |lambda0| exceeds the second eigenvalue (the
+    # coarse grids of r_max = 200)
+    lu = _ldlt(S, 0.0)[0]
+    shift = min(0.0, 1.0 / (k @ lu.solve(k)))
+    if shift < 0:
+        lu = _ldlt(S, shift)[0]
+    x = k
+    for _ in range(REFINE_SOLVES):
+        y = lu.solve(x)
+        lam = shift + (x @ x) / (x @ y)
+        x = y / np.linalg.norm(y)
+    return float(lam)
 
 
 def _compressed_negative_count(e_r: PairOperator, k: np.ndarray, tol: float) -> int:
     """Eigenvalues below -tol of E_R compressed to the complement of the unit k.
 
     Haynsworth inertia of the bordered [[A, k], [k^T, 0]], A = E_R + tol
-    (symmetrized, interleaved like ``symmetric_banded``): the bordered matrix
-    has neg(A) + [k^T A^{-1} k > 0] negative eigenvalues, one more than the
+    (k in the layout of ``_interleaved``): the bordered matrix has
+    neg(A) + [k^T A^{-1} k > 0] negative eigenvalues, one more than the
     compression of A, whose negative eigenvalues are the compressed ones of
     E_R below -tol.
     """
-    band = e_r.symmetric_banded()
-    band[0] += tol
-    dim = band.shape[1]
-    # a Gershgorin bound under the whole spectrum of A
-    floor = -(np.max(np.abs(band[0])) + 2.0 * np.sum(np.max(np.abs(band[1:]), axis=1))) - 1.0
-    neg = len(sla.eigvals_banded(band, lower=True, select="v", select_range=(floor, 0.0)))
-    full = np.zeros((5, dim))
-    for j in range(3):
-        full[2 + j, :dim - j] = band[j, :dim - j]
-        full[2 - j, j:] = band[j, :dim - j]
-    x = sla.solve_banded((2, 2), full, k)
-    return neg + int(k @ x > 0) - 1
+    lu, neg = _ldlt(_interleaved(e_r), -tol)
+    return neg + int(k @ lu.solve(k) > 0) - 1
 
 
 def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralResult:
     """Unstable eigenpair of script_E by shift-invert on the sparse generator.
 
-    Shifted at the symmetric-product lambda_c of min(n, SEED_N) nodes; see
-    the module docstring for the route and its two certificates.
+    Shifted at the symmetric-product lambda_c of min(n, SEED_N) nodes, whose
+    square root of E_I is clipped at clip_rel; see the module docstring for
+    the route and its two certificates.
     """
     block = build_block_E(bundle)
     grid = bundle.grid
@@ -356,11 +383,11 @@ def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralR
 
     # the two certificates: ker(E_I) is one-dimensional, and E_R has one
     # negative direction on its complement (the inertia of TT)
-    kernel_eig = _ei_kernel_eig(block.e_i, clip_rel)
     sm = grid.sqrt_masses
     k = np.column_stack([sm * bundle.t_q1.u.real, sm * bundle.t_q1.v.real]).ravel()
-    n_negative = _compressed_negative_count(block.e_r, k / np.linalg.norm(k),
-                                            NEGATIVE_GAP * lam * lam)
+    k /= np.linalg.norm(k)
+    kernel_eig = _ei_kernel_eig(block.e_i, k)
+    n_negative = _compressed_negative_count(block.e_r, k, NEGATIVE_GAP * lam * lam)
     info = {"n_negative": n_negative, **info, "hn_pairing_sign_fixed": True}
     return SpectralResult(lambda1=lam, e_plus=ep, e_minus=em,
                           normalization=float(normalization),
@@ -448,27 +475,10 @@ def _decaying_modes(grid: RadialGrid) -> np.ndarray:
     return modes
 
 
-def random_decaying_batch(grid: RadialGrid, trials: int, rng: np.random.Generator,
-                          real_only: bool = False) -> np.ndarray:
-    """``trials`` smooth decaying trial pairs as the rows (u; v) of a (trials, 2n) array.
-
-    Trial t is sum_k (cu_tk, cv_tk) mode_k over the r^p exp(-sigma r^2)
-    modes, with cu = re + i im and cv likewise drawn per mode in the order
-    (cu.re, cu.im, cv.re, cv.im) -- (cu, cv) for real_only, whose array is
-    real.  The modes are summed in order, so a row equals the plain
-    per-trial loop bit for bit.
-    """
-    modes = _decaying_modes(grid)
-    c = rng.standard_normal((trials, len(modes), 2 if real_only else 4))
-    if real_only:
-        cu, cv = c[..., 0], c[..., 1]
-    else:
-        cu, cv = c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
-    z = np.zeros((trials, 2, grid.n), dtype=float if real_only else complex)
-    for k, base in enumerate(modes):
-        z[:, 0] += cu[:, k, None] * base
-        z[:, 1] += cv[:, k, None] * base
-    return z.reshape(trials, 2 * grid.n)
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_n a[i, n] b[j, n] in numpy's own loops (a threaded BLAS call of
+    this shape can stall a fresh process for tens of milliseconds)."""
+    return np.einsum("in,jn->ij", a, b)
 
 
 def coercivity_sample(which: str, trials: int, seed: int,
@@ -482,12 +492,13 @@ def coercivity_sample(which: str, trials: int, seed: int,
       'L_I'          <L_I v, v> for real v with (v, Q1)_{Hdot1} = 0
       'E_I'          <E_I v, v> for real v with (v, T(Q1))_{Hdot1} = 0
 
-    The trials are drawn, projected and evaluated COERCIVITY_BATCH at a
-    time as one (batch, 2n) array of stacked pairs (u; v): the constraints
-    c_i are linear, so the coefficients of the directions d_j that make
-    every c_i vanish on a trial solve G x = c(h), G[i, j] = c_i(d_j), for
-    the whole batch at once.  The batches continue one RNG stream, so the
-    trials do not depend on the batch size.
+    Trial t is sum_k (cu_tk, cv_tk) mode_k over the r^p exp(-sigma r^2)
+    modes, its real coefficients c_t drawn in one standard_normal((trials,
+    modes, 4)) as (cu.re, cu.im, cv.re, cv.im) per mode ((cu, cv) and 2 for
+    L_I and E_I).  The constraints c_i are linear, so the projection maps
+    each basis element b_a to b_a - sum_j X[j, a] d_j, G X = c(b),
+    G[i, j] = c_i(d_j), and trial t scores c_t^T F c_t / c_t^T N c_t on the
+    form and Hdot1 Gram matrices F, N of the projected basis.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -496,54 +507,62 @@ def coercivity_sample(which: str, trials: int, seed: int,
     real_only = which in ("L_I", "E_I")
     if which == "phi_G":
         ops = form_ops(bundle, "phi")
-        zq = stack_pair(bundle.q_vec)
-        forms = [lambda z: form_rows(ops, zq, z)]
-        h1_dirs = [dirs["i_q1"], dirs["lambda_q"]]
+        n_form = 1                      # Phi(Q, .); the rest are Hdot1 pairings
         directions = [dirs["q"], dirs["i_q1"], dirs["lambda_q"]]
     elif which == "phi_e_Gtilde":
         if spectral is None:
             raise ValueError("phi_e_Gtilde sampling needs the spectral result")
         ops = form_ops(bundle, "phi_e")
-        zp, zm = stack_pair(spectral.e_plus), stack_pair(spectral.e_minus)
-        forms = [lambda z: form_rows(ops, z, zp), lambda z: form_rows(ops, z, zm)]
-        h1_dirs = [dirs["t_i_q1"], dirs["t_lambda_q"]]
+        n_form = 2                      # Phi_E(e+, .), Phi_E(e-, .)
         directions = [spectral.e_plus, spectral.e_minus, dirs["t_i_q1"], dirs["t_lambda_q"]]
     elif real_only:
-        op = assemble_L(bundle, which) if which == "L_I" else assemble_E(bundle, which)
-        dvec = bundle.q1_vec if which == "L_I" else transform_T(bundle.q1_vec)
-        forms = []
-        h1_dirs = directions = [dvec]
+        ops = (assemble_L(bundle, which) if which == "L_I" else assemble_E(bundle, which),)
+        n_form = 0
+        directions = [bundle.q1_vec if which == "L_I" else transform_T(bundle.q1_vec)]
     else:
         raise ValueError(f"unknown coercivity target {which!r}")
 
-    h1_grads = [pair_gradients(grid, stack_pair(d)) for d in h1_dirs]
-
-    def constraints(z):
-        """c_i(h) of every row h of z, one column per constraint."""
-        dz = pair_gradients(grid, z)
-        return np.column_stack([c(z) for c in forms] +
-                               [h1dot_gradients(grid, g, dz) for g in h1_grads])
-
+    # the real stacked vectors that span the basis and the directions: each
+    # mode in each component, then Re d_j and (complex targets) Im d_j
+    modes = _decaying_modes(grid)
+    nm, nd = len(modes), len(directions)
     d = np.array([stack_pair(p) for p in directions])
+    zero = np.zeros_like(modes)
+    V = np.concatenate([np.hstack([modes, zero]), np.hstack([zero, modes]), d.real]
+                       + ([] if real_only else [d.imag]))
+    dV = pair_gradients(grid, V)
+    w = grid.quad_weights
+    hdot = np.pad(_gram(w * dV[0], dV[0]) + _gram(w * dV[1], dV[1]), (0, 1))
+    # the elements are the basis b_a in the order of the draws, then the d_j;
+    # parts[0] holds the row of V of each one's real part and parts[1] (complex
+    # targets) of its imaginary part, -1 the zero row appended to the Grams
+    k, none, jd = np.arange(nm), np.full(nm, -1), 2 * nm + np.arange(nd)
     if real_only:
-        d = d.real
-    G = constraints(d).T                                     # trial-free
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for start in range(0, trials, COERCIVITY_BATCH):
-        z = random_decaying_batch(grid, min(COERCIVITY_BATCH, trials - start), rng, real_only)
-        coef = np.linalg.solve(G, constraints(z).T)
-        if not np.all(np.isfinite(coef)):
-            raise SpectrumError("projection rank-deficient")
-        for cf, dj in zip(coef, d):
-            z = z - cf[:, None] * dj
-        dz = pair_gradients(grid, z)
-        nrm = np.sqrt(np.maximum(h1dot_gradients(grid, dz, dz), 0.0))
-        keep = ~(nrm < 1e-12)             # a NaN norm stays and shows in the result
-        z = z[keep]
-        form = op.quad(z, z) if real_only else form_rows(ops, z, z)
-        ratios.append(form / nrm[keep] ** 2)
-    ratios = np.concatenate(ratios)
+        parts = [np.r_[np.column_stack([k, nm + k]).ravel(), jd]]
+    else:
+        parts = [np.r_[np.column_stack([k, none, nm + k, none]).ravel(), jd],
+                 np.r_[np.column_stack([none, k, none, nm + k]).ravel(), jd + nd]]
+    # the Gram matrices of the basis and the directions together; Phi and
+    # Phi_E weigh each of their two operators by 1/2
+    F_ext = N_ext = 0.0
+    for op, rows in zip(ops, parts):
+        A = np.pad(_gram(op.op_weights() * (op.mat @ V.T).T, V), (0, 1))
+        F_ext = F_ext + A[np.ix_(rows, rows)] / len(ops)
+        N_ext = N_ext + hdot[np.ix_(rows, rows)]
+    nb = len(parts[0]) - nd
+    C = np.concatenate([F_ext[nb:nb + n_form], N_ext[nb + n_form:]])   # c_i of each element
+    X = np.linalg.solve(C[:, nb:], C[:, :nb])
+    if not np.all(np.isfinite(X)):
+        raise SpectrumError("projection rank-deficient")
+    P = np.vstack([np.eye(nb), -X]).T                  # row a: projected b_a
+    F, N = (_gram(P, _gram(P, M)) for M in (F_ext, N_ext))
+
+    c = np.random.default_rng(seed).standard_normal((trials, nm, 2 if real_only else 4))
+    c = c.reshape(trials, nb)
+    nrm = np.sqrt(np.maximum(np.einsum("ta,ta->t", _gram(c, N), c), 0.0))
+    keep = ~(nrm < 1e-12)             # a NaN norm stays and shows in the result
+    c = c[keep]
+    ratios = np.einsum("ta,ta->t", _gram(c, F), c) / nrm[keep] ** 2
     return {
         "which": which,
         "trials": int(len(ratios)),

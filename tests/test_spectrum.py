@@ -9,7 +9,7 @@ from qnls6.groundstate import build_bundle, build_directions, transform_T
 from qnls6.linops import assemble_E, assemble_L, build_block_E, form_ops, quad_form
 from qnls6.spectrum import (SEED_N, SpectrumError, coercivity_sample, dense_cross_check,
                             eigenpair_e, lambda1_inverse_iteration,
-                            negative_eigenpair_tt, random_decaying_batch,
+                            negative_eigenpair_tt,
                             shifted_solve_conditioning, sqrt_ei)
 from conftest import random_pair
 
@@ -18,10 +18,15 @@ def _stack(p):
     return np.concatenate([p.u, p.v])
 
 
+def _root_apply_sym(root, vec):
+    # E_I^{1/2} in symmetrized (cell-mass) coordinates
+    return root.basis @ (root.sqrt_eigs * (root.basis.T @ vec))
+
+
 def _root_apply(root, stacked):
     # E_I^{1/2} on nodal values: the symmetrized root in cell-mass coordinates
     d = np.tile(root.op.grid.sqrt_masses, 2)
-    return root.apply_sym(d * stacked) / d
+    return _root_apply_sym(root, d * stacked) / d
 
 
 def _project_out_kernel(root, stacked):
@@ -135,7 +140,7 @@ def _dense_oracle(bundle, polish_iterations=3):
     lam = np.sqrt(-mu)
     m = grid.cell_masses
     d = np.sqrt(np.concatenate([m, m]))
-    e1 = root.apply_sym(g) / d
+    e1 = _root_apply_sym(root, g) / d
     e2 = (block.e_r.mat @ e1) / lam
     D4 = np.concatenate([d, d])
     S = sp.diags(D4) @ block.sparse_real() @ sp.diags(1.0 / D4)
@@ -227,6 +232,90 @@ class TestSparseRoute:
         with pytest.raises(SpectrumError, match=r"cut .*spectral scale .*n = 256"):
             negative_eigenpair_tt(block.e_r, root, tol_scale=1.0)
 
+    def test_kernel_certificate_at_8192(self):
+        # E_I's second eigenvalue is set by the box (3.3e-4 here), while
+        # clip_rel x lambda_max(E_I) grows like n^2 and reached 6.9e-4
+        s = eigenpair_e(build_bundle(RadialGrid(n=8192, r_max=200.0, stretch=29.0), 0.5))
+        assert s.info["n_negative"] == 1
+        assert abs(s.kernel_eig) < 2.1e-5
+        assert s.residual <= 1e-10
+
+
+def _unit_k(bundle):
+    # the unit T(bQ1) in the interleaved, symmetrized layout of the certificates
+    sm = bundle.grid.sqrt_masses
+    k = np.column_stack([sm * bundle.t_q1.u.real, sm * bundle.t_q1.v.real]).ravel()
+    return k / np.linalg.norm(k)
+
+
+class TestInertia:
+    """The LDL^T inertia counts against dense eigenvalues of the same operators."""
+
+    @pytest.fixture(scope="class", params=[
+        (n, background, kappa) for n in (64, 128) for background in ("closed-form", "discrete")
+        for kappa in (0.5, 2.0)], ids=lambda p: f"n{p[0]}-{p[1]}-kappa{p[2]:g}")
+    def case(self, request):
+        n, background, kappa = request.param
+        bundle = build_bundle(RadialGrid(n=n, r_max=60.0, stretch=9.0), kappa,
+                              background=background)
+        return bundle, build_block_E(bundle)
+
+    @pytest.mark.parametrize("which", ["e_i", "e_r"])
+    def test_counts_equal_eigvalsh_counts(self, case, which):
+        from qnls6.spectrum import _interleaved, _ldlt
+        op = getattr(case[1], which)
+        ev = np.linalg.eigvalsh(op.symmetric_dense())
+        # under the lowest eigenvalue, then between each of the lowest six
+        shifts = np.r_[ev[0] - 1.0, 0.5 * (ev[:6] + ev[1:7])]
+        S = _interleaved(op)
+        for shift in shifts:
+            assert _ldlt(S, shift)[1] == np.count_nonzero(ev < shift)
+
+    def test_compressed_count_equals_dense_compression(self, case):
+        from qnls6.spectrum import _compressed_negative_count
+        bundle, block = case
+        k = _unit_k(bundle)
+        n = bundle.grid.n
+        # the dense E_R in the interleaved layout, compressed to k^perp
+        perm = np.column_stack([np.arange(n), n + np.arange(n)]).ravel()
+        S = block.e_r.symmetric_dense()[np.ix_(perm, perm)]
+        basis = sla.null_space(k[None, :])
+        ev = np.linalg.eigvalsh(basis.T @ S @ basis)
+        # the certificate's tolerances, then cuts under and between the lowest six
+        cuts = np.r_[-1e-6, -1e-3, ev[0] - 1.0, 0.5 * (ev[:6] + ev[1:7])]
+        for cut in cuts:
+            assert _compressed_negative_count(block.e_r, k, -cut) == np.count_nonzero(ev < cut)
+
+    def test_kernel_eig_is_the_lowest_eigenvalue(self, case):
+        from qnls6.spectrum import _ei_kernel_eig
+        bundle, block = case
+        ev = np.linalg.eigvalsh(block.e_i.symmetric_dense())
+        assert _ei_kernel_eig(block.e_i, _unit_k(bundle)) == pytest.approx(ev[0], rel=1e-6)
+
+    @pytest.mark.parametrize("n", [48, 64, 96])
+    def test_kernel_eig_where_it_is_not_the_smallest_in_size(self, n):
+        # at r_max = 200 these grids put the second eigenvalue of E_I nearer
+        # 0 than the lowest (1.4e-4 against -2.0e-3 at n = 48)
+        from qnls6.spectrum import _ei_kernel_eig
+        bundle = build_bundle(RadialGrid(n=n, r_max=200.0, stretch=29.0), 4.0)
+        e_i = build_block_E(bundle).e_i
+        ev = np.linalg.eigvalsh(e_i.symmetric_dense())
+        assert abs(ev[0]) > ev[1]
+        assert _ei_kernel_eig(e_i, _unit_k(bundle)) == pytest.approx(ev[0], rel=1e-8)
+
+    def test_second_eigenvalue_under_tau_is_refused(self, case):
+        # E_R has its negative eigenvalue and the T(Lambda Q) one under tau
+        from qnls6.spectrum import _ei_kernel_eig
+        bundle, block = case
+        with pytest.raises(SpectrumError, match="unexpected kernel dimension"):
+            _ei_kernel_eig(block.e_r, _unit_k(bundle))
+
+    def test_zero_leading_pivot_is_refused(self):
+        from qnls6.spectrum import _ldlt
+        S = sp.csc_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+        with pytest.raises(SpectrumError, match="pivoted"):
+            _ldlt(S, 0.0)
+
 
 def _full_spectrum_check(bundle):
     # the oracle: all 4n eigenvalues of the cell-mass scaled D script_E D^{-1}
@@ -313,29 +402,9 @@ class TestCoercivity:
         with pytest.raises(ValueError):
             coercivity_sample("phi_G", 0, 1, bundle_mid)
 
-    @pytest.mark.parametrize("real_only", [False, True])
-    def test_trial_field_equals_mode_loop(self, real_only):
-        # the modes are evaluated once per grid; the draws and the sums are
-        # those of the plain loop below, bit for bit
-        grid = RadialGrid(n=96, r_max=40.0, stretch=9.0)
-        r = grid.nodes
-        rng = np.random.default_rng(31)
-        u = np.zeros(grid.n, dtype=complex)
-        v = np.zeros(grid.n, dtype=complex)
-        for p in (0, 1, 2, 3):
-            for s in (0.3, 0.6, 1.2, 2.5):
-                base = r ** p * np.exp(-s * r * r)
-                cu = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
-                cv = rng.standard_normal() + (0 if real_only else 1j * rng.standard_normal())
-                u += cu * base
-                v += cv * base
-        for _ in range(2):
-            z = random_decaying_batch(grid, 1, np.random.default_rng(31), real_only)[0]
-            assert np.array_equal(z, np.concatenate([u, v]))
-
 
 class TestBatchedCoercivity:
-    """The batched sampler against the per-trial loop it replaced."""
+    """The Gram-matrix sampler against a per-trial loop on the grid."""
 
     @staticmethod
     def _loop_sample(which, trials, seed, bundle, spectral=None):
@@ -398,22 +467,21 @@ class TestBatchedCoercivity:
         for key, ref in (("min_ratio", lo), ("median_ratio", med), ("max_ratio", hi)):
             assert abs(res[key] - ref) <= 1e-12 * abs(ref)
 
-    @pytest.mark.parametrize("which", ["phi_G", "L_I"])
-    def test_batch_size_does_not_change_the_trials(self, which, bundle_mid, monkeypatch):
-        import qnls6.spectrum as spectrum
-        whole = coercivity_sample(which, 30, 213, bundle_mid)
-        monkeypatch.setattr(spectrum, "COERCIVITY_BATCH", 7)
-        split = coercivity_sample(which, 30, 213, bundle_mid)
-        assert split["trials"] == whole["trials"] == 30
-        for key in ("min_ratio", "median_ratio", "max_ratio"):
-            assert abs(split[key] - whole[key]) <= 1e-12 * abs(whole[key])
+    @pytest.fixture(scope="class")
+    def small(self, small_grid):
+        bundle = build_bundle(small_grid, 0.5)
+        return bundle, eigenpair_e(bundle)
 
-    def test_batch_rows_continue_the_stream(self, mid_grid):
-        rng = np.random.default_rng(43)
-        singles = [random_decaying_batch(mid_grid, 1, rng)[0] for _ in range(3)]
-        z = random_decaying_batch(mid_grid, 3, np.random.default_rng(43))
-        for k, row in enumerate(singles):
-            assert np.array_equal(row, z[k])
+    @pytest.mark.parametrize("which", ["phi_G", "phi_e_Gtilde", "L_I", "E_I"])
+    def test_matches_trial_loop_at_300_trials(self, which, small):
+        # more trials than the 128 rows one batch of the grid sampler held
+        bundle, spectral = small
+        spectral = spectral if which == "phi_e_Gtilde" else None
+        res = coercivity_sample(which, 300, 223, bundle, spectral)
+        kept, lo, med, hi = self._loop_sample(which, 300, 223, bundle, spectral)
+        assert res["trials"] == kept == 300
+        for key, ref in (("min_ratio", lo), ("median_ratio", med), ("max_ratio", hi)):
+            assert abs(res[key] - ref) <= 1e-12 * abs(ref)
 
 
 class TestResolvent:
