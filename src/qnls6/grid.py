@@ -447,10 +447,7 @@ def pair_gradients(grid: RadialGrid, z: np.ndarray):
     return _ddr(grid, z[..., :n]), _ddr(grid, z[..., n:])
 
 
-def h1dot_gradients(grid: RadialGrid, df, dg):
-    """The Hdot1 pairing Re sum w (df1 conj(dg1) + df2 conj(dg2)) of two gradient
-    pairs: a float, or one value per row for (B, n) gradients (a row's value
-    equals its 1-D value bit for bit)."""
+def h1dot_gradients(grid: RadialGrid, df, dg) -> float:
+    """The Hdot1 pairing Re sum w (df1 conj(dg1) + df2 conj(dg2)) of two gradient pairs."""
     w = grid.quad_weights
-    s = np.real(np.sum(w * (df[0] * np.conj(dg[0]) + df[1] * np.conj(dg[1])), axis=-1))
-    return float(s) if s.ndim == 0 else s
+    return float(np.real(np.sum(w * (df[0] * np.conj(dg[0]) + df[1] * np.conj(dg[1])))))

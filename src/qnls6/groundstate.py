@@ -25,7 +25,7 @@ obstruction and is reported, not hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -174,7 +174,8 @@ class GroundStateBundle:
     ``q`` holds closed-form samples; ``q_bg`` the Q of ``background``: the
     same samples, or for "discrete" the refined stationary profile of the
     discrete Laplacian (used by time integration).  The vector objects are
-    built from ``q_bg``.
+    built from ``q_bg``.  ``ops`` holds the operator pairs of
+    ``linops.form_ops``, assembled on first use and shared by every caller.
     """
 
     grid: RadialGrid
@@ -188,6 +189,7 @@ class GroundStateBundle:
     t_q: FieldPair
     t_q1: FieldPair
     t_lambda_q: FieldPair
+    ops: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_bundle(grid: RadialGrid, kappa: float, background: str = "closed-form") -> GroundStateBundle:

@@ -88,6 +88,8 @@ def _assemble(bundle: GroundStateBundle, label: str, family: tuple, boundary: st
     diag_pot = sp.diags(sign * qvals)
     off_pot = sp.diags(-(np.sqrt(c2) * qvals))
     mat = sp.bmat([[-lap + diag_pot, off_pot], [off_pot, -kin2 * lap]], format="csr")
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
     return PairOperator(label=label, grid=grid, kappa=kappa, mat=mat,
                         boundary=boundary, order=order)
 
@@ -176,12 +178,16 @@ def weighted_norm(grid: RadialGrid, z: np.ndarray) -> float:
 
 
 def form_ops(bundle: GroundStateBundle, which: str) -> tuple[PairOperator, PairOperator]:
-    """The operator pair of a form: (L_R, L_I) of Phi ('phi'), (E_R, E_I) of Phi_E ('phi_e')."""
-    if which == "phi":
-        return assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I")
-    if which == "phi_e":
-        return assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I")
-    raise ValueError(f"unknown form {which!r}")
+    """The operator pair of a form: (L_R, L_I) of Phi ('phi'), (E_R, E_I) of Phi_E ('phi_e'),
+    assembled once per bundle (``bundle.ops``); the shared matrices are read-only."""
+    if which not in bundle.ops:
+        if which == "phi":
+            bundle.ops[which] = assemble_L(bundle, "L_R"), assemble_L(bundle, "L_I")
+        elif which == "phi_e":
+            bundle.ops[which] = assemble_E(bundle, "E_R"), assemble_E(bundle, "E_I")
+        else:
+            raise ValueError(f"unknown form {which!r}")
+    return bundle.ops[which]
 
 
 def quad_form(a: FieldPair, b: FieldPair, ops: tuple[PairOperator, PairOperator]) -> float:

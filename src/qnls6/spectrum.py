@@ -75,9 +75,8 @@ import scipy.sparse.linalg as spla
 
 from .grid import GRID_CACHE_SIZE, FieldPair, RadialGrid, pair_gradients
 from .groundstate import GroundStateBundle, build_bundle, build_directions, transform_T
-from .linops import (BlockOperatorE, PairOperator, assemble_E, assemble_L,
-                     build_block_E, form_ops, quad_form, stack_pair,
-                     unpack_real, unstack_pair, weighted_norm)
+from .linops import (BlockOperatorE, PairOperator, build_block_E, form_ops, quad_form,
+                     stack_pair, unpack_real, unstack_pair, weighted_norm)
 
 
 class SpectrumError(RuntimeError):
@@ -516,7 +515,7 @@ def coercivity_sample(which: str, trials: int, seed: int,
         n_form = 2                      # Phi_E(e+, .), Phi_E(e-, .)
         directions = [spectral.e_plus, spectral.e_minus, dirs["t_i_q1"], dirs["t_lambda_q"]]
     elif real_only:
-        ops = (assemble_L(bundle, which) if which == "L_I" else assemble_E(bundle, which),)
+        ops = form_ops(bundle, "phi" if which == "L_I" else "phi_e")[1:]
         n_form = 0
         directions = [bundle.q1_vec if which == "L_I" else transform_T(bundle.q1_vec)]
     else:

@@ -815,13 +815,39 @@ n_snapshots = 24
         assert header == "t,dev_wk,dev_first,hn_gap"
 
 
-def test_cli_import_leaves_slow_scipy_modules_out():
-    # every CLI run pays its imports; these three cost a quarter second
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python_stdout(code: str, **preset: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this qnls6, with no BLAS
+    thread variable in its environment but ``preset``; its stripped stdout."""
     src = str(Path(qnls6.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, qnls6.cli; print(sorted(m for m in ('scipy.interpolate', "
-            "'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_slow_scipy_modules_out():
+    # every CLI run pays its imports; these three cost a quarter second
+    code = ("import sys, qnls6.cli; print(sorted(m for m in ('scipy.interpolate', "
+            "'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    assert _python_stdout(code) == "[]"
+
+
+@pytest.mark.parametrize("module, preset, expected", [
+    ("qnls6.cli", {}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ("qnls6.cli", {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+    ("qnls6.cli", {"GOTO_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}),
+    ("qnls6.cli", {"OMP_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"}),
+    ("qnls6.spectrum", {}, {}),
+], ids=["unset", "openblas", "goto", "omp", "library"])
+def test_cli_import_sets_one_blas_thread_unless_chosen(module, preset, expected):
+    # the CLI picks one BLAS thread before numpy loads; a user's variable wins,
+    # and the library modules leave the environment alone
+    code = (f"import json, os, {module}; "
+            f"print(json.dumps({{k: os.environ[k] for k in {_BLAS_THREAD_VARS!r} "
+            "if k in os.environ}))")
+    assert json.loads(_python_stdout(code, **preset)) == expected

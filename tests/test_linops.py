@@ -89,6 +89,23 @@ class TestForms:
         val = quad_form(bundle_mid.t_q, bundle_mid.t_q, form_ops(bundle_mid, "phi_e"))
         assert val < 0
 
+    @pytest.mark.parametrize("which, labels", [("phi", ("L_R", "L_I")),
+                                               ("phi_e", ("E_R", "E_I"))], ids=["phi", "phi_e"])
+    def test_form_ops_assembled_once_and_read_only(self, which, labels):
+        # a bundle of its own: the pair is assembled on first use, then shared
+        bundle = build_bundle(RadialGrid(n=64, r_max=60.0, stretch=9.0), 0.5)
+        ops = form_ops(bundle, which)
+        assert form_ops(bundle, which) is ops
+        assemble = assemble_L if which == "phi" else assemble_E
+        for op, label in zip(ops, labels):
+            assert op.label == label
+            assert (op.mat != assemble(bundle, label).mat).nnz == 0
+            with pytest.raises(ValueError):
+                op.mat.data[0] = 0.0
+        if which == "phi_e":
+            block = build_block_E(bundle)
+            assert (block.e_r, block.e_i) == ops
+
     def test_phi_symmetric(self, bundle_mid):
         rng = np.random.default_rng(43)
         a = random_pair(bundle_mid.grid, bundle_mid.kappa, rng)
