@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grid import FieldPair, RadialGrid, pair_from_arrays
 from .groundstate import GroundStateBundle
@@ -105,6 +106,71 @@ def assemble_E(bundle: GroundStateBundle, which: str,
 
 
 @dataclass(frozen=True)
+class GeneratorBand:
+    """S = P D script_E D^{-1} P^T on a LAPACK band, D the cell-mass square roots
+    on all 4n entries and P the interleaving of each node's four unknowns as
+    (Re h_j, Re g_j, Im h_j, Im g_j): kl = ku = 6 for the three-point Laplacian
+    (Golub & Van Loan, Matrix Computations, 4th ed., section 4.3, band LU)."""
+
+    ab: np.ndarray       # S[i, j] at ab[ku + i - j, j], Fortran order
+    kl: int
+    ku: int
+    perm: np.ndarray     # entry i of the band layout is entry perm[i] of pack_real's
+    d: np.ndarray        # D on the band layout
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """S x on the band layout."""
+        return dgbmv(len(x), len(x), self.kl, self.ku, 1.0, self.ab, x)
+
+    def natural(self, x: np.ndarray) -> np.ndarray:
+        """D^{-1} P^T x: the layout of ``pack_real`` of band coordinates x."""
+        out = np.empty_like(x)
+        out[self.perm] = x / self.d
+        return out
+
+    def factor(self, s: float) -> "ShiftedFactor":
+        """One dgbtrf of S - s; an exactly singular factor raises RuntimeError."""
+        kl, ku = self.kl, self.ku
+        ab = np.zeros((2 * kl + ku + 1, self.ab.shape[1]), order="F")
+        ab[kl:] = self.ab
+        ab[kl + ku] -= s
+        lu, ipiv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError(f"factor of script_E - {s!r} is exactly singular")
+        return ShiftedFactor(band=self, lu=lu, ipiv=ipiv)
+
+
+@dataclass(frozen=True)
+class ShiftedFactor:
+    """The band LU of S - s, and through it (script_E - s)^{-1}."""
+
+    band: GeneratorBand
+    lu: np.ndarray
+    ipiv: np.ndarray
+
+    def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        """(S - s)^{-1} x on the band layout; trans=1 solves with the transpose."""
+        return dgbtrs(self.lu, self.band.kl, self.band.ku, x, self.ipiv, trans=trans)[0]
+
+    def matvec(self, b: np.ndarray) -> np.ndarray:
+        """(script_E - s)^{-1} b on the layout of ``pack_real``, b of shape (4n,) or (4n, k)."""
+        return self._apply(b, 0)
+
+    def rmatvec(self, b: np.ndarray) -> np.ndarray:
+        """(script_E - s)^{-T} b, the transpose solve of ``matvec``."""
+        return self._apply(b, 1)
+
+    def _apply(self, b: np.ndarray, trans: int) -> np.ndarray:
+        # (script_E - s)^{-1} = D^{-1} P^T (S - s)^{-1} P D, transposed D P^T (S - s)^{-T} P D^{-1}
+        p, d = self.band.perm, self.band.d[:, None]
+        y = np.reshape(b, (len(p), -1))[p]
+        y = self.solve(y / d if trans else y * d, trans)
+        x = np.empty_like(y)
+        x[p] = y * d if trans else y / d
+        return x.reshape(np.shape(b))
+
+
+@dataclass(frozen=True)
 class BlockOperatorE:
     """script_E = [[0, -E_I], [E_R, 0]] on 4n real degrees of freedom."""
 
@@ -120,18 +186,37 @@ class BlockOperatorE:
         return -(self.e_i.mat @ z.imag) + 1j * (self.e_r.mat @ z.real)
 
     def sparse_real(self) -> sp.csc_matrix:
-        """4n x 4n real matrix on (Re h, Re g, Im h, Im g)."""
+        """4n x 4n real matrix on (Re h, Re g, Im h, Im g).  Only the oracles of
+        test_linops (the dense shifted solve) and test_spectrum (the dense polish
+        and the 4n eigensolve) use it; the solvers go through ``band``."""
         n2 = 2 * self.e_r.n
         Z = sp.csr_matrix((n2, n2))
         return sp.bmat([[Z, -self.e_i.mat], [self.e_r.mat, Z]], format="csc")
 
-    def shifted_inverse(self, s: float) -> spla.LinearOperator:
-        """(script_E - s)^{-1} on the layout of ``sparse_real``, from one splu
-        of ``sparse_real() - s I``; ``rmatvec`` solves with its transpose."""
-        n4 = 4 * self.grid.n
-        lu = spla.splu((self.sparse_real() - s * sp.identity(n4, format="csc")).tocsc())
-        return spla.LinearOperator((n4, n4), matvec=lu.solve, dtype=float,
-                                   rmatvec=lambda x: lu.solve(x, trans="T"))
+    def band(self) -> GeneratorBand:
+        """The symmetrized, interleaved script_E, built in O(n) from the entries
+        of E_R, E_I on each call, so that it lives no longer than its caller."""
+        n, sm = self.grid.n, self.grid.sqrt_masses
+        rows, cols, vals = [], [], []
+        # -E_I maps the imaginary unknowns (2, 3) to the real rows (0, 1), E_R back
+        for op, sign, r0, c0 in ((self.e_i, -1.0, 0, 2), (self.e_r, 1.0, 2, 0)):
+            coo = op.mat.tocoo()
+            r, c = coo.row % n, coo.col % n
+            rows.append(4 * r + r0 + coo.row // n)
+            cols.append(4 * c + c0 + coo.col // n)
+            vals.append(sign * coo.data * sm[r] / sm[c])
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+        ab = np.zeros((kl + ku + 1, 4 * n), order="F")
+        ab[ku + rows - cols, cols] = vals
+        perm = (np.arange(4) * n + np.arange(n)[:, None]).ravel()
+        return GeneratorBand(ab=ab, kl=kl, ku=ku, perm=perm, d=np.repeat(sm, 4))
+
+    def shifted_inverse(self, s: float) -> ShiftedFactor:
+        """(script_E - s)^{-1} on the layout of ``sparse_real``, from one band LU
+        of the symmetrized generator (``band``); ``rmatvec`` solves with its
+        transpose."""
+        return self.band().factor(s)
 
     def solve_shifted(self, s: float, b: np.ndarray) -> np.ndarray:
         """(script_E - s)^{-1} b for a complex stacked pair b = (h; g)."""

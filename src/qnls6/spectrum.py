@@ -14,21 +14,23 @@ eigenpair_e finds them in O(n) memory at every n, on one code path:
    E_I^{1/2} has a single negative eigenvalue mu_c = -lambda_c^2
    (negative_eigenpair_tt).  TT is formed only here: its spectral scale
    grows like n^4, so a cut relative to it rejects mu on fine grids.
-2. Shift-invert.  Inverse iteration on the sparse 4n system (one splu
-   factorization at lambda_c) from a fixed random start, then the
-   Rayleigh-quotient polish, which re-factors at each new quotient and
-   leaves an exact discrete eigenvector; that makes Phi_E(e+-) vanish
-   identically (for an exact pair <E_R e1, e1> = lambda <e1, e2> =
-   -<E_I e2, e2>).  The rest of the spectrum lies on the imaginary axis, at
-   least lambda_c from the shift, so no start vector is needed from the
-   seed (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, on inverse
-   iteration).  lambda1_inverse_iteration is the same iteration from the
-   same start, without the polish.
+2. Shift-invert.  Inverse iteration on the 4n system (one LAPACK band LU,
+   dgbtrf, of the symmetrized generator at lambda_c; with each node's four
+   unknowns interleaved it has 6 sub- and 6 superdiagonals) from a fixed
+   random start, then the Rayleigh-quotient polish, which re-factors at
+   each new quotient and leaves an exact discrete eigenvector; that makes
+   Phi_E(e+-) vanish identically (for an exact pair <E_R e1, e1> =
+   lambda <e1, e2> = -<E_I e2, e2>).  The rest of the spectrum lies on the
+   imaginary axis, at least lambda_c from the shift, so no start vector is
+   needed from the seed (Parlett, The Symmetric Eigenvalue Problem, SIAM
+   1998, on inverse iteration).  lambda1_inverse_iteration is the same
+   iteration from the same start, without the polish.
 3. Certificates, in place of the two dense eigendecompositions (Sylvester's
    law of inertia; Bunch & Kaufman, Math. Comp. 31 (1977) 163).  With the
    components interleaved, the symmetrized E_I and E_R are banded with lower
    bandwidth 2; the negative pivots of one unpivoted sparse LU = L D L^T
-   count the eigenvalues under a shift in O(n).
+   count the eigenvalues under a shift in O(n).  This is the one place
+   SuperLU remains: a pivoting band LU's diagonal carries no inertia.
    * ker(E_I): at most one eigenvalue of E_I lies under
      tau = min(1, kappa) lambda_D / 2, lambda_D the lowest eigenvalue of the
      grid's Dirichlet -Delta_h.  E_I's second eigenvalue is set by the box,
@@ -71,12 +73,11 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import GRID_CACHE_SIZE, FieldPair, RadialGrid, pair_gradients
 from .groundstate import GroundStateBundle, build_bundle, build_directions, transform_T
-from .linops import (BlockOperatorE, PairOperator, build_block_E, form_ops, quad_form,
-                     stack_pair, unpack_real, unstack_pair, weighted_norm)
+from .linops import (BlockOperatorE, GeneratorBand, PairOperator, build_block_E, form_ops,
+                     quad_form, stack_pair, unpack_real, unstack_pair, weighted_norm)
 
 
 class SpectrumError(RuntimeError):
@@ -222,31 +223,25 @@ def _hn_inner(a: FieldPair, b: FieldPair) -> float:
     return float(np.real(t1 + t2))
 
 
-def _symmetrized_generator(block: BlockOperatorE) -> tuple[sp.csr_matrix, np.ndarray]:
-    """D script_E D^{-1} (D the cell-mass square roots on all 4n entries), and D."""
-    D4 = np.tile(block.grid.sqrt_masses, 4)
-    return sp.diags(D4) @ block.sparse_real() @ sp.diags(1.0 / D4), D4
-
-
-def _shift_invert(S: sp.csr_matrix, shift: float, fixed: int,
+def _shift_invert(band: GeneratorBand, shift: float, fixed: int,
                   rayleigh: int) -> tuple[float, np.ndarray]:
-    """Shift-inverted iteration on the symmetrized generator S.
+    """Shift-inverted iteration on the symmetrized generator S of ``band``.
 
     Starts from one fixed random vector, so every caller runs the same
     iteration.  The first ``fixed`` solves reuse one factorization at
     ``shift``; each of the ``rayleigh`` solves after them re-factors at the
-    current Rayleigh quotient (the polish).  Returns (lambda, unit iterate).
+    current Rayleigh quotient (the polish).  Returns lambda and the last
+    iterate, mapped back to the layout of ``pack_real`` (``band.natural``).
     """
-    eye = sp.identity(S.shape[0], format="csc")
-
     def factor(s):
         try:
-            return spla.splu((S - s * eye).tocsc())
+            return band.factor(s)
         except RuntimeError:
             # s is an eigenvalue to machine precision: step off it
-            return spla.splu((S - s * (1.0 + 1e-9) * eye).tocsc())
+            return band.factor(s * (1.0 + 1e-9))
 
-    x = np.random.default_rng(7).standard_normal(S.shape[0])
+    # drawn on the layout of pack_real, then interleaved
+    x = np.random.default_rng(7).standard_normal(len(band.perm))[band.perm]
     x /= np.linalg.norm(x)
     lam = shift
     lu = factor(shift) if fixed else None
@@ -255,10 +250,10 @@ def _shift_invert(S: sp.csr_matrix, shift: float, fixed: int,
             lu = factor(lam)
         x = lu.solve(x)
         x /= np.linalg.norm(x)
-        lam = float(x @ (S @ x))
+        lam = float(x @ band.matvec(x))
         if it >= 1 and abs(lam - shift) > WANDER_REL * shift:
             raise SpectrumError("inverse iteration wandered off the target eigenvalue")
-    return lam, x
+    return lam, band.natural(x)
 
 
 def _seed(bundle: GroundStateBundle, block: BlockOperatorE, clip_rel: float) -> dict:
@@ -295,6 +290,8 @@ def _ldlt(S: sp.csc_matrix, shift: float):
     """Unpivoted LU = L D L^T of the symmetric S - shift, and its negative
     pivot count, the number of eigenvalues of S under ``shift``.  A singular
     or pivoted factorization, whose diagonal has no inertia, raises."""
+    # imported here: the scenarios that never reach a spectrum skip its load
+    import scipy.sparse.linalg as spla
     A = (S - shift * sp.identity(S.shape[0], format="csc")).tocsc()
     try:
         lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0)
@@ -349,7 +346,8 @@ def _compressed_negative_count(e_r: PairOperator, k: np.ndarray, tol: float) -> 
 
 
 def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralResult:
-    """Unstable eigenpair of script_E by shift-invert on the sparse generator.
+    """Unstable eigenpair of script_E by shift-invert on the band of the
+    symmetrized generator (``BlockOperatorE.band``, one dgbtrf per shift).
 
     Shifted at the symmetric-product lambda_c of min(n, SEED_N) nodes, whose
     square root of E_I is clipped at clip_rel; see the module docstring for
@@ -358,9 +356,9 @@ def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralR
     block = build_block_E(bundle)
     grid = bundle.grid
     info = _seed(bundle, block, clip_rel)
-    S, D4 = _symmetrized_generator(block)
-    lam, x = _shift_invert(S, info["seed_lambda1"], FIXED_SHIFT_SOLVES, POLISH_SOLVES)
-    z = unpack_real(x / D4)
+    lam, x = _shift_invert(block.band(), info["seed_lambda1"], FIXED_SHIFT_SOLVES,
+                           POLISH_SOLVES)
+    z = unpack_real(x)
     resid = weighted_norm(grid, block.apply_complex(z) - lam * z) / weighted_norm(grid, z)
 
     # normalization: |Phi_E(e+, e-)| = 1 (value itself is negative), then fix
@@ -397,8 +395,7 @@ def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralR
 
 def lambda1_inverse_iteration(bundle: GroundStateBundle, lam_guess: float) -> float:
     """lambda1 on this grid by shift-inverted iteration only (refinement checks)."""
-    S, _ = _symmetrized_generator(build_block_E(bundle))
-    return _shift_invert(S, lam_guess, REFINE_SOLVES, 0)[0]
+    return _shift_invert(build_block_E(bundle).band(), lam_guess, REFINE_SOLVES, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +444,17 @@ def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
     estimate runs from ONENORM_SEED and the caller's RNG state is restored,
     so the result is a function of the arguments alone.
     """
+    # imported here: the scenarios that never reach a spectrum skip its load
+    import scipy.sparse.linalg as spla
     block = build_block_E(bundle)
+    n4 = 4 * bundle.grid.n
     out = {}
     state = np.random.get_state()
     try:
         for j in j_values:
-            op = block.shifted_inverse(j * lam1)
+            lu = block.shifted_inverse(j * lam1)
+            op = spla.LinearOperator((n4, n4), matvec=lu.matvec, rmatvec=lu.rmatvec,
+                                     dtype=float)
             np.random.seed(ONENORM_SEED)
             out[f"resolvent_norm_j{j}"] = float(spla.onenormest(op))
     finally:

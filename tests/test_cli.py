@@ -837,6 +837,18 @@ def test_cli_import_leaves_slow_scipy_modules_out():
     assert _python_stdout(code) == "[]"
 
 
+def test_cli_evolve_leaves_sparse_linalg_out(tmp_path):
+    # only the spectrum's inertia counts and resolvent estimate need it
+    cfg = tmp_path / "evolve.ini"
+    cfg.write_text("scenario = evolve\n[grid]\nn = 32\n[physics]\nkappa = 0.5\n"
+                   "[evolution]\nt_end = 0.01\n")
+    code = ("import sys, qnls6.cli; "
+            f"status = qnls6.cli.main(['evolve', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(status, 'scipy.sparse.linalg' in sys.modules)")
+    assert _python_stdout(code).splitlines()[-1] == "0 False"   # after main's summary
+
+
 @pytest.mark.parametrize("module, preset, expected", [
     ("qnls6.cli", {}, {"OPENBLAS_NUM_THREADS": "1"}),
     ("qnls6.cli", {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),

@@ -213,3 +213,15 @@ class TestPairLayouts:
         # and it solves script_E z - s z = b in the complex form
         res = block.apply_complex(z) - s * z - b
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("background", ["closed-form", "discrete"])
+    def test_transpose_solve_matches_dense_real_system(self, background):
+        # rmatvec, which onenormest calls, solves with the transpose
+        grid = RadialGrid(n=64, r_max=60.0, stretch=9.0)
+        block = build_block_E(build_bundle(grid, 0.5, background=background))
+        b = np.random.default_rng(9).standard_normal(4 * grid.n)
+        s = 0.37
+        x = block.shifted_inverse(s).rmatvec(b)
+        A = block.sparse_real().toarray() - s * np.eye(4 * grid.n)
+        expect = np.linalg.solve(A.T, b)
+        assert np.max(np.abs(x - expect)) <= 1e-12 * np.max(np.abs(expect))

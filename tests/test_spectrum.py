@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 
 from qnls6.grid import RadialGrid, h1dot_inner, h1dot_norm, pair_from_arrays
 from qnls6.groundstate import build_bundle, build_directions, transform_T
-from qnls6.linops import assemble_E, assemble_L, build_block_E, form_ops, quad_form
+from qnls6.linops import (GeneratorBand, assemble_E, assemble_L, build_block_E, form_ops,
+                          quad_form)
 from qnls6.spectrum import (SEED_N, SpectrumError, coercivity_sample, dense_cross_check,
                             eigenpair_e, lambda1_inverse_iteration,
                             negative_eigenpair_tt,
@@ -239,6 +240,19 @@ class TestSparseRoute:
         assert s.info["n_negative"] == 1
         assert abs(s.kernel_eig) < 2.1e-5
         assert s.residual <= 1e-10
+
+    def test_shift_invert_steps_off_an_exact_eigenvalue(self):
+        # S = diag(1, 2, 3, 4): the band LU at the shift 2 is exactly singular,
+        # and the iteration re-factors 1e-9 (relative) off it
+        from qnls6.spectrum import _shift_invert
+        ab = np.zeros((3, 4), order="F")
+        ab[1] = [1.0, 2.0, 3.0, 4.0]
+        band = GeneratorBand(ab=ab, kl=1, ku=1, perm=np.arange(4), d=np.ones(4))
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            band.factor(2.0)
+        lam, x = _shift_invert(band, 2.0, 2, 1)
+        assert lam == pytest.approx(2.0, rel=1e-12)
+        assert abs(x[1]) == pytest.approx(1.0, rel=1e-12)   # D = 1, no permutation
 
 
 def _unit_k(bundle):
