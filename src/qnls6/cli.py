@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, SpecialBlock, parse_a_values, parse_config,
                      parse_radii, parse_recipe)
-from .grid import GridError, RadialGrid, pair_from_arrays
+from .grid import GridError, RadialGrid, h1dot_norm, pair_from_arrays
 from .groundstate import (GroundStateBundle, apply_symmetry, build_bundle,
                           bundle_to_rows, elliptic_residual, refine_discrete,
                           transform_T, _interp_component)
@@ -36,8 +36,9 @@ from .functionals import energy, hamiltonian, variational_constants
 from .linops import build_block_E
 from .spectrum import (SpectralResult, coercivity_sample, dense_cross_check, eigenpair_e,
                        lambda1_inverse_iteration, shifted_solve_conditioning)
-from .special import (HN_GAP_WINDOW, construct_g, default_fit_window, leg_start, residual_eps_k,
-                      shoot_amplitudes, time_translation_mismatch, tq_step_defect)
+from .special import (HN_GAP_WINDOW, construct_g, default_fit_window, leg_snapshot_times,
+                      leg_start, leg_vs_series, profile_series, residual_eps_k,
+                      series_samples, shoot_amplitudes, shoot_legs, time_translation_mismatch)
 from .evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict,
                         l4_decay_ratio, read_checkpoint, reconcile, run_batch,
                         variational_prediction, vr_identity_defect, write_checkpoint)
@@ -264,10 +265,17 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     bundle, spectral = _spectral_pipeline(cfg, grid, background="discrete")
     lam = spectral.lambda1
     t_far = leg_start(lam, 1.0, spc.data_eps)
-    shots = shoot_amplitudes(bundle, spectral, a_values, spc.order, spc.dt, spc.n_snapshots,
-                             spc.data_eps, t_far)
+    series = profile_series(bundle, spectral, spc.order)
+    sols = [series.scaled(a, spc.order) for a in dict.fromkeys(a_values)]
+    # the legs check the series: they end where their fits end, unless the
+    # translation check compares W^2 with W^1 further down
+    x_stop = 1.0 if {1.0, 2.0} <= set(a_values) else max(spc.window_hi, spc.window1_hi,
+                                                          HN_GAP_WINDOW[1])
+    defect, legs = shoot_legs(bundle, spectral, sols, t_far, spc.dt, spc.n_snapshots, x_stop)
+    shots = {sol.a: (sol, leg) for sol, leg in zip(sols, legs)}
     summary = {"scenario": "special", "lambda1": lam, "t_far": t_far, "k": spc.order,
-               "tq_step_defect": tq_step_defect(bundle, spc.dt)}
+               "tq_step_defect": defect, "series_order": series.k,
+               "series_last_term": h1dot_norm(series.profiles[-1])}
     for a in a_values:
         sol, shot = shots[a]
         tag = f"a{a:+g}"
@@ -277,6 +285,7 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
             1.5, shot.dev_first, spc.window1_lo, spc.window1_hi)
         summary[f"{tag}_dev_slope"] = shot.fitted_slope(shot.dev_wk, spc.window_lo, spc.window_hi)
         summary[f"{tag}_delta_rate"] = shot.hn_gap_rate()
+        summary[f"{tag}_leg_vs_series"] = leg_vs_series(shot, series.scaled(a), bundle)
         write_csv(os.path.join(outdir, f"shot_{tag}.csv"),
                   ("t", "dev_wk", "dev_first", "hn_gap"),
                   zip(shot.times, shot.dev_wk, shot.dev_first, shot.hn_gap))
@@ -284,9 +293,10 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
         summary[f"{tag}_epsk_slope_l2"] = fit["slope_l2"]
         summary[f"{tag}_epsk_slope_h1"] = fit["slope_h1"]
         summary[f"{tag}_epsk_target"] = fit["target_slope"]
+    times = leg_snapshot_times(t_far, spc.n_snapshots)
     for a, name in ((1.0, "gplus"), (-1.0, "gminus")):
         if a in shots:
-            pair = construct_g(shots[a][1], bundle)
+            pair = construct_g(series_samples(bundle, series.scaled(a), times), bundle)
             summary[f"{name}_H"] = pair.H_value
             summary[f"{name}_E"] = pair.E_value
             summary[f"{name}_H_Q"] = pair.H_Q

@@ -352,6 +352,25 @@ def fixed_point_images(T: FieldPair, h: float, system: str):
     return y, _rk4(*prop.apply_linear(*y, h), h, c1), prop.apply_linear(*y, h / 2)
 
 
+def _snapshot_due(t: float, requested: float, sgn: float, reach: float) -> bool:
+    """Whether a monitor point at t takes the snapshot requested at ``requested``:
+    the run, in direction sgn, has come within ``reach`` of it or passed it."""
+    return (t - requested) * sgn >= -reach
+
+
+def snapshot_step(t0: float, dt: float, stride: int, requested: float) -> int:
+    """Steps from t0 to the monitor point at which a fixed-step ``run_batch``
+    (signed step dt, ``monitor_stride`` stride) takes the snapshot requested
+    at ``requested``, counting from the first point after t0 and assuming the
+    run has not ended before it.  A run from t0 to t0 + k dt with this k
+    steps exactly as the longer run does up to that point."""
+    sgn = math.copysign(1.0, dt)
+    k = stride
+    while not _snapshot_due(t0 + k * dt, requested, sgn, 0.25 * abs(dt)):
+        k += stride
+    return k
+
+
 def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None,
               t0: float = 0.0, fixed_point: FieldPair | None = None) -> list[TrajectoryRecord]:
     """``run`` for each state of u0s (one grid and kappa): one record each.
@@ -427,7 +446,7 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
         l4 = np.sum(w_l4 * (np.abs(U[:, :m_l4]) ** 4 + np.abs(V[:, :m_l4]) ** 4), axis=-1)
         want_snap = bool(cfg.snapshot_stride) and n_points % cfg.snapshot_stride == 0
         reach = (0.5 if final else 0.25) * cfg.dt
-        while snap_idx < len(snap_due) and (t - snap_due[snap_idx]) * sgn >= -reach:
+        while snap_idx < len(snap_due) and _snapshot_due(t, snap_due[snap_idx], sgn, reach):
             want_snap = True
             snap_idx += 1
         n_points += 1

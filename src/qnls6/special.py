@@ -12,23 +12,40 @@ with B_N the symmetric polarization of the quadratic remainder N.  The
 residual eps_k = d/dt U_k + script_E U_k - i N(U_k) then consists solely of
 the orders k+1 .. 2k, so log ||eps_k|| decays with slope -(k+1) lambda1.
 
-True trajectories W^a are produced by shooting: initial data
-W_k^a(t_far) = T(bQ) + U_k^a(t_far) at a time where the perturbation has size
-``data_eps``, integrated backward.  Uniqueness of the decaying solution means
-any trajectory obeying the decay bound is W^a.  The sampled ground state is
-stationary only up to the truncation obstruction, and the Strang step adds a
-defect of its own, which would grow along e_+ over a leg; the legs step the
-map balanced at T(bQ) (``run_batch``'s ``fixed_point``), which keeps T(bQ)
-fixed exactly, and the deviations are measured from T(bQ) itself.
+For a quadratic nonlinearity the recursion is exact, and the series
+converges: on the grids used here ||g_{j+1}|| / ||g_j|| settles near 0.14, so
+at x = |a| e^{-lambda1 t} <= 1 the terms fall like 0.14^j (Duyckaerts & Merle,
+GAFA 18 (2009) 1787, for U_k and the uniqueness of W^a; Cabre, Fontich &
+de la Llave, Indiana Univ. Math. J. 52 (2003), for the parameterization).
+``profile_series`` solves it once, for a = 1, to the order K at which the
+last term at x = 1 is below roundoff of U; the profile set of any a is
+a^j g_j (``ApproxSolution.scaled``), which for a = -1 is ``approx_profiles``
+at -1 bit for bit, since negation is exact.  The series omits the constant
+defect of the sampled T(bQ), as the balanced step map below does, so
+T(bQ) + U^a is W^a of the balanced semi-discrete flow, and the threshold pair
+is read from it.
+
+Shooting legs check the series: initial data W_k^a(t_far) = T(bQ) +
+U_k^a(t_far) at a time where the perturbation has size ``data_eps``,
+integrated backward.  The sampled ground state is stationary only up to the
+truncation obstruction, and the Strang step adds a defect of its own, which
+would grow along e_+ over a leg; the legs step the map balanced at T(bQ)
+(``run_batch``'s ``fixed_point``), which keeps T(bQ) fixed exactly, and the
+deviations are measured from T(bQ) itself.  A leg can stop at the monitor
+point of its last snapshot with x <= ``x_stop``, where its fits end.  What
+separates a leg from the series is its time-step error.
 
 The threshold pair comes out by undoing the componentwise rescaling:
 G+- = T^{-1}(W^{+-1}(. + t0)) with t0 chosen so the sign of
 H_N(W(t0)) - H_N(T(bQ)) matches the sign of a (the leading deviation is
 2 a e^{-lambda1 t} (Re e_+, T(bQ))_{H_N}, positive pairing by convention).
+``construct_g`` applies that rule to any sampling of W^a: the series at a
+leg's requested times, or the leg's own snapshots.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +58,7 @@ from .linops import bilinear_N, build_block_E, stack_pair, unstack_pair, weighte
 from .spectrum import SpectralResult
 from .evolution import (EvolutionConfig, RadialPropagator, TrajectoryRecord,
                         fixed_point_images, linear_propagator, nonlinear_substep,
-                        run_batch)
+                        run_batch, snapshot_step)
 
 
 class ShootingError(RuntimeError):
@@ -50,6 +67,11 @@ class ShootingError(RuntimeError):
 
 # The fixed window of x = e^{-lambda1 t} that hn_gap_rate fits |hn_gap| on.
 HN_GAP_WINDOW = (0.02, 0.3)
+# The most orders profile_series solves; at the term ratio of about 0.14 seen
+# on the grids here it stops near K = 19.
+SERIES_MAX_ORDER = 60
+# Steps between the monitor points (and so the snapshots) of a shooting leg.
+LEG_MONITOR_STRIDE = 50
 
 
 @dataclass(frozen=True)
@@ -66,6 +88,18 @@ class ApproxSolution:
 
     def time_derivative(self, t: float) -> FieldPair:
         return self._series(t, 1)
+
+    def scaled(self, a: float, k: int | None = None) -> "ApproxSolution":
+        """The profile set of amplitude a * self.a to order k (all, when None):
+        g_j -> a^j g_j, since the recursion is homogeneous of degree j in a.
+        For a = -1 (or a power of two) the scaling is exact, and the result
+        equals the recursion solved at that amplitude bit for bit."""
+        k = self.k if k is None else k
+        if not 1 <= k <= self.k:
+            raise ValueError(f"order k = {k} is outside 1 .. {self.k}")
+        profiles = tuple(a ** j * g for j, g in enumerate(self.profiles[:k], start=1))
+        return ApproxSolution(a=a * self.a, k=k, lambda1=self.lambda1, profiles=profiles,
+                              shift_residuals=self.shift_residuals[:k], kappa=self.kappa)
 
     def _series(self, t: float, order: int) -> FieldPair:
         """d^order/dt^order U_k(t) = sum_j (-j lambda1)^order e^{-j lambda1 t} g_j."""
@@ -86,16 +120,13 @@ def _forcing(profiles, j: int) -> FieldPair:
     return sum(terms[1:], terms[0])
 
 
-def approx_profiles(bundle: GroundStateBundle, spectral: SpectralResult,
-                    a: float, k: int) -> ApproxSolution:
-    """Solve the profile recursion up to order k (g_1 = a e_+)."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
+def _profile_orders(bundle: GroundStateBundle, spectral: SpectralResult, a: float):
+    """(g_j, relative residual of its shifted solve) for j = 1, 2, ..., g_1 = a e_+."""
     block = build_block_E(bundle)
     lam = spectral.lambda1
     profiles = [a * spectral.e_plus]
-    residuals = [spectral.residual]
-    for j in range(2, k + 1):
+    yield profiles[0], spectral.residual
+    for j in itertools.count(2):
         rhs = 1j * stack_pair(_forcing(profiles, j))
         try:
             z = block.solve_shifted(j * lam, rhs)
@@ -108,9 +139,43 @@ def approx_profiles(bundle: GroundStateBundle, spectral: SpectralResult,
         if res > 1e-8:
             raise ShootingError(f"ill-conditioned shifted solve at order {j}: rel residual {res:.2e}")
         profiles.append(unstack_pair(bundle.grid, z, bundle.kappa))
-        residuals.append(float(res))
-    return ApproxSolution(a=a, k=k, lambda1=lam, profiles=tuple(profiles),
-                          shift_residuals=tuple(residuals), kappa=bundle.kappa)
+        yield profiles[-1], float(res)
+
+
+def _solution(bundle: GroundStateBundle, spectral: SpectralResult, a: float,
+              orders) -> ApproxSolution:
+    profiles, residuals = zip(*orders)
+    return ApproxSolution(a=a, k=len(profiles), lambda1=spectral.lambda1, profiles=profiles,
+                          shift_residuals=residuals, kappa=bundle.kappa)
+
+
+def approx_profiles(bundle: GroundStateBundle, spectral: SpectralResult,
+                    a: float, k: int) -> ApproxSolution:
+    """Solve the profile recursion up to order k (g_1 = a e_+)."""
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    return _solution(bundle, spectral, a,
+                     itertools.islice(_profile_orders(bundle, spectral, a), k))
+
+
+def profile_series(bundle: GroundStateBundle, spectral: SpectralResult,
+                   min_order: int = 1) -> ApproxSolution:
+    """The profiles of a = 1 up to the first order K >= min_order whose term at
+    x = 1 is below roundoff of U: ||g_K|| <= eps ||sum_{j<=K} g_j|| (Hdot1).
+
+    Raises ShootingError when SERIES_MAX_ORDER terms do not get there: the
+    series then converges too slowly at x = 1 to be summed.
+    """
+    orders, total = [], None
+    for g, res in _profile_orders(bundle, spectral, 1.0):
+        orders.append((g, res))
+        total = g if total is None else total + g
+        last, scale = h1dot_norm(g), h1dot_norm(total)
+        if len(orders) >= min_order and last <= np.finfo(float).eps * scale:
+            return _solution(bundle, spectral, 1.0, orders)
+        if len(orders) >= SERIES_MAX_ORDER:
+            raise ShootingError(f"profile series: ||g_{len(orders)}|| = {last:.2e} is not below "
+                                f"roundoff of ||U|| = {scale:.3g} at x = 1")
 
 
 def eps_k_tail_terms(sol: ApproxSolution) -> dict:
@@ -172,17 +237,17 @@ def default_fit_window(lambda1: float, x_lo: float = 1e-4, x_hi: float = 1e-2,
 
 
 @dataclass
-class SpecialTrajectory:
+class WSamples:
+    """W^a sampled at ``times`` (decreasing toward 0): its H_N gap, and its
+    state at a sample time (``state``, transformed frame)."""
+
     a: float
-    k: int
     lambda1: float
-    t_far: float
-    times: np.ndarray            # snapshot times, decreasing toward 0
-    dev_wk: np.ndarray           # ||W - W_k||_Hdot1
-    dev_first: np.ndarray        # ||W - T(Q) - a e^{-l t} e_+||_Hdot1
+    times: np.ndarray            # sample times, decreasing toward 0
     hn_gap: np.ndarray           # H_N(W) - H_N(T(Q)), discrete H
-    record: TrajectoryRecord
-    state_at: dict               # t -> FieldPair (transformed frame)
+
+    def state(self, t: float) -> FieldPair:
+        raise NotImplementedError
 
     def x_of_t(self, t):
         return np.exp(-self.lambda1 * np.asarray(t))
@@ -190,15 +255,6 @@ class SpecialTrajectory:
     def window_mask(self, x_lo: float, x_hi: float) -> np.ndarray:
         x = self.x_of_t(self.times)
         return (x >= x_lo) & (x <= x_hi)
-
-    def envelope_margin(self, rate: float, series: np.ndarray,
-                        x_lo: float, x_hi: float) -> float:
-        """max over the window of series / e^{-rate * lambda1 * t}."""
-        m = self.window_mask(x_lo, x_hi)
-        if not np.any(m):
-            raise ShootingError("empty fit window")
-        env = np.exp(-rate * self.lambda1 * self.times[m])
-        return float(np.max(series[m] / env))
 
     def fitted_slope(self, series: np.ndarray, x_lo: float, x_hi: float) -> float:
         m = self.window_mask(x_lo, x_hi) & (series > 0)
@@ -211,28 +267,78 @@ class SpecialTrajectory:
         return -self.fitted_slope(np.abs(self.hn_gap), *HN_GAP_WINDOW)
 
 
+@dataclass
+class SeriesSamples(WSamples):
+    """W^a = T(bQ) + U^a(t) from the profile series; a state is summed when asked for."""
+
+    tq: FieldPair
+    series: ApproxSolution
+
+    def state(self, t: float) -> FieldPair:
+        return self.tq + self.series.evaluate(t)
+
+
+@dataclass
+class SpecialTrajectory(WSamples):
+    """A shooting leg: its snapshots as WSamples, and their deviations."""
+
+    k: int
+    t_far: float
+    dev_wk: np.ndarray           # ||W - W_k||_Hdot1
+    dev_first: np.ndarray        # ||W - T(Q) - a e^{-l t} e_+||_Hdot1
+    record: TrajectoryRecord
+    state_at: dict               # t -> FieldPair (transformed frame)
+
+    def state(self, t: float) -> FieldPair:
+        return self.state_at[round(t, 9)]
+
+    def envelope_margin(self, rate: float, series: np.ndarray,
+                        x_lo: float, x_hi: float) -> float:
+        """max over the window of series / e^{-rate * lambda1 * t}."""
+        m = self.window_mask(x_lo, x_hi)
+        if not np.any(m):
+            raise ShootingError("empty fit window")
+        env = np.exp(-rate * self.lambda1 * self.times[m])
+        return float(np.max(series[m] / env))
+
+
+def leg_snapshot_times(t_far: float, n_snapshots: int) -> tuple:
+    """The times a leg from t_far asks for: n_snapshots even times down to 0."""
+    return tuple(np.linspace(t_far, 0.0, n_snapshots))
+
+
 def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far: float,
-               dt: float, n_snapshots: int):
+               dt: float, n_snapshots: int, x_stop: float = 1.0):
     """Backward shooting of W^a for the profile set of every a in sols, as one batch.
 
-    Each leg starts from W_k^a(t_far) = T(bQ) + U_k^a(t_far) and runs down to
+    Each leg starts from W_k^a(t_far) = T(bQ) + U_k^a(t_far) and runs toward
     0 with the step map balanced at T(bQ): the legs share grid, dt, t_far and
     the snapshot times, and every one is measured against reference_H =
-    H_N(T(bQ)).  Returns the defect that the balancing removes
-    (``tq_step_defect``) and one SpecialTrajectory per profile set.
+    H_N(T(bQ)).  The legs take the ``leg_snapshot_times`` with
+    x = e^{-lambda1 t} <= x_stop and end at the monitor point of the last of
+    them, a whole number of LEG_MONITOR_STRIDE strides from t_far, or at 0 if
+    that point lies beyond it; every step and snapshot up to there is the
+    full-length leg's (x_stop = 1) bit for bit.  Returns the defect that the
+    balancing removes (``tq_step_defect``) and one SpecialTrajectory per
+    profile set.
     """
     if any(sol.a == 0.0 for sol in sols):
         raise ValueError("a = 0 gives U_k = 0: a leg that stays at T(bQ) has nothing to fit")
-    snap_times = tuple(np.linspace(t_far, 0.0, n_snapshots))
+    snap_times = tuple(t for t in leg_snapshot_times(t_far, n_snapshots)
+                       if math.exp(-spectral.lambda1 * t) <= x_stop)
+    if not snap_times:
+        raise ValueError(f"x_stop = {x_stop:g} is below every snapshot of the leg")
+    steps = snapshot_step(t_far, -dt, LEG_MONITOR_STRIDE, snap_times[-1])
+    t_end = t_far - steps * dt if steps < round(t_far / dt) else 0.0
     tq = bundle.t_q
     prop = RadialPropagator(bundle.grid, bundle.kappa)
     h_tq = prop.discrete_H(tq.u, tq.v, "transformed")
-    cfg = EvolutionConfig(dt=dt, t_end=0.0, system="transformed", monitor_stride=50,
-                          snapshot_times=snap_times, blowup_H_factor=1e6)
+    cfg = EvolutionConfig(dt=dt, t_end=t_end, system="transformed",
+                          monitor_stride=LEG_MONITOR_STRIDE, snapshot_times=snap_times,
+                          blowup_H_factor=1e6)
     recs = run_batch([tq + sol.evaluate(t_far) for sol in sols], cfg, reference_H=h_tq,
                      t0=t_far, fixed_point=tq)
-    legs = [_trajectory(bundle, spectral, sol, t_far, rec, prop, h_tq)
-            for sol, rec in zip(sols, recs)]
+    legs = [_trajectory(bundle, spectral, sol, t_far, rec) for sol, rec in zip(sols, recs)]
     return tq_step_defect(bundle, dt), legs
 
 
@@ -245,26 +351,44 @@ def tq_step_defect(bundle: GroundStateBundle, dt: float) -> float:
                      / prop.discrete_mass(tq.u, tq.v)) / dt
 
 
+def _hn_gaps(bundle: GroundStateBundle, states) -> np.ndarray:
+    """H_N(W) - H_N(T(bQ)), discrete H, of each W in ``states``."""
+    tq = bundle.t_q
+    prop = RadialPropagator(bundle.grid, bundle.kappa)
+    h_tq = prop.discrete_H(tq.u, tq.v, "transformed")
+    return np.array([prop.discrete_H(w.u, w.v, "transformed") - h_tq for w in states])
+
+
 def _trajectory(bundle: GroundStateBundle, spectral: SpectralResult, sol: ApproxSolution,
-                t_far: float, rec: TrajectoryRecord, prop: RadialPropagator,
-                h_tq: float) -> SpecialTrajectory:
-    """Deviation diagnostics of one shooting leg, h_tq = H_N(T(bQ)) (discrete H)."""
+                t_far: float, rec: TrajectoryRecord) -> SpecialTrajectory:
+    """Deviation diagnostics of one shooting leg."""
     if rec.termination != "completed":
         raise ShootingError(f"shooting leg terminated early: {rec.termination} ({rec.diagnostic})")
-    a, lam, tq = sol.a, spectral.lambda1, bundle.t_q
-    times, dev, dev1, hng = [], [], [], []
-    states = {}
-    ep = spectral.e_plus
-    for t, state in rec.snapshots:
-        dev.append(h1dot_norm(state - (tq + sol.evaluate(t))))
-        dev1.append(h1dot_norm(state - (tq + (a * math.exp(-lam * t)) * ep)))
-        hng.append(prop.discrete_H(state.u, state.v, "transformed") - h_tq)
-        times.append(t)
-        states[round(t, 9)] = state
-    return SpecialTrajectory(a=a, k=sol.k, lambda1=lam, t_far=t_far,
-                             times=np.array(times), dev_wk=np.array(dev),
-                             dev_first=np.array(dev1), hn_gap=np.array(hng), record=rec,
-                             state_at=states)
+    a, lam, tq, ep = sol.a, spectral.lambda1, bundle.t_q, spectral.e_plus
+    dev = [h1dot_norm(w - (tq + sol.evaluate(t))) for t, w in rec.snapshots]
+    dev1 = [h1dot_norm(w - (tq + (a * math.exp(-lam * t)) * ep)) for t, w in rec.snapshots]
+    return SpecialTrajectory(a=a, lambda1=lam, times=np.array([t for t, _ in rec.snapshots]),
+                             hn_gap=_hn_gaps(bundle, (w for _, w in rec.snapshots)), k=sol.k,
+                             t_far=t_far, dev_wk=np.array(dev), dev_first=np.array(dev1),
+                             record=rec, state_at={round(t, 9): w for t, w in rec.snapshots})
+
+
+def series_samples(bundle: GroundStateBundle, series: ApproxSolution, times) -> SeriesSamples:
+    """W^a = T(bQ) + U^a(t) from the profile series, at ``times``; the states
+    are summed one at a time and not kept."""
+    tq = bundle.t_q
+    return SeriesSamples(a=series.a, lambda1=series.lambda1, times=np.array(times),
+                         hn_gap=_hn_gaps(bundle, (tq + series.evaluate(t) for t in times)),
+                         tq=tq, series=series)
+
+
+def leg_vs_series(leg: SpecialTrajectory, series: ApproxSolution,
+                  bundle: GroundStateBundle) -> float:
+    """max over the leg's snapshots of ||W(t) - T(bQ) - U^a(t)||_Hdot1, U^a the
+    series of the leg's amplitude: the leg's time-step error, once the
+    series' order makes its own truncation roundoff."""
+    tq = bundle.t_q
+    return max(h1dot_norm(w - (tq + series.evaluate(t))) for t, w in leg.record.snapshots)
 
 
 def leg_start(lambda1: float, a: float, data_eps: float) -> float:
@@ -278,15 +402,17 @@ def leg_start(lambda1: float, a: float, data_eps: float) -> float:
 def shoot_amplitudes(bundle: GroundStateBundle, spectral: SpectralResult, amplitudes, k: int,
                      dt: float, n_snapshots: int, data_eps: float,
                      t_far: float | None) -> dict:
-    """{a: (profile set, SpecialTrajectory)} over the distinct amplitudes, each solved once.
+    """{a: (profile set, SpecialTrajectory)} over the distinct amplitudes.
 
-    A leg starts at ``t_far``, or at ``leg_start`` when that is None; the legs
-    of one start time run as one ``shoot_legs`` batch.
+    The profiles of every a are the a = 1 recursion to order k, scaled.  A
+    leg starts at ``t_far``, or at ``leg_start`` when that is None; the legs
+    of one start time run as one full-length ``shoot_legs`` batch.
     """
+    base = approx_profiles(bundle, spectral, 1.0, k)
     groups = {}
     for a in dict.fromkeys(amplitudes):
         start = leg_start(spectral.lambda1, a, data_eps) if t_far is None else t_far
-        groups.setdefault(start, []).append(approx_profiles(bundle, spectral, a, k))
+        groups.setdefault(start, []).append(base.scaled(a))
     return {sol.a: (sol, leg) for start, sols in groups.items()
             for sol, leg in zip(sols, shoot_legs(bundle, spectral, sols, start, dt,
                                                  n_snapshots)[1])}
@@ -306,12 +432,13 @@ class ThresholdPair:
     delta_rate: float
 
 
-def construct_g(shot: SpecialTrajectory, bundle: GroundStateBundle) -> ThresholdPair:
-    """Pick t0 on the computed leg where sign(H_N gap) matches sign(a); map back.
+def construct_g(shot: WSamples, bundle: GroundStateBundle) -> ThresholdPair:
+    """Pick t0 among the samples of W^a where sign(H_N gap) matches sign(a); map back.
 
-    The earliest (smallest-t) snapshot with a robust sign margin is used so
+    The earliest (smallest-t) sample with a robust sign margin is used so
     the pair carries the largest computable kinetic separation; an error is
-    raised when the sign condition is never achieved.
+    raised when the sign condition is never achieved.  The samples are the
+    series' (``series_samples``) or a shooting leg's snapshots.
     """
     sgn = 1 if shot.a > 0 else -1
     gap_scale = float(np.max(np.abs(shot.hn_gap)))
@@ -324,8 +451,7 @@ def construct_g(shot: SpecialTrajectory, bundle: GroundStateBundle) -> Threshold
             break
     if t0 is None:
         raise ShootingError("sign condition on H_N never achieved within the computed window")
-    state = shot.state_at[round(float(t0), 9)]
-    initial = transform_T(state, inverse=True)
+    initial = transform_T(shot.state(float(t0)), inverse=True)
     rate = shot.hn_gap_rate()
     return ThresholdPair(
         sign=sgn, t0=float(t0), initial=initial,

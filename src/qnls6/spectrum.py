@@ -7,8 +7,8 @@ with eigenfunctions e+- = e1 +- i e2 (E_R e1 = lambda1 e2, -E_I e2 = lambda1 e1)
 eigenpair_e finds them in O(n) memory at every n, on one code path:
 
 1. Seed.  Only the shift lambda_c is taken from the dense symmetric-product
-   route, run on the grid of the same family (r_max, mapping, stretch,
-   background) with n_c = min(n, SEED_N) nodes: E_I >= 0 has the
+   route, run on the closed-form background of the grid of the same family
+   (r_max, mapping, stretch) with n_c = min(n, SEED_N) nodes: E_I >= 0 has the
    one-dimensional kernel span{T(bQ1)}, so its symmetric square root with
    that channel projected out exists (sqrt_ei), and TT = E_I^{1/2} E_R
    E_I^{1/2} has a single negative eigenvalue mu_c = -lambda_c^2
@@ -76,7 +76,7 @@ import scipy.sparse as sp
 
 from .grid import GRID_CACHE_SIZE, FieldPair, RadialGrid, pair_gradients
 from .groundstate import GroundStateBundle, build_bundle, build_directions, transform_T
-from .linops import (BlockOperatorE, GeneratorBand, PairOperator, build_block_E, form_ops,
+from .linops import (GeneratorBand, PairOperator, build_block_E, form_ops,
                      quad_form, stack_pair, unpack_real, unstack_pair, weighted_norm)
 
 
@@ -256,21 +256,22 @@ def _shift_invert(band: GeneratorBand, shift: float, fixed: int,
     return lam, band.natural(x)
 
 
-def _seed(bundle: GroundStateBundle, block: BlockOperatorE, clip_rel: float) -> dict:
+def _seed(bundle: GroundStateBundle, clip_rel: float) -> dict:
     """The shift lambda_c from the dense symmetric-product route on a coarse grid.
 
-    sqrt_ei and negative_eigenpair_tt run on the grid of the same family
-    (r_max, mapping, stretch, background) with n_c = min(n, SEED_N) nodes.
+    sqrt_ei and negative_eigenpair_tt run on the closed-form background of
+    the grid of the same family (r_max, mapping, stretch) with
+    n_c = min(n, SEED_N) nodes, whatever the bundle's background: a Q refined
+    on so few nodes can sit far from the closed form on a large box (at
+    r_max = 400 its lambda_c is 22 % below lambda1, and the polish wanders
+    off at n = 2048), while the closed form's stays within 2 %.
     Returns seed_lambda1 (lambda_c), seed_n (n_c) and tt_residual.
     """
     grid = bundle.grid
     cgrid = RadialGrid(n=min(grid.n, SEED_N), r_max=grid.r_max,
                        mapping=grid.mapping, stretch=grid.stretch)
-    if cgrid == grid:
-        cbundle, cblock = bundle, block
-    else:
-        cbundle = build_bundle(cgrid, bundle.kappa, background=bundle.background)
-        cblock = build_block_E(cbundle)
+    cbundle = build_bundle(cgrid, bundle.kappa)
+    cblock = build_block_E(cbundle)
     mu, _, info = negative_eigenpair_tt(cblock.e_r, sqrt_ei(cblock.e_i, cbundle, clip_rel))
     return {"tt_residual": info["tt_residual"], "seed_n": cgrid.n,
             "seed_lambda1": math.sqrt(-mu)}
@@ -355,7 +356,7 @@ def eigenpair_e(bundle: GroundStateBundle, clip_rel: float = 1e-10) -> SpectralR
     """
     block = build_block_E(bundle)
     grid = bundle.grid
-    info = _seed(bundle, block, clip_rel)
+    info = _seed(bundle, clip_rel)
     lam, x = _shift_invert(block.band(), info["seed_lambda1"], FIXED_SHIFT_SOLVES,
                            POLISH_SOLVES)
     z = unpack_real(x)

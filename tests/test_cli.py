@@ -814,6 +814,38 @@ n_snapshots = 24
         header = (out / "shot_a+1.csv").read_text().splitlines()[1]
         assert header == "t,dev_wk,dev_first,hn_gap"
 
+    def test_special_checks_the_series_with_stopped_legs(self, tmp_path):
+        # G+- come from the profile series, and the legs that check it stop at
+        # the monitor point of their last snapshot with x <= 0.3, where the
+        # fits end: 60 snapshots are asked for, fewer are taken
+        cfg = self._write(tmp_path, "scenario = special\n[physics]\nkappa = 0.5\n"
+                                    "[special]\nn = 64\ndt = 0.01\ndata_eps = 0.05\n")
+        out = tmp_path / "spc"
+        assert main(["special", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "special.summary.json").read_text())
+        assert isinstance(summary["series_order"], int)
+        assert summary["series_order"] >= summary["k"]
+        assert 0 <= summary["series_last_term"] < 1e-12
+        for tag in ("a+1", "a-1"):
+            assert 0 < summary[f"{tag}_leg_vs_series"] < 1e-2
+            rows = np.loadtxt(out / f"shot_{tag}.csv", delimiter=",", skiprows=2)
+            assert 3 <= len(rows) < 60
+            stride = 50 * 0.01
+            assert np.exp(-summary["lambda1"] * (rows[-1, 0] + stride)) < 0.3
+
+    def test_special_translation_check_keeps_full_legs(self, tmp_path):
+        # W^2 is compared with W^1 shifted by log 2 / lambda1, further down
+        # the legs than the fits reach, so those legs run to t = 0
+        cfg = self._write(tmp_path, "scenario = special\n[physics]\nkappa = 0.5\n"
+                                    "[special]\nn = 64\ndt = 0.01\ndata_eps = 0.05\n"
+                                    "a_values = 1, 2\nn_snapshots = 30\n")
+        out = tmp_path / "spc"
+        assert main(["special", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "special.summary.json").read_text())
+        assert summary["translation_overlap"] >= 10
+        rows = np.loadtxt(out / "shot_a+1.csv", delimiter=",", skiprows=2)
+        assert rows[-1, 0] < 0.5 * 50 * 0.01
+
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from qnls6.grid import RadialGrid, h1dot_norm
-from qnls6.groundstate import build_bundle
+from qnls6.groundstate import build_bundle, transform_T
 from qnls6.spectrum import eigenpair_e
 from qnls6.evolution import (EvolutionConfig, RadialPropagator, linear_propagator,
                              nonlinear_substep, run_batch)
-from qnls6.special import (ApproxSolution, ShootingError, approx_profiles,
-                           construct_g, default_fit_window, residual_eps_k,
-                           shoot_amplitudes, shoot_legs, tq_step_defect)
+from qnls6.special import (LEG_MONITOR_STRIDE, ApproxSolution, ShootingError, approx_profiles,
+                           construct_g, default_fit_window, leg_snapshot_times, leg_vs_series,
+                           profile_series, residual_eps_k, series_samples, shoot_amplitudes,
+                           shoot_legs, tq_step_defect)
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +176,130 @@ class TestBatchedLegs:
                              / prop.discrete_mass(tq.u, tq.v)) / abs(h)
         assert expected > 0
         assert tq_step_defect(bundle, abs(h)) == pytest.approx(expected, rel=1e-4)
+
+
+class TestSeries:
+    @pytest.fixture(scope="class")
+    def series(self, shot_setup):
+        bundle, spectral = shot_setup
+        return profile_series(bundle, spectral)
+
+    def test_order_stops_at_roundoff_of_u(self, shot_setup, series):
+        # the last term at x = 1 is below roundoff of U, the one before is not
+        total = series.evaluate(0.0)
+        eps = np.finfo(float).eps
+        assert h1dot_norm(series.profiles[-1]) <= eps * h1dot_norm(total)
+        assert h1dot_norm(series.profiles[-2]) > eps * h1dot_norm(total)
+        bundle, spectral = shot_setup
+        assert profile_series(bundle, spectral, series.k + 2).k == series.k + 2
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_minus_one_profiles_are_the_recursion_at_minus_one(self, shot_setup, series, k):
+        # negation is exact, so (-1)^j g_j of the one a = 1 recursion is the
+        # recursion solved at a = -1 bit for bit
+        bundle, spectral = shot_setup
+        read = series.scaled(-1.0, k)
+        solved = approx_profiles(bundle, spectral, -1.0, k)
+        assert read.a == solved.a and read.k == solved.k
+        for g, h in zip(read.profiles, solved.profiles):
+            assert np.array_equal(g.u, h.u) and np.array_equal(g.v, h.v)
+        assert read.shift_residuals == solved.shift_residuals
+
+    def test_series_g_pm_meet_the_legs_at_strang_order(self):
+        # the legs and the series aim at one W^a of the balanced semi-discrete
+        # flow: the G+- of full-length legs differ from the series at the
+        # legs' t0 by their time-step error, which falls 4x per halving of dt
+        grid = RadialGrid(n=128, r_max=200.0, stretch=29.0)
+        bundle = build_bundle(grid, kappa=0.5, background="discrete")
+        spectral = eigenpair_e(bundle)
+        series = profile_series(bundle, spectral)
+        t_far = math.log(1.0 / 0.1) / spectral.lambda1
+        sols = [series.scaled(a, 3) for a in (1.0, -1.0)]
+        diffs = []
+        for dt in (8e-3, 4e-3, 2e-3):
+            _, legs = shoot_legs(bundle, spectral, sols, t_far, dt, 40)
+            row = []
+            for leg in legs:
+                pair = construct_g(leg, bundle)
+                initial = transform_T(bundle.t_q + series.scaled(leg.a).evaluate(pair.t0),
+                                      inverse=True)
+                row.append(h1dot_norm(pair.initial - initial))
+            diffs.append(row)
+        ratios = np.array(diffs[:-1]) / np.array(diffs[1:])
+        assert np.all(np.abs(ratios - 4.0) <= 1.0), ratios
+
+    def test_series_samples_give_the_threshold_pair(self, shot_setup, series):
+        bundle, spectral = shot_setup
+        times = leg_snapshot_times(math.log(1.0 / 2e-2) / spectral.lambda1, 40)
+        gp = construct_g(series_samples(bundle, series, times), bundle)
+        gm = construct_g(series_samples(bundle, series.scaled(-1.0), times), bundle)
+        assert gm.H_value < gp.H_Q < gp.H_value
+        assert abs(gp.E_value - gp.E_Q) / gp.E_Q < 5e-3
+        assert abs(gm.E_value - gm.E_Q) / gm.E_Q < 5e-3
+        for pair in (gp, gm):
+            assert pair.delta_rate == pytest.approx(spectral.lambda1, rel=0.15)
+
+
+class TestStoppedLegs:
+    @pytest.fixture(scope="class")
+    def pair_of_runs(self, shot_setup):
+        bundle, spectral = shot_setup
+        t_far = math.log(1.0 / 5e-2) / spectral.lambda1
+        sols = [approx_profiles(bundle, spectral, a, 3) for a in (1.0, -1.0)]
+        _, full = shoot_legs(bundle, spectral, sols, t_far, 4e-3, 40)
+        _, stopped = shoot_legs(bundle, spectral, sols, t_far, 4e-3, 40, x_stop=0.3)
+        return spectral, t_far, full, stopped
+
+    def test_stopped_leg_is_the_full_leg_cut_short(self, pair_of_runs):
+        _, _, full, stopped = pair_of_runs
+        for long, short in zip(full, stopped):
+            m = len(short.times)
+            assert 3 <= m < len(long.times)
+            for name in ("times", "dev_wk", "dev_first", "hn_gap"):
+                assert np.array_equal(getattr(short, name), getattr(long, name)[:m]), name
+            for (t, w), (s, y) in zip(short.record.snapshots, long.record.snapshots):
+                assert t == s and np.array_equal(w.u, y.u) and np.array_equal(w.v, y.v)
+            # the run ends on the monitor point of its last snapshot
+            final = short.record.final_state
+            assert short.record.final_time == short.times[-1]
+            assert np.array_equal(final.u, long.state_at[round(short.times[-1], 9)].u)
+            assert np.array_equal(final.v, long.state_at[round(short.times[-1], 9)].v)
+
+    def test_stop_is_at_the_last_snapshot_in_reach(self, pair_of_runs):
+        # no step past the first monitor point within dt/4 of the last
+        # requested time with x <= x_stop, a whole number of strides from t_far
+        spectral, t_far, full, stopped = pair_of_runs
+        requested = np.array(leg_snapshot_times(t_far, 40))
+        last = requested[np.exp(-spectral.lambda1 * requested) <= 0.3][-1]
+        reach, stride = 1e-3, LEG_MONITOR_STRIDE * 4e-3
+        for long, short in zip(full, stopped):
+            steps, t_end = short.record.steps, short.record.final_time
+            assert steps % LEG_MONITOR_STRIDE == 0
+            assert steps == round((t_far - t_end) / 4e-3)
+            assert t_end <= last + reach < t_end + stride
+            assert steps < long.record.steps
+
+    def test_leg_keys_are_bit_identical(self, pair_of_runs):
+        _, _, full, stopped = pair_of_runs
+        for long, short in zip(full, stopped):
+            assert short.hn_gap_rate() == long.hn_gap_rate()
+            for rate, series, lo, hi in ((3.5, "dev_wk", 0.05, 0.3),
+                                         (1.5, "dev_first", 0.02, 0.12)):
+                assert short.envelope_margin(rate, getattr(short, series), lo, hi) == \
+                    long.envelope_margin(rate, getattr(long, series), lo, hi)
+                assert short.fitted_slope(getattr(short, series), lo, hi) == \
+                    long.fitted_slope(getattr(long, series), lo, hi)
+
+    def test_leg_vs_series_is_the_time_step_error(self, shot_setup, pair_of_runs):
+        bundle, spectral = shot_setup
+        _, _, _, stopped = pair_of_runs
+        series = profile_series(bundle, spectral)
+        for leg in stopped:
+            dev = leg_vs_series(leg, series.scaled(leg.a), bundle)
+            assert 0 < dev < 1e-3
+
+    def test_x_stop_below_every_snapshot_is_refused(self, shot_setup):
+        bundle, spectral = shot_setup
+        sol = approx_profiles(bundle, spectral, 1.0, 2)
+        with pytest.raises(ValueError, match="x_stop"):
+            shoot_legs(bundle, spectral, [sol], 10.0, 4e-3, 12, x_stop=1e-3)

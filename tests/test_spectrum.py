@@ -195,6 +195,16 @@ class TestSparseRoute:
         assert fine.residual <= 1e-10
         assert fine.info["n_negative"] == 1
 
+    def test_discrete_background_on_a_large_box(self):
+        # seeded from a Q refined on 96 nodes, lambda_c was 22 % below lambda1
+        # at r_max = 400 and inverse iteration wandered off at n = 2048; the
+        # seed is the closed-form background's, whatever the bundle's
+        s = eigenpair_e(build_bundle(RadialGrid(n=2048, r_max=400.0, stretch=29.0), 0.5,
+                                     background="discrete"))
+        assert abs(s.lambda1 - s.info["seed_lambda1"]) / s.lambda1 < 0.02
+        assert s.residual <= 1e-10
+        assert s.info["n_negative"] == 1
+
     def test_seed_is_the_dense_route_on_coarse_grids(self, bundle_mid, spectral_mid):
         # the seed is the dense route on the SEED_N grid of the same family
         grid = bundle_mid.grid
