@@ -113,10 +113,14 @@ class ApproxSolution:
 
 
 def _forcing(profiles, j: int) -> FieldPair:
-    """sum_{m+l=j} B_N(g_m, g_l) over the profiles g_1, g_2, ..., in ascending m."""
+    """sum_{m+l=j} B_N(g_m, g_l) over the profiles g_1, g_2, ...: B_N is
+    symmetric, so each unordered pair m < l enters once as 2 B_N(g_m, g_l), in
+    ascending m, and B_N(g_{j/2}, g_{j/2}) last when j is even."""
     k = len(profiles)
-    terms = [bilinear_N(profiles[m - 1], profiles[j - m - 1])
-             for m in range(max(1, j - k), min(k, j - 1) + 1)]
+    terms = [2.0 * bilinear_N(profiles[m - 1], profiles[j - m - 1])
+             for m in range(max(1, j - k), (j + 1) // 2)]
+    if j % 2 == 0:
+        terms.append(bilinear_N(profiles[j // 2 - 1], profiles[j // 2 - 1]))
     return sum(terms[1:], terms[0])
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -742,3 +743,182 @@ class TestFixedPoint:
         cfg = EvolutionConfig(dt=1e-3, t_end=1e-2, system="transformed")
         with pytest.raises(ValueError, match="fixed_point"):
             run_batch([evo_bundle.t_q], cfg, fixed_point=other)
+
+
+class TestAdaptiveGrowthCheck:
+    def test_step_non_finite_only_in_v_is_halved(self, evo_grid, monkeypatch):
+        # the fifth RK4 call puts a NaN in v alone; the adaptive run retries
+        # that step at h/2 and goes on, as it would for a NaN in u
+        import qnls6.evolution as evolution
+        rk4, calls = evolution._rk4, []
+
+        def nan_in_v(u, v, dt, c1):
+            un, vn = rk4(u, v, dt, c1)
+            calls.append(dt)
+            if len(calls) == 5:
+                vn[..., 0] = math.nan
+            return un, vn
+
+        monkeypatch.setattr(evolution, "_rk4", nan_in_v)
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.1, monitor_stride=10, adapt=True)
+        rec = run(gaussian_pair(evo_grid, amp=0.5), cfg)
+        assert (rec.termination, rec.min_dt) == ("completed", cfg.dt / 2)
+        assert calls[5] == calls[4] / 2
+        assert np.all(np.isfinite(rec.final_state.u)) and np.all(np.isfinite(rec.final_state.v))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcessSplit:
+    """run_batch with its members stepped in forked processes (two usable CPUs,
+    no work floor): the records equal those stepped in one process bit for bit."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids run_batch forks; the split is on, with two usable CPUs."""
+        import qnls6.evolution as evolution
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(evolution, "SPLIT_WORK_FLOOR", 0)
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        return pids
+
+    @staticmethod
+    def in_one_process(monkeypatch, call, *args, **kwargs):
+        import qnls6.evolution as evolution
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_usable_cpus", lambda: 1)
+            return call(*args, **kwargs)
+
+    def test_balanced_legs_of_shoot_legs(self, forks, monkeypatch, bundle_mid_discrete,
+                                         spectral_mid_discrete):
+        from qnls6.special import approx_profiles, shoot_legs
+        bundle, spectral = bundle_mid_discrete, spectral_mid_discrete
+        sols = [approx_profiles(bundle, spectral, a, 3) for a in (1.0, -1.0)]
+        t_far = math.log(1.0 / 0.1) / spectral.lambda1
+        _, split = shoot_legs(bundle, spectral, sols, t_far, 1e-2, 12)
+        assert len(forks) == 1
+        _, alone = self.in_one_process(monkeypatch, shoot_legs, bundle, spectral, sols,
+                                       t_far, 1e-2, 12)
+        assert len(forks) == 1
+        for a, b in zip(split, alone):
+            assert_same_record(a.record, b.record)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("scheme", ["strang-split", "crank-nicolson"])
+    def test_adaptive_members(self, forks, monkeypatch, evo_grid, evo_bundle, scheme):
+        members = [gaussian_pair(evo_grid), 1.3 * evo_bundle.q_vec, gaussian_pair(evo_grid, amp=0.5)]
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.6, adapt=True, scheme=scheme,
+                              monitor_stride=10, snapshot_stride=4)
+        split = run_batch(members, cfg)
+        assert len(forks) == 1
+        for a, b in zip(split, self.in_one_process(monkeypatch, run_batch, members, cfg)):
+            assert_same_record(a, b)
+        assert_no_child_left()
+
+    def test_member_that_blows_up_in_a_child(self, forks, monkeypatch, evo_grid, evo_bundle):
+        # groups [0, 1] here and [2] in the child, whose member leaves mid-run
+        members = [0.7 * evo_bundle.q_vec, gaussian_pair(evo_grid), 2.0 * evo_bundle.q_vec]
+        cfg = EvolutionConfig(dt=2e-3, t_end=3.0, monitor_stride=7, blowup_H_factor=3.0,
+                              snapshot_stride=9, snapshot_times=(0.5, 2.9),
+                              virial_radii=(5.0, math.inf), sponge=True)
+        split = run_batch(members, cfg)
+        assert len(forks) == 1
+        assert [rec.termination for rec in split] == ["completed", "completed", "blowup"]
+        for a, b in zip(split, self.in_one_process(monkeypatch, run_batch, members, cfg)):
+            assert_same_record(a, b)
+        assert_no_child_left()
+
+    def test_backward_members_with_snapshot_times(self, forks, monkeypatch, evo_grid,
+                                                  evo_bundle):
+        rng = np.random.default_rng(209)
+        tq = evo_bundle.t_q
+        members = [tq, tq + random_pair(evo_grid, 0.5, rng, scale=1e-2)]
+        cfg = EvolutionConfig(dt=3e-3, t_end=0.0, system="transformed", monitor_stride=5,
+                              snapshot_times=tuple(np.linspace(0.6, 0.0, 7)))
+        split = run_batch(members, cfg, t0=0.6)
+        assert len(forks) == 1
+        alone = self.in_one_process(monkeypatch, run_batch, members, cfg, t0=0.6)
+        for a, b in zip(split, alone):
+            assert (a.termination, len(a.snapshots)) == ("completed", 7)
+            assert_same_record(a, b)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, count, children", [(1, 3, 0), (3, 2, 1), (3, 5, 2),
+                                                       (8, 3, 2)])
+    def test_at_most_one_child_per_usable_cpu_but_one(self, forks, monkeypatch, evo_grid,
+                                                      cpus, count, children):
+        import qnls6.evolution as evolution
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+        members = [gaussian_pair(evo_grid, amp=0.3 + 0.1 * j) for j in range(count)]
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.1, monitor_stride=10)
+        split = run_batch(members, cfg)
+        assert len(forks) == children
+        for a, b in zip(split, self.in_one_process(monkeypatch, run_batch, members, cfg)):
+            assert_same_record(a, b)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [
+        "qnls6.spectrum.SpectrumError", "qnls6.special.ShootingError",
+        "numpy.linalg.LinAlgError"])
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_an_error_reaches_the_caller(self, forks, monkeypatch, evo_grid, error, where):
+        # raised in the child, it is re-raised here with its type and message;
+        # raised here, the child is killed and reaped
+        import importlib
+        import qnls6.evolution as evolution
+        module, name = error.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module), name)
+        parent, rk4 = os.getpid(), evolution._rk4
+
+        def failing(u, v, dt, c1):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise cls(f"stage failed in the {where}")
+            return rk4(u, v, dt, c1)
+
+        monkeypatch.setattr(evolution, "_rk4", failing)
+        members = [gaussian_pair(evo_grid), gaussian_pair(evo_grid, amp=0.5)]
+        with pytest.raises(cls, match=f"^stage failed in the {where}$") as info:
+            run_batch(members, EvolutionConfig(dt=2e-3, t_end=0.2))
+        assert type(info.value) is cls
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_child_that_dies_is_a_numerical_failure(self, forks, monkeypatch, evo_grid):
+        # a child killed before it sends its records (say, out of memory)
+        import signal
+        import qnls6.evolution as evolution
+        parent, rk4 = os.getpid(), evolution._rk4
+
+        def killed(u, v, dt, c1):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return rk4(u, v, dt, c1)
+
+        monkeypatch.setattr(evolution, "_rk4", killed)
+        members = [gaussian_pair(evo_grid), gaussian_pair(evo_grid, amp=0.5)]
+        with pytest.raises(RuntimeError, match=r"failed \(exit status -9\)"):
+            run_batch(members, EvolutionConfig(dt=2e-3, t_end=0.2))
+        assert_no_child_left()
+
+    def test_validation_comes_before_any_fork(self, forks, evo_grid, evo_bundle):
+        members = [gaussian_pair(evo_grid), gaussian_pair(evo_grid, amp=0.5)]
+        cfg = EvolutionConfig(dt=1e-3, t_end=1e-2)
+        with pytest.raises(ValueError, match="reference_H"):
+            run_batch(members, cfg, reference_H=[1.0])
+        with pytest.raises(ValueError, match="share"):
+            run_batch([members[0], gaussian_pair(evo_grid, kappa=1.0)], cfg)
+        with pytest.raises(ValueError, match="fixed_point"):
+            run_batch(members, EvolutionConfig(dt=1e-3, t_end=1e-2, adapt=True),
+                      fixed_point=evo_bundle.q_vec)
+        assert forks == []

@@ -303,3 +303,34 @@ class TestStoppedLegs:
         sol = approx_profiles(bundle, spectral, 1.0, 2)
         with pytest.raises(ValueError, match="x_stop"):
             shoot_legs(bundle, spectral, [sol], 10.0, 4e-3, 12, x_stop=1e-3)
+
+
+class TestForcing:
+    @pytest.fixture(scope="class")
+    def profiles(self, shot_setup):
+        bundle, spectral = shot_setup
+        return approx_profiles(bundle, spectral, 1.0, 8).profiles
+
+    def test_unordered_pairs_match_the_ordered_sum(self, profiles):
+        # the orders of the recursion (j <= k) and of the eps_k tail (k < j <= 2k)
+        from qnls6.linops import bilinear_N
+        from qnls6.special import _forcing
+        k = len(profiles)
+        for j in range(2, 2 * k + 1):
+            ordered = [bilinear_N(profiles[m - 1], profiles[j - m - 1])
+                       for m in range(max(1, j - k), min(k, j - 1) + 1)]
+            want = sum(ordered[1:], ordered[0])
+            got = _forcing(profiles, j)
+            for a, b in ((got.u, want.u), (got.v, want.v)):
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), j
+
+    def test_each_unordered_pair_costs_one_bilinear_call(self, profiles, monkeypatch):
+        import qnls6.special as special
+        calls = []
+        bilinear = special.bilinear_N
+        monkeypatch.setattr(special, "bilinear_N", lambda a, b: calls.append(1) or bilinear(a, b))
+        k = len(profiles)
+        for j in range(2, 2 * k + 1):
+            calls.clear()
+            special._forcing(profiles, j)
+            assert len(calls) == (min(k, j - 1) - max(1, j - k)) // 2 + 1, j
