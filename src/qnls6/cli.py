@@ -36,9 +36,9 @@ from .functionals import energy, hamiltonian, variational_constants
 from .linops import build_block_E
 from .spectrum import (SpectralResult, coercivity_sample, dense_cross_check, eigenpair_e,
                        lambda1_inverse_iteration, shifted_solve_conditioning)
-from .special import (HN_GAP_WINDOW, construct_g, default_fit_window, leg_snapshot_times,
-                      leg_start, leg_vs_series, profile_series, residual_eps_k,
-                      series_samples, shoot_amplitudes, shoot_legs, time_translation_mismatch)
+from .special import (HN_GAP_WINDOW, default_fit_window, leg_start, leg_vs_series,
+                      profile_series, residual_eps_k, series_pair, shoot_legs,
+                      time_translation_mismatch, wa_at_zero)
 from .evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict,
                         l4_decay_ratio, read_checkpoint, reconcile, run_batch,
                         variational_prediction, vr_identity_defect, write_checkpoint)
@@ -293,10 +293,9 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
         summary[f"{tag}_epsk_slope_l2"] = fit["slope_l2"]
         summary[f"{tag}_epsk_slope_h1"] = fit["slope_h1"]
         summary[f"{tag}_epsk_target"] = fit["target_slope"]
-    times = leg_snapshot_times(t_far, spc.n_snapshots)
     for a, name in ((1.0, "gplus"), (-1.0, "gminus")):
         if a in shots:
-            pair = construct_g(series_samples(bundle, series.scaled(a), times), bundle)
+            pair = series_pair(bundle, series, a, spc.data_eps, spc.n_snapshots)
             summary[f"{name}_H"] = pair.H_value
             summary[f"{name}_E"] = pair.E_value
             summary[f"{name}_H_Q"] = pair.H_Q
@@ -348,42 +347,44 @@ def _initial_from_recipe(rec: dict, given, bundle: GroundStateBundle, threshold:
     """Initial data and the bundle whose Q it was built against; ``given`` is
     what ``_prepare_recipe`` returned.
 
-    A threshold-pair recipe reads its shot from ``threshold``, (discrete-background
-    bundle, ``shoot_amplitudes`` shots).  E(G+-) = E(Q) holds for that Q, so their
-    E/E(Q) and H/H(Q) are taken against it: the closed-form Q's energy differs by
-    2e-3 at n = 128, r_max = 60.
+    A threshold-pair recipe reads its state from ``threshold``, (discrete-background
+    bundle, its profile series, the ``wa_at_zero`` states, [special] block): G+-
+    as ``special`` builds them, ``series_pair``.  E(G+-) = E(Q) holds for that Q,
+    so their E/E(Q) and H/H(Q) are taken against it: the closed-form Q's energy
+    differs by 2e-3 at n = 128, r_max = 60.
     """
     if rec["kind"] == "qscale":
         base = apply_symmetry(bundle.q_vec, rec["theta"], rec["lam"])
         return rec["scale"] * base, bundle
     if rec["kind"] in ("file", "chk"):
         return given, bundle
-    bundle_d, shots = threshold
-    shot = shots[given][1]
+    bundle_d, series, w_zero, spc = threshold
     if rec["kind"] == "wa":
-        t0 = min(shot.state_at.keys())
-        return transform_T(shot.state_at[t0], inverse=True), bundle_d
-    return construct_g(shot, bundle_d).initial, bundle_d
+        return transform_T(w_zero[given], inverse=True), bundle_d
+    return series_pair(bundle_d, series, given, spc.data_eps, spc.n_snapshots).initial, bundle_d
 
 
 def _evolve_recipes(cfg: ScenarioConfig, recipes, **evo_overrides) -> list:
     """(initial, bundle, record) per recipe: the states, evolved by one ``run_batch`` call.
 
-    Threshold-pair recipes share one discrete-background pipeline, built only
-    when one is present, and one ``shoot_amplitudes`` call.  ``bundle`` is the
-    Q a state was built against; its H(Q) is the run's reference_H.
+    Threshold-pair recipes share one discrete-background pipeline and one
+    profile series, built only when one is present; of them, only a ``wa:``
+    with |a| > 1 steps a leg.  ``bundle`` is the Q a state was built against;
+    its H(Q) is the run's reference_H.
     """
     evo = _evo_config(cfg, **evo_overrides)
     grid = _mkgrid(cfg, n_override=cfg.evolution.n)
     prepared = [_prepare_recipe(text, cfg, grid) for text in recipes]   # before any build
     bundle = build_bundle(grid, cfg.physics.kappa)
     threshold = None
-    wanted = [a for rec, a in prepared if rec["kind"] in ("gplus", "gminus", "wa")]
-    if wanted:
+    if any(rec["kind"] in ("gplus", "gminus", "wa") for rec, _ in prepared):
         spc = cfg.special
         bundle_d, spectral = _spectral_pipeline(cfg, grid, background="discrete")
-        threshold = bundle_d, shoot_amplitudes(bundle_d, spectral, wanted, spc.order, spc.dt,
-                                               spc.n_snapshots, spc.data_eps, None)
+        series = profile_series(bundle_d, spectral)
+        w_zero = wa_at_zero(bundle_d, spectral, series,
+                            [a for rec, a in prepared if rec["kind"] == "wa"], spc.dt,
+                            spc.n_snapshots)
+        threshold = bundle_d, series, w_zero, spc
     built = [_initial_from_recipe(rec, given, bundle, threshold) for rec, given in prepared]
     records = run_batch([initial for initial, _ in built], evo,
                         reference_H=[hamiltonian(ref.q_vec) for _, ref in built])

@@ -43,14 +43,15 @@ blows up leaves the batch at that monitor point.  Adaptive members run one
 at a time through the same loop, since a step halving shared by the batch
 would change a member's result.  Members never exchange data, so a batch
 whose members carry enough work (SPLIT_WORK_FLOOR) is cut into
-min(B, usable CPUs) contiguous groups: the calling process steps the first
-and a forked child each of the others, and the children send their records
-back pickled over a pipe.  One step of two members costs less than two
-steps of one (165 against 2 x 100 us at n = 512), so the split costs some
-CPU time to save wall time; the records, and so the artifacts, are the same
-bit for bit on any number of cores.  Processes, not threads:
-scipy's LAPACK wrappers hold the GIL, and a zgttrs loop beside a Python loop
-on a second thread took as long as the two one after the other.
+min(B, usable CPUs) contiguous groups (the CPU affinity, capped by a cgroup
+CPU quota): the calling process steps the first and a forked child each of
+the others, and the children send their records back pickled over a pipe.
+One step of two members costs less than two steps of one (165 against
+2 x 100 us at n = 512), so the split costs some CPU time to save wall time;
+the records, and so the artifacts, are the same bit for bit on any number of
+cores.  Processes, not threads: scipy's LAPACK wrappers hold the GIL, and a
+zgttrs loop beside a Python loop on a second thread took as long as the two
+one after the other.
 
 Monitored quantities use the solver-consistent discrete functionals
 (<-Delta_h u, u> with cell-mass weights), so the reported E/mass drift
@@ -91,12 +92,13 @@ import threading
 import traceback
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grid import FieldPair, GridError, RadialGrid, pair_from_arrays
-from .functionals import VirialWeight, virial_F, virial_I, mass_type_vr
+from .functionals import VirialWeight, virial_monitors
 from .groundstate import Q_SCALE2
 
 # Radius of the ball that the L^4 scattering proxy is scored on: the length
@@ -133,6 +135,10 @@ FACTOR_CACHE_SIZE = 32
 # within noise (107 -> 116 ms, on a rerun 97 -> 86 ms); at 3.8e5 (n = 256,
 # 1,500 steps) 143 -> 119 ms and at 7.7e5 (n = 512) 280 -> 198 ms.
 SPLIT_WORK_FLOOR = 2.5e5
+# The files of a cgroup CPU quota, which caps the CPUs run_batch counts as
+# usable: v2 "<quota|max> <period>", else v1 quota (-1 for none) and period.
+CGROUP_CPU_FILES = (("/sys/fs/cgroup/cpu.max",),
+                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
 
 
 @dataclass(frozen=True)
@@ -442,8 +448,27 @@ def run_batch(u0s, cfg: EvolutionConfig, reference_H: float | list | None = None
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on (1 where the platform cannot tell)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """The CPUs this process may run on (1 where the platform cannot tell),
+    capped by the cgroup's CPU quota, rounded down, when it has one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    quota = _cpu_quota()
+    return cpus if quota is None else max(1, min(cpus, math.floor(quota)))
+
+
+def _cpu_quota() -> float | None:
+    """The cgroup's CPU quota in CPUs, quota / period, read from the first of
+    CGROUP_CPU_FILES that can be read; None for no quota ("max" in cgroup v2,
+    -1 in v1) or when none can be read."""
+    for paths in CGROUP_CPU_FILES:
+        try:
+            quota, period = (word for path in paths for word in Path(path).read_text().split())
+            if quota == "max":
+                return None
+            quota, period = int(quota), int(period)
+        except (OSError, ValueError):
+            continue
+        return quota / period if quota > 0 and period > 0 else None
+    return None
 
 
 def _member_groups(count: int, work: float) -> list:
@@ -567,6 +592,7 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
             want_snap = True
             snap_idx += 1
         n_points += 1
+        virial = virial_monitors(grid, kappa, U, V, weights.values()) if weights else {}
         for j, b in enumerate(rows):
             s = series[b]
             # views of U, V: the loop rebinds the state after a monitor point
@@ -576,17 +602,11 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
             s.append(t, h, float(P[j]), float(E[j]), float(mass[j]),
                      abs(h - refs[b]) if refs[b] is not None else math.nan,
                      float(l4[j]))
-            pair = None
-            if weights:
-                pair = pair_from_arrays(grid, U[j], V[j], kappa)
-                for R, wgt in weights.items():
-                    s.virial["I_R"][R].append(virial_I(pair, wgt))
-                    s.virial["F_R"][R].append(virial_F(pair, wgt))
-                    s.virial["V_R"][R].append(mass_type_vr(pair, wgt))
+            for R, values in virial.items():
+                for name, x in zip(("I_R", "F_R", "V_R"), values):
+                    s.virial[name][R].append(float(x[j]))
             if want_snap:
-                if pair is None:
-                    pair = pair_from_arrays(grid, U[j], V[j], kappa)
-                s.snapshots.append((t, pair))
+                s.snapshots.append((t, pair_from_arrays(grid, U[j], V[j], kappa)))
         return H
 
     def end(mask, termination, diagnostic, steps, min_dt):

@@ -39,20 +39,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldPair, RadialGrid, integrate6_samples, radial_derivative
+from .grid import FieldPair, RadialGrid, ddr
 from .groundstate import GroundStateBundle
 
-
 def _grad_sq(u: FieldPair):
-    du = radial_derivative(u.first).values
-    dv = radial_derivative(u.second).values
-    return np.abs(du) ** 2, np.abs(dv) ** 2
+    return np.abs(ddr(u.grid, u.u)) ** 2, np.abs(ddr(u.grid, u.v)) ** 2
+
+
+def _kinetic(w, gu, gv, kappa):
+    """H of one state, or of each row, from |d/dr u|^2, |d/dr v|^2; w the quadrature weights."""
+    return np.sum(w * gu, axis=-1) + 0.5 * kappa * np.sum(w * gv, axis=-1)
+
+
+def _interaction(w, u, v):
+    """P = Re int u^2 conj(v) dx of one state, or of each row."""
+    return np.real(np.sum(w * (u ** 2 * np.conj(v)), axis=-1))
 
 
 def hamiltonian(u: FieldPair) -> float:
-    gu, gv = _grad_sq(u)
-    w = u.grid.quad_weights
-    return float(np.sum(w * gu) + 0.5 * u.kappa * np.sum(w * gv))
+    return float(_kinetic(u.grid.quad_weights, *_grad_sq(u), u.kappa))
 
 
 def hamiltonian_n(u: FieldPair) -> float:
@@ -64,7 +69,7 @@ def hamiltonian_n(u: FieldPair) -> float:
 
 
 def interaction(u: FieldPair) -> float:
-    return float(np.real(integrate6_samples(u.grid, u.u ** 2 * np.conj(u.v))))
+    return float(_interaction(u.grid.quad_weights, u.u, u.v))
 
 
 def energy(u: FieldPair) -> float:
@@ -206,23 +211,12 @@ class VirialWeight:
 
 def virial_I(u: FieldPair, weight: VirialWeight) -> float:
     """I_R = 2 kappa Im int grad(w_R) . (2 grad u conj u + grad v conj v) dx."""
-    du = radial_derivative(u.first).values
-    dv = radial_derivative(u.second).values
-    integrand = weight.dw * (2.0 * du * np.conj(u.u) + dv * np.conj(u.v))
-    return float(2.0 * u.kappa * np.imag(integrate6_samples(u.grid, integrand)))
+    return float(virial_monitors(u.grid, u.kappa, u.u, u.v, [weight])[weight.R][0])
 
 
 def virial_F(u: FieldPair, weight: VirialWeight) -> float:
     """Time derivative of I_R; closed form 8 kappa (2H - 3P) at R = infinity."""
-    k = u.kappa
-    if math.isinf(weight.R):
-        return 8.0 * k * (2.0 * hamiltonian(u) - 3.0 * interaction(u))
-    w = u.grid.quad_weights
-    gu, gv = _grad_sq(u)
-    t_bilap = -2.0 * k * np.sum(w * weight.bilap_w * (np.abs(u.u) ** 2 + 0.5 * k * np.abs(u.v) ** 2))
-    t_coupl = -2.0 * k * np.sum(w * weight.lap_w * np.real(np.conj(u.v) * u.u ** 2))
-    t_hess = 8.0 * k * np.sum(w * weight.d2w * (gu + 0.5 * k * gv))
-    return float(t_bilap + t_coupl + t_hess)
+    return float(virial_monitors(u.grid, u.kappa, u.u, u.v, [weight])[weight.R][1])
 
 
 def mass_type_vr(u: FieldPair, weight: VirialWeight,
@@ -235,11 +229,36 @@ def mass_type_vr(u: FieldPair, weight: VirialWeight,
     resonance kappa = 1/2; the evolution monitor measures the defect at other
     kappa rather than assuming it away.
     """
-    if component_weights is None:
-        component_weights = (2.0 * u.kappa, 1.0)
-    a, b = component_weights
-    integrand = weight.w * (a * np.abs(u.u) ** 2 + b * np.abs(u.v) ** 2)
-    return float(np.real(integrate6_samples(u.grid, integrand)))
+    a, b = (2.0 * u.kappa, 1.0) if component_weights is None else component_weights
+    return float(_weighted_mass(u.grid.quad_weights, u.u, u.v, weight, a, b))
+
+
+def _weighted_mass(w, u, v, weight: VirialWeight, a: float, b: float):
+    return np.sum(w * (weight.w * (a * np.abs(u) ** 2 + b * np.abs(v) ** 2)), axis=-1)
+
+
+def virial_monitors(grid: RadialGrid, kappa: float, u: np.ndarray, v: np.ndarray,
+                    weights) -> dict:
+    """{R: (I_R, F_R, V_R)} for each VirialWeight in ``weights``, of the state
+    u, v (shape (n,)) or of each row (shape (B, n)), each radial derivative
+    taken once; a row's values are those of the row alone bit for bit (numpy
+    sums a contiguous row pairwise, as it sums a 1-D array)."""
+    w, k = grid.quad_weights, kappa
+    du, dv = ddr(grid, u), ddr(grid, v)
+    gu, gv = np.abs(du) ** 2, np.abs(dv) ** 2
+    out = {}
+    for wgt in weights:
+        i_r = 2.0 * k * np.imag(np.sum(w * (wgt.dw * (2.0 * du * np.conj(u) + dv * np.conj(v))),
+                                       axis=-1))
+        if math.isinf(wgt.R):
+            f_r = 8.0 * k * (2.0 * _kinetic(w, gu, gv, k) - 3.0 * _interaction(w, u, v))
+        else:
+            mass = np.abs(u) ** 2 + 0.5 * k * np.abs(v) ** 2
+            t_bilap = -2.0 * k * np.sum(w * wgt.bilap_w * mass, axis=-1)
+            t_coupl = -2.0 * k * np.sum(w * wgt.lap_w * np.real(np.conj(v) * u ** 2), axis=-1)
+            f_r = t_bilap + t_coupl + 8.0 * k * np.sum(w * wgt.d2w * (gu + 0.5 * k * gv), axis=-1)
+        out[wgt.R] = i_r, f_r, _weighted_mass(w, u, v, wgt, 2.0 * k, 1.0)
+    return out
 
 
 def f_infinity_gap(u: FieldPair, bundle: GroundStateBundle) -> float:

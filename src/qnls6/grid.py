@@ -397,10 +397,10 @@ def laplacian6(f: RadialField, boundary: str = "dirichlet", order: int = 2) -> R
 
 def radial_derivative(f: RadialField) -> RadialField:
     """Centered d/dr (second order on the smooth mapped grid, one-sided ends)."""
-    return RadialField(f.grid, _ddr(f.grid, f.values))
+    return RadialField(f.grid, ddr(f.grid, f.values))
 
 
-def _ddr(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
+def ddr(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     """d/dr of v of shape (n,), or (B, n) for B fields at once (a row's
     value equals its 1-D value bit for bit)."""
     a, b, c, first, last = grid.derivative_weights
@@ -437,14 +437,14 @@ def h1dot_norm(f: FieldPair) -> float:
 
 
 def _gradients(f: FieldPair):
-    return _ddr(f.grid, f.u), _ddr(f.grid, f.v)
+    return ddr(f.grid, f.u), ddr(f.grid, f.v)
 
 
 def pair_gradients(grid: RadialGrid, z: np.ndarray):
     """(d/dr u, d/dr v) of stacked pairs z = (u; v) of shape (2n,), or (B, 2n)
     for B pairs at once."""
     n = grid.n
-    return _ddr(grid, z[..., :n]), _ddr(grid, z[..., n:])
+    return ddr(grid, z[..., :n]), ddr(grid, z[..., n:])
 
 
 def h1dot_gradients(grid: RadialGrid, df, dg) -> float:

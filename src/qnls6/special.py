@@ -23,7 +23,7 @@ a^j g_j (``ApproxSolution.scaled``), which for a = -1 is ``approx_profiles``
 at -1 bit for bit, since negation is exact.  The series omits the constant
 defect of the sampled T(bQ), as the balanced step map below does, so
 T(bQ) + U^a is W^a of the balanced semi-discrete flow, and the threshold pair
-is read from it.
+is read from it (``series_pair``), as is W^a(0) for |a| <= 1 (``wa_at_zero``).
 
 Shooting legs check the series: initial data W_k^a(t_far) = T(bQ) +
 U_k^a(t_far) at a time where the perturbation has size ``data_eps``,
@@ -33,14 +33,16 @@ would grow along e_+ over a leg; the legs step the map balanced at T(bQ)
 (``run_batch``'s ``fixed_point``), which keeps T(bQ) fixed exactly, and the
 deviations are measured from T(bQ) itself.  A leg can stop at the monitor
 point of its last snapshot with x <= ``x_stop``, where its fits end.  What
-separates a leg from the series is its time-step error.
+separates a leg from the series is its time-step error.  Past x = 1 the
+series is not summed: W^a with |a| > 1 is shot from x = 1, where it is the
+series of sign(a), at t1 = ln|a| / lambda1.
 
 The threshold pair comes out by undoing the componentwise rescaling:
 G+- = T^{-1}(W^{+-1}(. + t0)) with t0 chosen so the sign of
 H_N(W(t0)) - H_N(T(bQ)) matches the sign of a (the leading deviation is
 2 a e^{-lambda1 t} (Re e_+, T(bQ))_{H_N}, positive pairing by convention).
 ``construct_g`` applies that rule to any sampling of W^a: the series at a
-leg's requested times, or the leg's own snapshots.
+leg's requested times (``series_pair``), or the leg's own snapshots.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ import numpy as np
 from .grid import FieldPair, h1dot_norm
 from .groundstate import GroundStateBundle, transform_T
 from .functionals import energy, hamiltonian
-from .linops import bilinear_N, build_block_E, stack_pair, unstack_pair, weighted_norm
+from .linops import (bilinear_N, build_block_E, pack_real, stack_pair, unpack_real, unstack_pair,
+                     weighted_norm)
 from .spectrum import SpectralResult
 from .evolution import (EvolutionConfig, RadialPropagator, TrajectoryRecord,
                         fixed_point_images, linear_propagator, nonlinear_substep,
@@ -127,13 +130,14 @@ def _forcing(profiles, j: int) -> FieldPair:
 def _profile_orders(bundle: GroundStateBundle, spectral: SpectralResult, a: float):
     """(g_j, relative residual of its shifted solve) for j = 1, 2, ..., g_1 = a e_+."""
     block = build_block_E(bundle)
+    band = block.band()      # built once, factored at each j lambda1
     lam = spectral.lambda1
     profiles = [a * spectral.e_plus]
     yield profiles[0], spectral.residual
     for j in itertools.count(2):
         rhs = 1j * stack_pair(_forcing(profiles, j))
         try:
-            z = block.solve_shifted(j * lam, rhs)
+            z = unpack_real(band.factor(j * lam).matvec(pack_real(rhs)))
         except RuntimeError as exc:
             raise ShootingError(
                 f"shifted solve at order {j} is singular: j*lambda1 appears to touch "
@@ -403,25 +407,6 @@ def leg_start(lambda1: float, a: float, data_eps: float) -> float:
     return t_far
 
 
-def shoot_amplitudes(bundle: GroundStateBundle, spectral: SpectralResult, amplitudes, k: int,
-                     dt: float, n_snapshots: int, data_eps: float,
-                     t_far: float | None) -> dict:
-    """{a: (profile set, SpecialTrajectory)} over the distinct amplitudes.
-
-    The profiles of every a are the a = 1 recursion to order k, scaled.  A
-    leg starts at ``t_far``, or at ``leg_start`` when that is None; the legs
-    of one start time run as one full-length ``shoot_legs`` batch.
-    """
-    base = approx_profiles(bundle, spectral, 1.0, k)
-    groups = {}
-    for a in dict.fromkeys(amplitudes):
-        start = leg_start(spectral.lambda1, a, data_eps) if t_far is None else t_far
-        groups.setdefault(start, []).append(base.scaled(a))
-    return {sol.a: (sol, leg) for start, sols in groups.items()
-            for sol, leg in zip(sols, shoot_legs(bundle, spectral, sols, start, dt,
-                                                 n_snapshots)[1])}
-
-
 @dataclass(frozen=True)
 class ThresholdPair:
     """G+- initial data (original-system frame) with certification numbers."""
@@ -462,6 +447,34 @@ def construct_g(shot: WSamples, bundle: GroundStateBundle) -> ThresholdPair:
         H_value=hamiltonian(initial), E_value=energy(initial),
         H_Q=hamiltonian(bundle.q_vec), E_Q=energy(bundle.q_vec),
         delta_rate=float(rate))
+
+
+def series_pair(bundle: GroundStateBundle, series: ApproxSolution, a: float,
+                data_eps: float, n_snapshots: int) -> ThresholdPair:
+    """G+- of amplitude a = +-1 from the profile series of a = 1: ``construct_g``
+    on W^a sampled at the times a leg from ``data_eps`` asks for."""
+    t_far = leg_start(series.lambda1, 1.0, data_eps)
+    times = leg_snapshot_times(t_far, n_snapshots)
+    return construct_g(series_samples(bundle, series.scaled(a), times), bundle)
+
+
+def wa_at_zero(bundle: GroundStateBundle, spectral: SpectralResult, series: ApproxSolution,
+               amplitudes, dt: float, n_snapshots: int) -> dict:
+    """{a: W^a(0)} (transformed frame) over the distinct amplitudes, from the
+    profile series of a = 1: T(bQ) + U^a(0) for |a| <= 1, where the series'
+    last term is below roundoff; for |a| > 1, W^a(t1) = T(bQ) + U^a(t1) at
+    x = 1, t1 = ln|a| / lambda1, stepped to 0 by one ``shoot_legs`` batch per t1.
+    """
+    out, groups = {}, {}
+    for a in dict.fromkeys(amplitudes):
+        if abs(a) <= 1:
+            out[a] = bundle.t_q + series.scaled(a).evaluate(0.0)
+        else:
+            groups.setdefault(leg_start(series.lambda1, a, 1.0), []).append(series.scaled(a))
+    for t1, sols in groups.items():
+        _, legs = shoot_legs(bundle, spectral, sols, t1, dt, n_snapshots)
+        out.update((sol.a, leg.record.final_state) for sol, leg in zip(sols, legs))
+    return out
 
 
 def time_translation_mismatch(shot_ref: SpecialTrajectory, shot_scaled: SpecialTrajectory,

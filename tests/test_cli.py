@@ -13,7 +13,7 @@ from qnls6.cli import (export_profile_csv, load_profile_csv, main, write_csv,
 from qnls6.config import (ConfigError, parse_a_values, parse_config, parse_radii,
                           parse_recipe, print_config)
 import qnls6
-from qnls6.grid import RadialGrid
+from qnls6.grid import RadialGrid, h1dot_norm
 from conftest import random_pair
 
 MINIMAL = """
@@ -724,8 +724,8 @@ n_snapshots = 24
                     (alone / name.format(0)).read_bytes()
 
     def test_threshold_sweep_shoots_each_start_time_once(self, tmp_path, monkeypatch):
-        # gplus and wa:1 are one amplitude, and gplus and gminus start at one
-        # time: one batch of two amplitude legs
+        # gplus, gminus and wa:1 are read from the profile series: no leg is
+        # stepped, and the sweep gives each run what its recipe gives alone
         import qnls6.special as special_mod
         real = special_mod.run_batch
         batches = []
@@ -738,7 +738,7 @@ n_snapshots = 24
         text = self.THRESHOLD_SWEEP + "[sweep]\n" + "".join(f"recipe = {r}\n" for r in recipes)
         sweep = tmp_path / "sweep"
         assert main(["evolve", "--config", self._write(tmp_path, text), "--out", str(sweep)]) == 0
-        assert batches == [2]
+        assert batches == []
         rows = json.loads((sweep / "evolve.summary.json").read_text())["runs"]
         for i, recipe in enumerate(recipes):
             text = self.THRESHOLD_SWEEP + f"[sweep]\nrecipe = {recipe}\n"
@@ -750,6 +750,60 @@ n_snapshots = 24
             for name in ("series_run{}.csv", "final_run{}.chk"):
                 assert (sweep / name.format(i)).read_bytes() == \
                     (alone / name.format(0)).read_bytes()
+
+    def test_threshold_recipes_are_the_pair_of_special(self, tmp_path):
+        # on one grid and [special] sampling, gplus and gminus start from the
+        # G+- that qnls6 special writes, bit for bit
+        text = self.THRESHOLD_SWEEP.replace("scenario = evolve", "scenario = special")
+        spc = tmp_path / "special"
+        assert main(["special", "--config", self._write(tmp_path, text + "[special]\nn = 128\n"),
+                     "--out", str(spc)]) == 0
+        pair = json.loads((spc / "special.summary.json").read_text())
+        text = self.THRESHOLD_SWEEP + "[sweep]\nrecipe = gplus\nrecipe = gminus\n"
+        evo = tmp_path / "evolve"
+        assert main(["evolve", "--config", self._write(tmp_path, text), "--out", str(evo)]) == 0
+        rows = json.loads((evo / "evolve.summary.json").read_text())["runs"]
+        for row, name in zip(rows, ("gplus", "gminus")):
+            assert row["H_ratio"] == pair[f"{name}_H"] / pair[f"{name}_H_Q"]
+
+    def test_series_recipes_step_no_leg(self, tmp_path, monkeypatch):
+        # G+- and W^a(0) with |a| <= 1 are sums of the profile series
+        import qnls6.special as special_mod
+
+        def no_shooting(*args, **kwargs):
+            raise AssertionError("a leg was stepped")
+        monkeypatch.setattr(special_mod, "run_batch", no_shooting)
+        text = self.THRESHOLD_SWEEP + "[sweep]\nrecipe = gplus\nrecipe = gminus\nrecipe = wa:0.5\n"
+        out = tmp_path / "series"
+        assert main(["evolve", "--config", self._write(tmp_path, text), "--out", str(out)]) == 0
+        rows = json.loads((out / "evolve.summary.json").read_text())["runs"]
+        assert [row["termination"] for row in rows] == ["completed"] * 3
+
+    def test_wa_above_one_is_shot_from_x_one(self, tmp_path, monkeypatch):
+        # W^2 at t1 = ln 2 / lambda1 is T(bQ) plus the series of a = 1 at x = 1,
+        # stepped to 0 by one leg
+        import qnls6.cli as cli_mod
+        import qnls6.special as special_mod
+        real_batch, real_series = special_mod.run_batch, cli_mod.profile_series
+        legs, series = [], []
+
+        def recorded_batch(data, *args, **kwargs):
+            legs.append((list(data), kwargs))
+            return real_batch(data, *args, **kwargs)
+
+        def recorded_series(*args, **kwargs):
+            series.append(real_series(*args, **kwargs))
+            return series[-1]
+        monkeypatch.setattr(special_mod, "run_batch", recorded_batch)
+        monkeypatch.setattr(cli_mod, "profile_series", recorded_series)
+        text = self.THRESHOLD_SWEEP + "[sweep]\nrecipe = wa:2\n"
+        out = tmp_path / "wa2"
+        assert main(["evolve", "--config", self._write(tmp_path, text), "--out", str(out)]) == 0
+        [([start], kwargs)] = legs
+        [base] = series
+        assert kwargs["t0"] == math.log(2.0) / base.lambda1
+        at_x1 = kwargs["fixed_point"] + base.evaluate(0.0)
+        assert h1dot_norm(start - at_x1) <= 1e-14 * h1dot_norm(base.evaluate(0.0))
 
     def test_spectrum_clip_rel_reaches_threshold_recipes(self, tmp_path, monkeypatch):
         calls = self._count_eigenpairs(monkeypatch)

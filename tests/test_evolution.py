@@ -540,14 +540,17 @@ class TestBatch:
             assert_same_record(rec, run(u0, cfg, reference_H=h_ref))
 
     def test_backward_members_equal_solo_runs(self, evo_grid, evo_bundle):
+        # 200 steps back from 0.6 at stride 5, with all 7 requested snapshots;
+        # each member is measured against its own H
         rng = np.random.default_rng(205)
         tq = evo_bundle.t_q
         members = [tq, tq + random_pair(evo_grid, 0.5, rng, scale=1e-2)]
         cfg = EvolutionConfig(dt=3e-3, t_end=0.0, system="transformed", monitor_stride=5,
                               snapshot_times=tuple(np.linspace(0.6, 0.0, 7)))
-        batch = run_batch(members, cfg, reference_H=1.0, t0=0.6)
+        batch = run_batch(members, cfg, reference_H=None, t0=0.6)
         for u0, rec in zip(members, batch):
-            assert_same_record(rec, run(u0, cfg, reference_H=1.0, t0=0.6))
+            assert (rec.termination, rec.steps, len(rec.snapshots)) == ("completed", 200, 7)
+            assert_same_record(rec, run(u0, cfg, reference_H=None, t0=0.6))
 
     @pytest.mark.parametrize("scheme", ["strang-split", "crank-nicolson"])
     def test_unfused_members_equal_solo_runs(self, evo_grid, evo_bundle, scheme):
@@ -712,9 +715,10 @@ class TestFixedPoint:
         rng = np.random.default_rng(207)
         tq = evo_bundle.t_q
         members = [tq + random_pair(evo_grid, 0.5, rng, scale=1e-2), tq]
-        batch = run_batch(members, self.CFG, reference_H=1.0, t0=0.6, fixed_point=tq)
+        batch = run_batch(members, self.CFG, reference_H=None, t0=0.6, fixed_point=tq)
         for u0, rec in zip(members, batch):
-            assert_same_record(rec, run_batch([u0], self.CFG, reference_H=1.0, t0=0.6,
+            assert (rec.termination, rec.steps, len(rec.snapshots)) == ("completed", 200, 5)
+            assert_same_record(rec, run_batch([u0], self.CFG, reference_H=None, t0=0.6,
                                               fixed_point=tq)[0])
         assert np.array_equal(batch[1].final_state.u, tq.u)
         assert np.array_equal(batch[1].final_state.v, tq.v)
@@ -922,3 +926,49 @@ class TestProcessSplit:
             run_batch(members, EvolutionConfig(dt=1e-3, t_end=1e-2, adapt=True),
                       fixed_point=evo_bundle.q_vec)
         assert forks == []
+
+
+class TestUsableCpus:
+    """_usable_cpus: the CPU affinity, capped by the cgroup's CPU quota."""
+
+    @pytest.fixture
+    def cgroup(self, tmp_path, monkeypatch):
+        """write(v2, v1): the cgroup v2 cpu.max text and the v1 (quota, period)
+        texts, None for a file that cannot be read; four CPUs of affinity."""
+        import qnls6.evolution as evolution
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+        def write(v2, v1=None):
+            texts = {"cpu.max": v2, "cpu.cfs_quota_us": v1 and v1[0],
+                     "cpu.cfs_period_us": v1 and v1[1]}
+            for name, text in texts.items():
+                if text is not None:
+                    (tmp_path / name).write_text(text + "\n")
+            monkeypatch.setattr(evolution, "CGROUP_CPU_FILES", (
+                (str(tmp_path / "cpu.max"),),
+                (str(tmp_path / "cpu.cfs_quota_us"), str(tmp_path / "cpu.cfs_period_us"))))
+        return write
+
+    @pytest.mark.parametrize("v2, v1, cpus", [
+        ("100000 100000", None, 1), ("250000 100000", None, 2), ("50000 100000", None, 1),
+        ("1000000 100000", None, 4), ("max 100000", None, 4),
+        (None, ("100000", "100000"), 1), (None, ("-1", "100000"), 4),
+        ("garbage", ("300000", "100000"), 3), (None, None, 4), (None, ("100000", None), 4),
+    ], ids=["v2-one", "v2-two-and-a-half", "v2-half", "v2-above-affinity", "v2-max",
+            "v1-one", "v1-none", "v2-malformed-v1-three", "unreadable", "v1-no-period"])
+    def test_quota_caps_the_affinity(self, cgroup, v2, v1, cpus):
+        import qnls6.evolution as evolution
+        cgroup(v2, v1)
+        assert evolution._usable_cpus() == cpus
+
+    def test_one_cpu_of_quota_forks_no_child(self, cgroup, monkeypatch, evo_grid):
+        import qnls6.evolution as evolution
+
+        def no_fork():
+            raise AssertionError("a member process was forked")
+        cgroup("100000 100000")
+        monkeypatch.setattr(evolution, "SPLIT_WORK_FLOOR", 0)
+        monkeypatch.setattr(os, "fork", no_fork)
+        members = [gaussian_pair(evo_grid, amp=0.3), gaussian_pair(evo_grid, amp=0.4)]
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.02, monitor_stride=5)
+        assert [rec.termination for rec in run_batch(members, cfg)] == ["completed"] * 2

@@ -9,8 +9,8 @@ from qnls6.spectrum import eigenpair_e
 from qnls6.evolution import (EvolutionConfig, RadialPropagator, linear_propagator,
                              nonlinear_substep, run_batch)
 from qnls6.special import (LEG_MONITOR_STRIDE, ApproxSolution, ShootingError, approx_profiles,
-                           construct_g, default_fit_window, leg_snapshot_times, leg_vs_series,
-                           profile_series, residual_eps_k, series_samples, shoot_amplitudes,
+                           construct_g, default_fit_window, leg_snapshot_times, leg_start,
+                           leg_vs_series, profile_series, residual_eps_k, series_samples,
                            shoot_legs, tq_step_defect)
 
 
@@ -133,9 +133,9 @@ class TestShooting:
         assert abs(gm.E_value - gm.E_Q) / gm.E_Q < 5e-3
 
     def test_rejects_oversized_data(self, shot_setup):
-        bundle, spectral = shot_setup
+        _, spectral = shot_setup
         with pytest.raises(ShootingError):
-            shoot_amplitudes(bundle, spectral, [0.5], 3, 1e-3, 60, data_eps=2.0, t_far=None)
+            leg_start(spectral.lambda1, 0.5, 2.0)
 
 
 class TestBatchedLegs:
