@@ -447,13 +447,13 @@ def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
     """
     # imported here: the scenarios that never reach a spectrum skip its load
     import scipy.sparse.linalg as spla
-    block = build_block_E(bundle)
+    band = build_block_E(bundle).band()      # built once, factored at each j lam1
     n4 = 4 * bundle.grid.n
     out = {}
     state = np.random.get_state()
     try:
         for j in j_values:
-            lu = block.shifted_inverse(j * lam1)
+            lu = band.factor(j * lam1)
             op = spla.LinearOperator((n4, n4), matvec=lu.matvec, rmatvec=lu.rmatvec,
                                      dtype=float)
             np.random.seed(ONENORM_SEED)

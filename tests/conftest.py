@@ -1,8 +1,25 @@
+import os
+
 import numpy as np
 import pytest
 
 from qnls6.grid import RadialGrid, pair_from_arrays
 from qnls6.groundstate import build_bundle
+
+
+@pytest.fixture
+def counted_forks(monkeypatch):
+    """The pids os.fork returns to this process while the test runs."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 @pytest.fixture(scope="session")

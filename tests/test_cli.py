@@ -15,6 +15,7 @@ from qnls6.config import (ConfigError, parse_a_values, parse_config, parse_radii
 import qnls6
 from qnls6.grid import RadialGrid, h1dot_norm
 from conftest import random_pair
+from test_evolution import assert_no_child_left
 
 MINIMAL = """
 scenario = ground-state
@@ -899,6 +900,95 @@ n_snapshots = 24
         assert summary["translation_overlap"] >= 10
         rows = np.loadtxt(out / "shot_a+1.csv", delimiter=",", skiprows=2)
         assert rows[-1, 0] < 0.5 * 50 * 0.01
+
+
+class TestSpectrumSideBySide:
+    """scenario_spectrum runs its dense cross-check in a forked child when two
+    CPUs are usable, beside the rest of the scenario in this process."""
+
+    CONFIG = ("scenario = spectrum\n[physics]\nkappa = 0.5\n[spectrum]\nn = 96\n"
+              "cross_check_n = 64\ncoercivity_trials = 3\n")
+
+    @pytest.fixture
+    def forks(self, counted_forks, monkeypatch):
+        """The pids the scenario forks, with two usable CPUs."""
+        import qnls6.evolution as evolution
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+        return counted_forks
+
+    def _run(self, tmp_path, name):
+        cfg = tmp_path / "spectrum.ini"
+        cfg.write_text(self.CONFIG)
+        return main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / name),
+                     "--seed", "5"])
+
+    def test_artifacts_are_the_same_on_one_and_two_cpus(self, tmp_path, forks, monkeypatch):
+        import qnls6.evolution as evolution
+        assert self._run(tmp_path, "two") == 0
+        assert len(forks) == 1
+        assert_no_child_left()
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1)
+        assert self._run(tmp_path, "one") == 0
+        assert len(forks) == 1
+        names = sorted(os.listdir(tmp_path / "one"))
+        assert names == sorted(os.listdir(tmp_path / "two")) and "eigenfunction.csv" in names
+        for name in names:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_an_error_in_the_child_is_a_numerical_failure(self, tmp_path, capsys, forks,
+                                                          monkeypatch):
+        import qnls6.cli as cli_mod
+        from qnls6.spectrum import SpectrumError
+        parent = os.getpid()
+
+        def failing(bundle):
+            where = "parent" if os.getpid() == parent else "child"
+            raise SpectrumError(f"dense check failed in the {where}")
+        monkeypatch.setattr(cli_mod, "dense_cross_check", failing)
+        assert self._run(tmp_path, "o") == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: dense check failed in the child\n"
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_child_that_dies_is_a_numerical_failure(self, tmp_path, capsys, forks,
+                                                      monkeypatch):
+        import signal
+        import qnls6.cli as cli_mod
+        parent = os.getpid()
+
+        def killed(bundle):
+            assert os.getpid() != parent
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(cli_mod, "dense_cross_check", killed)
+        assert self._run(tmp_path, "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "exit status -9" in err
+        assert err.count("\n") == 1
+        assert_no_child_left()
+
+    def test_a_config_error_here_kills_the_running_child(self, tmp_path, capsys, forks,
+                                                         monkeypatch):
+        import time
+        import qnls6.cli as cli_mod
+        from qnls6.config import ConfigError
+        parent = os.getpid()
+
+        def stalled(bundle):
+            assert os.getpid() != parent
+            time.sleep(60)
+
+        def refused(bundle, clip_rel):
+            raise ConfigError(f"[spectrum] clip_rel = {clip_rel:g} refused")
+        monkeypatch.setattr(cli_mod, "dense_cross_check", stalled)
+        monkeypatch.setattr(cli_mod, "eigenpair_e", refused)
+        start = time.monotonic()
+        assert self._run(tmp_path, "o") == 1
+        assert time.monotonic() - start < 30
+        err = capsys.readouterr().err
+        assert err == "config error: [spectrum] clip_rel = 1e-10 refused\n"
+        assert len(forks) == 1
+        assert_no_child_left()
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -10,7 +10,7 @@ from qnls6.evolution import (FACTOR_CACHE_SIZE, L4_BALL_RADIUS, PADE_POLES,
                              TrajectoryRecord, _shifted_factors, check_virial_identity,
                              dynamical_verdict, l4_decay_ratio, linear_propagator,
                              nonlinear_substep, read_checkpoint, reconcile, run, run_batch,
-                             variational_prediction, vr_identity_defect,
+                             side_by_side, variational_prediction, vr_identity_defect,
                              write_checkpoint)
 from qnls6.evolution import _make_cn_stepper, _rk4
 from qnls6.grid import GridError, RadialGrid, h1dot_norm, pair_from_arrays
@@ -926,6 +926,73 @@ class TestProcessSplit:
             run_batch(members, EvolutionConfig(dt=1e-3, t_end=1e-2, adapt=True),
                       fixed_point=evo_bundle.q_vec)
         assert forks == []
+
+
+class TestSideBySide:
+    """side_by_side: the first call here and each other in a forked child, or
+    all here in order when the process cannot fork safely or has one CPU."""
+
+    @pytest.fixture
+    def forks(self, counted_forks, monkeypatch):
+        """The pids side_by_side forks, with three usable CPUs."""
+        import qnls6.evolution as evolution
+        monkeypatch.setattr(evolution, "_usable_cpus", lambda: 3)
+        return counted_forks
+
+    @staticmethod
+    def calls(count):
+        """Calls returning (their index, the pid they ran in, an array)."""
+        return [lambda k=k: (k, os.getpid(), np.arange(70000.0) * k) for k in range(count)]
+
+    def test_results_come_back_in_call_order(self, forks):
+        results = side_by_side(self.calls(3))
+        assert [k for k, _, _ in results] == [0, 1, 2]
+        pids = [pid for _, pid, _ in results]
+        assert pids[0] == os.getpid() and pids[1:] == forks and len(set(forks)) == 2
+        for k, _, values in results:     # more than a pipe buffer each
+            assert np.array_equal(values, np.arange(70000.0) * k)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("index", [1, 2])
+    @pytest.mark.parametrize("error", [
+        "qnls6.spectrum.SpectrumError", "numpy.linalg.LinAlgError", "builtins.ValueError"])
+    def test_an_error_of_a_child_is_raised_with_its_type(self, forks, index, error):
+        import importlib
+        module, name = error.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module), name)
+
+        def failing():
+            raise cls(f"call {index} failed")
+        calls = self.calls(3)
+        calls[index] = failing
+        with pytest.raises(cls, match=f"^call {index} failed$") as info:
+            side_by_side(calls)
+        assert type(info.value) is cls
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("why", ["one-cpu", "live-thread", "no-fork"])
+    def test_runs_in_order_here_when_it_cannot_fork(self, forks, monkeypatch, why):
+        import threading
+        import qnls6.evolution as evolution
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        if why == "one-cpu":
+            monkeypatch.setattr(evolution, "_usable_cpus", lambda: 1)
+        elif why == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            thread.start()
+        order = []
+        calls = [lambda k=k: order.append(k) or os.getpid() for k in range(3)]
+        try:
+            assert side_by_side(calls) == [os.getpid()] * 3
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=30)
+        assert order == [0, 1, 2] and forks == [] and not thread.is_alive()
+        assert_no_child_left()
 
 
 class TestUsableCpus:
