@@ -533,6 +533,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output_dir = args.out
         cfg.validate()
+        if cfg.seed < 0:   # seeds numpy generators, which refuse negative seeds
+            raise ConfigError(f"seed = {cfg.seed} must be >= 0")
         outdir = cfg.output_dir
         created = not os.path.isdir(outdir)
         os.makedirs(outdir, exist_ok=True)   # an --out naming a file: OSError

@@ -3,9 +3,10 @@
 The format is deliberately flat: top-level ``scenario``, ``seed`` and
 ``output_dir`` keys followed by [grid], [physics], [evolution], [spectrum],
 [special] and [sweep] sections of key = value lines.  '#' and ';' start
-comments.  Unknown keys or sections are rejected with their line number;
-parse(print(cfg)) round-trips exactly (floats are emitted with 17 significant
-digits).
+comments.  Both formats become one stream of (where, section, key, value)
+entries, applied by one loop: unknown keys or sections are rejected with
+their line number (JSON: their section); parse(print(cfg)) round-trips
+exactly (floats are emitted with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -170,73 +171,68 @@ def _coerce(value, target_type):
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse sectioned key=value text (or a JSON object) into a config."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _from_json(json.loads(text))
-    cfg = ScenarioConfig()
-    recipes = []
+    if text.lstrip().startswith("{"):
+        return _apply(_json_entries(json.loads(text)))
+    return _apply(_text_entries(text))
+
+
+def _text_entries(text: str):
+    """(where, section or None, key, value) of each key = value line."""
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"line {lineno}"
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SECTION_TYPES:
-                raise ConfigError(f"line {lineno}: unknown section [{name}]")
-            section = name
+            section = line[1:-1].strip()
+            if section not in _SECTION_TYPES:
+                raise ConfigError(f"{where}: unknown section [{section}]")
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{where}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if section is None:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"line {lineno}: unknown top-level key {key!r}")
-            _set(cfg, key, value, f"line {lineno}")
-            continue
-        if section == "sweep":
-            if key != "recipe":
-                raise ConfigError(f"line {lineno}: [sweep] accepts only 'recipe' entries")
-            recipes.append(value)
-            continue
-        block = getattr(cfg, section)
-        if key not in {f.name for f in fields(block)}:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        _set(block, key, value, f"line {lineno}")
-    cfg.sweep = SweepBlock(recipes=tuple(recipes))
-    return cfg.validate()
+        yield where, section, key.strip(), value.strip()
 
 
-def _set(obj, key: str, value, where: str) -> None:
-    try:
-        setattr(obj, key, _coerce(value, type(getattr(obj, key))))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-
-
-def _from_json(obj: dict) -> ScenarioConfig:
-    cfg = ScenarioConfig()
+def _json_entries(obj: dict):
+    """(where, section or None, key, value) of each JSON key; a section is an
+    object, and ``sweep`` a list of recipe strings (or {"recipes": [...]})."""
     for key, val in obj.items():
-        if key in _TOP_KEYS:
-            _set(cfg, key, val, "top level")
-        elif key == "sweep":
+        where = f"section {key!r}"
+        if key == "sweep":
             recipes = val.get("recipes", ()) if isinstance(val, dict) else val
             if not (isinstance(recipes, (list, tuple)) and all(isinstance(r, str) for r in recipes)):
-                raise ConfigError("sweep recipes must be a list of strings")
-            cfg.sweep = SweepBlock(recipes=tuple(recipes))
+                raise ConfigError(f"{where}: recipes must be a list of strings")
+            yield from ((where, key, "recipe", rec) for rec in recipes)
         elif key in _SECTION_TYPES:
             if not isinstance(val, dict):
-                raise ConfigError(f"section {key!r} must be an object")
-            block = getattr(cfg, key)
-            valid = {f.name for f in fields(block)}
-            for k2, v2 in val.items():
-                if k2 not in valid:
-                    raise ConfigError(f"unknown key {k2!r} in section {key!r}")
-                _set(block, k2, v2, f"section {key!r}")
+                raise ConfigError(f"{where}: must be an object")
+            yield from ((where, key, k2, v2) for k2, v2 in val.items())
         else:
-            raise ConfigError(f"unknown top-level key {key!r}")
+            yield "top level", None, key, val
+
+
+def _apply(entries) -> ScenarioConfig:
+    """The validated config of a stream of (where, section or None, key, value)."""
+    cfg = ScenarioConfig()
+    recipes = []
+    for where, section, key, value in entries:
+        if section == "sweep":
+            if key != "recipe":
+                raise ConfigError(f"{where}: [sweep] accepts only 'recipe' entries")
+            recipes.append(value)
+            continue
+        if section is None and key not in _TOP_KEYS:
+            raise ConfigError(f"{where}: unknown top-level key {key!r}")
+        obj = cfg if section is None else getattr(cfg, section)
+        if key not in {f.name for f in fields(obj)}:
+            raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
+        try:
+            setattr(obj, key, _coerce(value, type(getattr(obj, key))))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+    cfg.sweep = SweepBlock(recipes=tuple(recipes))
     return cfg.validate()
 
 

@@ -17,8 +17,10 @@ Two discrete operators are provided:
   cell-mass inner product and negative semidefinite, which the eigenvalue
   machinery relies on.
 * ``order=4``: a five-point finite-difference stencil for f'' + (5/r) f',
-  built by local polynomial fitting.  Not symmetric; used for high-accuracy
-  residual diagnostics.
+  every row's quartic fit taken in one stacked Vandermonde solve, with the
+  two reflected nodes past r=0 and the two ghost nodes past r_max folded onto
+  the nodes they stand for.  Not symmetric; used for high-accuracy residual
+  diagnostics.
 
 Outer boundary rules: ``dirichlet`` (ghost value 0 past r_max) or ``decay4``
 (ghost extrapolated by an A r^-4 + B r^-6 tail fit, appropriate for fields
@@ -151,11 +153,9 @@ class RadialGrid:
         i = np.arange(2, n - 2)
         first = np.concatenate([i - 1, i, [n - 3]])
         seg = np.concatenate([i, i, [n - 2]])
-        x3 = r[first[:, None] + np.arange(3)]
-        vt = np.stack([np.ones_like(x3), x3, x3 * x3], axis=1)
         mom = np.stack([(p[seg + 1] - p[seg]) / k for p, k in ((p6, 6), (p7, 7), (p8, 8))],
                        axis=1)
-        c = np.linalg.solve(vt, mom[..., None])[..., 0]
+        c = _vandermonde_weights(r[first[:, None] + np.arange(3)], mom)
         left, right = 0.5 * c[:len(i)], 0.5 * c[len(i):-1]
         # each node takes its shares in the order of increasing segment,
         # the left quadratic's before the right one's
@@ -185,15 +185,20 @@ class RadialGrid:
         sub = g[1:n] / m[1:]
         sup = g[1:n] / m[:-1]
         diag = -(g[:-1] + g[1:]) / m
-        corner = 0.0
+        alpha, beta = self._ghost(boundary, 1)
+        diag[-1] += g[n] * alpha / m[-1]
+        return sub, diag, sup, g[n] * beta / m[-1]
+
+    def _ghost(self, boundary: str, k: int):
+        """(alpha, beta) of the ghost value alpha f[n-1] + beta f[n-2] at
+        r[-1] + k (r[-1] - r[-2]): zero under dirichlet, the r^-4 / r^-6 tail
+        fit under decay4."""
+        r = self.nodes
+        if boundary == "dirichlet":
+            return 0.0, 0.0
         if boundary == "decay4":
-            alpha, beta = _tail_ghost_coeffs(r[-2], r[-1], r_ghost)
-            diag = diag.copy()
-            diag[-1] += g[n] * alpha / m[-1]
-            corner = g[n] * beta / m[-1]
-        elif boundary != "dirichlet":
-            raise GridError(f"unknown boundary rule {boundary!r}")
-        return sub, diag, sup, corner
+            return _tail_ghost_coeffs(r[-2], r[-1], r[-1] + k * (r[-1] - r[-2]))
+        raise GridError(f"unknown boundary rule {boundary!r}")
 
     @cached_property
     def dirichlet_tridiag(self):
@@ -213,8 +218,9 @@ class RadialGrid:
         r = self.nodes
         hm = r[1:-1] - r[:-2]
         hp = r[2:] - r[1:-1]
-        out = (hm / hp, hp / hm, hm + hp,
-               _onesided_weights(r[0], r[:3]), _onesided_weights(r[-1], r[-3:]))
+        first, last = _vandermonde_weights(r[[[0, 1, 2], [-3, -2, -1]]] - r[[[0], [-1]]],
+                                           np.array([0.0, 1.0, 0.0]))
+        out = (hm / hp, hp / hm, hm + hp, first, last)
         for a in out:
             a.setflags(write=False)
         return out
@@ -246,56 +252,28 @@ class RadialGrid:
         """Five-point f'' + (5/r) f' by local quartic fits; even extension at 0."""
         r = self.nodes
         n = self.n
-        r_g1 = r[-1] + (r[-1] - r[-2])
-        r_g2 = r[-1] + 2.0 * (r[-1] - r[-2])
-        rows, cols, vals = [], [], []
-
-        def stencil_weights(x0, xs):
-            # derivative weights from a degree-(len(xs)-1) fit around x0
-            d = np.array(xs) - x0
-            V = np.vander(d, increasing=True).T
-            b1 = np.zeros(len(xs)); b1[1] = 1.0
-            b2 = np.zeros(len(xs)); b2[2] = 2.0
-            w1 = np.linalg.solve(V, b1)
-            w2 = np.linalg.solve(V, b2)
-            return w2 + (5.0 / x0) * w1
-
-        if boundary == "decay4":
-            a1, b1 = _tail_ghost_coeffs(r[-2], r[-1], r_g1)
-            a2, b2 = _tail_ghost_coeffs(r[-2], r[-1], r_g2)
-        elif boundary == "dirichlet":
-            a1 = b1 = a2 = b2 = 0.0
-        else:
-            raise GridError(f"unknown boundary rule {boundary!r}")
-
-        for i in range(n):
-            idx = [i - 2, i - 1, i, i + 1, i + 2]
-            xs, fold = [], []
-            for j in idx:
-                if j < 0:
-                    xs.append(-r[-j - 1])       # even reflection through r=0
-                    fold.append(-j - 1)
-                elif j < n:
-                    xs.append(r[j])
-                    fold.append(j)
-                elif j == n:
-                    xs.append(r_g1)
-                    fold.append(("ghost", a1, b1))
-                else:
-                    xs.append(r_g2)
-                    fold.append(("ghost", a2, b2))
-            ws = stencil_weights(r[i], xs)
-            acc = {}
-            for wgt, tgt in zip(ws, fold):
-                if isinstance(tgt, tuple):
-                    _, ga, gb = tgt
-                    acc[n - 1] = acc.get(n - 1, 0.0) + wgt * ga
-                    acc[n - 2] = acc.get(n - 2, 0.0) + wgt * gb
-                else:
-                    acc[tgt] = acc.get(tgt, 0.0) + wgt
-            for j_col, wgt in acc.items():
-                rows.append(i); cols.append(j_col); vals.append(wgt)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        # row i fits the nodes i-2 .. i+2: nodes -2, -1 are -r_1, -r_0 and
+        # nodes n, n+1 the two ghosts, folded below onto the nodes they stand for
+        ext = np.concatenate([-r[1::-1], r, [r[-1] + (r[-1] - r[-2]),
+                                             r[-1] + 2.0 * (r[-1] - r[-2])]])
+        d = ext[np.arange(n)[:, None] + np.arange(5)] - r[:, None]
+        w1, w2 = _vandermonde_weights(np.stack([d, d]), np.array([[[0.0, 1.0, 0.0, 0.0, 0.0]],
+                                                                 [[0.0, 0.0, 2.0, 0.0, 0.0]]]))
+        w = w2 + (5.0 / r)[:, None] * w1
+        (a1, b1), (a2, b2) = self._ghost(boundary, 1), self._ghost(boundary, 2)
+        w[0, 2] += w[0, 1]             # -r_0 onto f[0]
+        w[0, 3] += w[0, 0]             # -r_1 onto f[1]
+        w[1, 1] += w[1, 0]             # -r_0 onto f[0]
+        w[-2, 3] += w[-2, 4] * a1      # ghost 1 onto f[n-1] and f[n-2]
+        w[-2, 2] += w[-2, 4] * b1
+        w[-1, 2] += w[-1, 3] * a1      # ghost 1, then ghost 2
+        w[-1, 1] += w[-1, 3] * b1
+        w[-1, 2] += w[-1, 4] * a2
+        w[-1, 1] += w[-1, 4] * b2
+        cols = np.arange(n)[:, None] + np.arange(-2, 3)
+        keep = (cols >= 0) & (cols < n)
+        indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
+        return sp.csr_matrix((w[keep], cols[keep], indptr), shape=(n, n))
 
     def symmetrized_tridiag(self):
         """(diag, offdiag) of D^{1/2} Delta_h D^{-1/2}, D = diag(cell masses).
@@ -305,6 +283,18 @@ class RadialGrid:
         sub, diag, sup = self.dirichlet_tridiag
         off = np.sqrt(sub * sup)
         return diag, off
+
+
+def _vandermonde_weights(x: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Weights c with sum_j c_j x_j^k = moments_k, k < m, for each row of the
+    stack x of shape (..., m), in one solve; ``moments`` broadcasts against x.
+    The powers are repeated products, as np.vander builds them (``**`` can
+    differ in the last bit, which the solves amplify)."""
+    powers = [np.ones_like(x), x]
+    while len(powers) < x.shape[-1]:
+        powers.append(powers[-1] * x)
+    rhs = np.broadcast_to(moments, x.shape)[..., None]
+    return np.linalg.solve(np.stack(powers, axis=-2), rhs)[..., 0]
 
 
 def _tail_ghost_coeffs(r1: float, r2: float, rg: float):
@@ -410,13 +400,6 @@ def ddr(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     out[..., 0] = (v[..., None, :3] @ first)[..., 0]
     out[..., -1] = (v[..., None, -3:] @ last)[..., 0]
     return out
-
-
-def _onesided_weights(x0, xs):
-    d = xs - x0
-    V = np.vander(d, increasing=True).T
-    b = np.zeros(len(xs)); b[1] = 1.0
-    return np.linalg.solve(V, b)
 
 
 def integrate6_samples(grid: RadialGrid, samples: np.ndarray):

@@ -269,6 +269,34 @@ kappa = 0.5
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra,named", [
+        ('"wrong": 1', "'wrong'"),
+        ('"grid": [64]', "'grid'"),
+        ('"sweep": ["qscale:1", 2]', "'sweep'"),
+        ('"sweep": {"recipes": "qscale:1"}', "'sweep'"),
+        ('"evolution": {"n": 64, "wrong": 1}', "'wrong'"),
+    ], ids=["top-level-key", "section-not-object", "sweep-not-strings", "sweep-recipes-string",
+            "section-key"])
+    def test_bad_json_names_its_key_or_section(self, tmp_path, capsys, extra, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"scenario": "evolve", "physics": {"kappa": 0.5}, ' + extra + "}")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_one_config_error_line(self, tmp_path, capsys, where):
+        seed = "seed = -20\n" if where == "config" else ""
+        cfg = self._write(tmp_path, f"scenario = spectrum\n{seed}[physics]\nkappa = 0.5\n"
+                                    "[spectrum]\nn = 64\ncross_check_n = 48\n")
+        flag = ["--seed", "-20"] if where == "flag" else []
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed = -20") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("line", ["t_end = nan", "t_end = inf", "dt = inf",
                                       "sponge_strength = nan", "sponge_strength = -5",
                                       "snapshot_stride = -1"])

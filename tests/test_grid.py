@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
 
-from qnls6.grid import (FieldPair, GridError, RadialField, RadialGrid,
+from qnls6.grid import (FieldPair, GridError, RadialField, RadialGrid, _tail_ghost_coeffs,
                         h1dot_gradients, h1dot_inner, h1dot_norm, integrate6_samples,
                         laplacian6, pair_from_arrays, pair_gradients, radial_derivative)
 from qnls6.groundstate import q_closed_form, q_derivative_closed_form
@@ -215,6 +215,88 @@ class TestVectorizedAssembly:
         assert mat.shape == ref.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(mat, attr), getattr(ref, attr))
+
+    @staticmethod
+    def _loop_laplacian_o4(grid, boundary):
+        # one pair of 5x5 Vandermonde solves per node; reflected and ghost
+        # nodes folded through a per-row dict, summed by the COO constructor
+        r = grid.nodes
+        n = grid.n
+        r_g1 = r[-1] + (r[-1] - r[-2])
+        r_g2 = r[-1] + 2.0 * (r[-1] - r[-2])
+        rows, cols, vals = [], [], []
+
+        def stencil_weights(x0, xs):
+            d = np.array(xs) - x0
+            V = np.vander(d, increasing=True).T
+            b1 = np.zeros(len(xs)); b1[1] = 1.0
+            b2 = np.zeros(len(xs)); b2[2] = 2.0
+            return np.linalg.solve(V, b2) + (5.0 / x0) * np.linalg.solve(V, b1)
+
+        if boundary == "decay4":
+            a1, b1 = _tail_ghost_coeffs(r[-2], r[-1], r_g1)
+            a2, b2 = _tail_ghost_coeffs(r[-2], r[-1], r_g2)
+        else:
+            a1 = b1 = a2 = b2 = 0.0
+        for i in range(n):
+            xs, fold = [], []
+            for j in range(i - 2, i + 3):
+                if j < 0:
+                    xs.append(-r[-j - 1])
+                    fold.append(-j - 1)
+                elif j < n:
+                    xs.append(r[j])
+                    fold.append(j)
+                else:
+                    xs.append(r_g1 if j == n else r_g2)
+                    fold.append((a1, b1) if j == n else (a2, b2))
+            acc = {}
+            for wgt, tgt in zip(stencil_weights(r[i], xs), fold):
+                if isinstance(tgt, tuple):
+                    acc[n - 1] = acc.get(n - 1, 0.0) + wgt * tgt[0]
+                    acc[n - 2] = acc.get(n - 2, 0.0) + wgt * tgt[1]
+                else:
+                    acc[tgt] = acc.get(tgt, 0.0) + wgt
+            for j_col, wgt in acc.items():
+                rows.append(i); cols.append(j_col); vals.append(wgt)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    @staticmethod
+    def _loop_onesided_weights(x0, xs):
+        V = np.vander(xs - x0, increasing=True).T
+        b = np.zeros(len(xs)); b[1] = 1.0
+        return np.linalg.solve(V, b)
+
+    @pytest.mark.parametrize("mapping", ["algebraic", "uniform"])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "decay4"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 64, 1024])
+    def test_laplacian_o4_bit_identical(self, n, boundary, mapping):
+        # n = 5 puts both reflected nodes and both ghosts in adjacent rows
+        grid = RadialGrid(n=n, r_max=200.0, mapping=mapping, stretch=29.0)
+        mat = grid.laplacian_matrix(boundary, order=4)
+        ref = self._loop_laplacian_o4(grid, boundary)
+        assert mat.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mat, attr), getattr(ref, attr))
+
+    @pytest.mark.parametrize("mapping", ["algebraic", "uniform"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 64, 1024])
+    def test_derivative_end_rows_bit_identical(self, n, mapping):
+        grid = RadialGrid(n=n, r_max=200.0, mapping=mapping, stretch=29.0)
+        r = grid.nodes
+        first, last = grid.derivative_weights[3:]
+        assert np.array_equal(first, self._loop_onesided_weights(r[0], r[:3]))
+        assert np.array_equal(last, self._loop_onesided_weights(r[-1], r[-3:]))
+
+    @pytest.mark.parametrize("call", [
+        lambda g: g.laplacian_tridiag("neumann"),
+        lambda g: g.laplacian_matrix("neumann", order=2),
+        lambda g: g.laplacian_matrix("neumann", order=4),
+        lambda g: g.laplacian_matrix("dirichlet", order=3),
+    ], ids=["tridiag-rule", "order2-rule", "order4-rule", "order-3"])
+    def test_unknown_rule_or_order_raises(self, small_grid, call):
+        with pytest.raises(GridError):
+            call(small_grid)
 
     def test_derivative_rows_equal_single_fields(self, mid_grid):
         rng = np.random.default_rng(5)
