@@ -197,14 +197,19 @@ def _text_entries(text: str):
 
 def _json_entries(obj: dict):
     """(where, section or None, key, value) of each JSON key; a section is an
-    object, and ``sweep`` a list of recipe strings (or {"recipes": [...]})."""
+    object, and ``sweep`` a list of recipe strings (or {"recipes": [...]},
+    with no other key)."""
     for key, val in obj.items():
         where = f"section {key!r}"
         if key == "sweep":
-            recipes = val.get("recipes", ()) if isinstance(val, dict) else val
-            if not (isinstance(recipes, (list, tuple)) and all(isinstance(r, str) for r in recipes)):
+            if isinstance(val, dict):
+                unknown = [k2 for k2 in val if k2 != "recipes"]
+                if unknown:
+                    raise ConfigError(f"{where}: unknown key {unknown[0]!r} in section [sweep]")
+                val = val.get("recipes", ())
+            if not (isinstance(val, (list, tuple)) and all(isinstance(r, str) for r in val)):
                 raise ConfigError(f"{where}: recipes must be a list of strings")
-            yield from ((where, key, "recipe", rec) for rec in recipes)
+            yield from ((where, key, "recipe", rec) for rec in val)
         elif key in _SECTION_TYPES:
             if not isinstance(val, dict):
                 raise ConfigError(f"{where}: must be an object")
@@ -220,7 +225,8 @@ def _apply(entries) -> ScenarioConfig:
     for where, section, key, value in entries:
         if section == "sweep":
             if key != "recipe":
-                raise ConfigError(f"{where}: [sweep] accepts only 'recipe' entries")
+                raise ConfigError(f"{where}: unknown key {key!r} in section [sweep], "
+                                  "which takes only 'recipe'")
             recipes.append(value)
             continue
         if section is None and key not in _TOP_KEYS:

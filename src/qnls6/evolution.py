@@ -28,9 +28,7 @@ O(n): per component two solves and two adds, and four RK4 evaluations of
 expansions were rejected because ||dt Delta_h|| is 27 at n = 512 and 431 at
 n = 2048 (dt = 1e-3), hundreds of products per step; the Cayley transform
 (Pade [1/1]) because it is second order: on a 2-unit Strang run (n = 512,
-dt = 5e-4) it is 3.8e-2 off the exact-linear run in Hdot1, [2/2] 2.6e-10.  One
-Pade step is accurate only for small |c dt| (t = 0.25 in one step is 13 % off),
-so ``linear_propagator`` sub-steps by LINEAR_SUBSTEP.
+dt = 5e-4) it is 3.8e-2 off the exact-linear run in Hdot1, [2/2] 2.6e-10.
 
 Batches: ``run_batch`` advances B trajectories on one grid, under either
 scheme, as the rows of a C-order (B, n) array per component.  The transpose
@@ -38,15 +36,18 @@ of that array is the Fortran-order n x B right-hand side of zgttrs, so one
 solve per pole and component steps every row, and RK4, the sponge and the
 monitors act on all rows at once; the monitor sums run along each contiguous
 row with the same pairwise summation as a 1-D sum, so every member's record
-is bit-identical to its own run.  ``run`` is a batch of one.  A member that
-blows up leaves the batch at that monitor point.  Adaptive members run one
-at a time through the same loop, since a step halving shared by the batch
-would change a member's result.  Members never exchange data, so a batch
-whose members carry enough work (SPLIT_WORK_FLOOR) is cut into
-min(B, usable CPUs) contiguous groups (the CPU affinity, capped by a cgroup
-CPU quota) that ``side_by_side`` steps at once: the calling process the first
-and a forked child each of the others, whose records come back pickled over a
-pipe.  ``side_by_side`` is the package's one fork path; the spectrum scenario
+is bit-identical to its own run.  ``run`` is a batch of one, and every
+state the package steps, a shooting leg's or a translation check's, moves
+through this one loop.  A member that blows up leaves the batch at that
+monitor point.  Adaptive members run one at a time through the same loop,
+since a step halving shared by the batch would change a member's result; a
+step halved below DT_MIN ends the run at a monitor point too, on the last
+accepted state, so the record ends where the final state is.  Members
+never exchange data, so a batch whose members carry enough work
+(SPLIT_WORK_FLOOR) is cut into min(B, usable CPUs) contiguous groups (the
+CPU affinity, capped by a cgroup CPU quota) that ``side_by_side`` steps at
+once: the calling process the first and a forked child each of the others,
+whose records come back pickled over a pipe.  ``side_by_side`` is the package's one fork path; the spectrum scenario
 runs its dense cross-check through it as well.  One step of two members costs
 less than two steps of one (165 against 2 x 100 us at n = 512), so the split
 costs some CPU time to save wall time; the records, and so the artifacts, are
@@ -122,8 +123,6 @@ SPONGE_START_FRAC = 0.8
 
 # Poles of the Pade [2/2] approximant of exp (see the module docstring).
 PADE_POLES = (3.0 + 1j * math.sqrt(3.0), 3.0 - 1j * math.sqrt(3.0))
-# Longest Pade step linear_propagator takes (see the module docstring).
-LINEAR_SUBSTEP = 1e-3
 # Bound of the factorization cache: fixed Strang steps on one grid need 8
 # entries (dt and dt/2, two components, two poles).  Adaptive halving adds
 # step sizes, merged ones among them: a retry at h/2 after a step of h pays
@@ -292,28 +291,8 @@ def _energy(H, P, system: str):
     return 0.5 * (H - P)
 
 
-def linear_propagator(u: FieldPair, dt: float, prop: RadialPropagator | None = None) -> FieldPair:
-    """Discrete free flow (e^{i dt Delta_h} u, e^{i kappa dt Delta_h} v).
-
-    Takes ceil(|dt| / LINEAR_SUBSTEP) equal Pade steps.
-    """
-    if prop is None:
-        prop = RadialPropagator(u.grid, u.kappa)
-    steps = math.ceil(abs(dt) / LINEAR_SUBSTEP)
-    un, vn = u.u, u.v
-    for _ in range(steps):
-        un, vn = prop.apply_linear(un, vn, dt / steps)
-    return u.with_values(un, vn)
-
-
 def _c1(system: str) -> float:
     return 2.0 if system == "transformed" else 1.0
-
-
-def nonlinear_substep(u: FieldPair, dt: float, system: str = "original") -> FieldPair:
-    """RK4 step of the pointwise ODE i u_t = -c1 conj(u) v, i v_t = -u^2."""
-    un, vn = _rk4(u.u, u.v, dt, _c1(system))
-    return u.with_values(un, vn)
 
 
 def _rk4(u, v, dt, c1):
@@ -662,7 +641,10 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
     # [N L(dt)]^* N L(dt/2), re-split at each monitor point.  Crank-Nicolson
     # owes nothing.  An adaptive step whose max-norm grows by more than
     # GROWTH_LIMIT is retried from the carried state at h/2, owing the same;
-    # the last adaptive step is cut to end at t_end.
+    # the last adaptive step is cut to end at t_end.  A retry below DT_MIN
+    # collapses the step: the run ends at a monitor point on the carried
+    # state (none is added if that state was just recorded), and the H
+    # factor check there does not relabel it.
     # With a fixed point T the maps are balanced (T -> Y* -> Y* -> T): the
     # step after a payment owes nothing and maps T to Y* unchanged, and a
     # carried step or a payment subtracts its defect at T.  x - (s - y) is
@@ -678,7 +660,7 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
     h, t, k, owed, min_dt = dt, t0, 0, 0.0, abs(dt)
     # np.maximum, unlike max, returns NaN when either component holds one
     peak = np.maximum(np.max(np.abs(U)), np.max(np.abs(V)))
-    outcome = ("completed", "")
+    collapsed = False
     while rows.size:
         if cfg.adapt and abs(cfg.t_end - t) < abs(h):
             h = cfg.t_end - t
@@ -699,17 +681,20 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
             if not np.isfinite(peak_n) or peak_n > GROWTH_LIMIT * peak:
                 h = 0.5 * h
                 min_dt = min(min_dt, abs(h))
-                if abs(h) < DT_MIN:
-                    outcome = ("blowup", "step collapse")
+                collapsed = abs(h) < DT_MIN
+                if not collapsed:
+                    continue
+                if k % cfg.monitor_stride == 0:      # the carried state is recorded
                     break
+            else:
+                peak = peak_n
+        if not collapsed:
+            U, V, owed = Un, Vn, (h / 2 if cn is None else 0.0)
+            k += 1
+            t = t + h if cfg.adapt else t0 + k * dt
+            last = (cfg.t_end - t) * sgn <= 0.25 * cfg.dt if cfg.adapt else k == nsteps
+            if k % cfg.monitor_stride and not last:
                 continue
-            peak = peak_n
-        U, V, owed = Un, Vn, (h / 2 if cn is None else 0.0)
-        k += 1
-        t = t + h if cfg.adapt else t0 + k * dt
-        last = (cfg.t_end - t) * sgn <= 0.25 * cfg.dt if cfg.adapt else k == nsteps
-        if k % cfg.monitor_stride and not last:
-            continue
         if owed:
             U, V = pay(U, V, owed)
             owed = 0.0
@@ -717,11 +702,11 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
         end(~finite, "instability", "non-finite state", k, min_dt)
         if rows.size:
             H = record(t, U, V, last)
-            end(H > cfg.blowup_H_factor * H_ref, "blowup", blowup, k, min_dt)
-        if last:
+            if not collapsed:
+                end(H > cfg.blowup_H_factor * H_ref, "blowup", blowup, k, min_dt)
+        if last or collapsed:
             break
-    if owed:
-        U, V = pay(U, V, owed)
+    outcome = ("blowup", "step collapse") if collapsed else ("completed", "")
     end(np.ones(rows.size, bool), *outcome, k, min_dt)
     return records
 

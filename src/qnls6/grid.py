@@ -321,15 +321,6 @@ class RadialField:
             raise GridError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    def __add__(self, other):
-        return RadialField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return RadialField(self.grid, self.values - other.values)
-
-    def __rmul__(self, scalar):
-        return RadialField(self.grid, scalar * self.values)
-
 
 @dataclass(frozen=True)
 class FieldPair:

@@ -60,8 +60,7 @@ from .linops import (bilinear_N, build_block_E, pack_real, stack_pair, unpack_re
                      weighted_norm)
 from .spectrum import SpectralResult
 from .evolution import (EvolutionConfig, RadialPropagator, TrajectoryRecord,
-                        fixed_point_images, linear_propagator, nonlinear_substep,
-                        run_batch, snapshot_step)
+                        fixed_point_images, run_batch, snapshot_step)
 
 
 class ShootingError(RuntimeError):
@@ -482,22 +481,14 @@ def time_translation_mismatch(shot_ref: SpecialTrajectory, shot_scaled: SpecialT
     """Check W^a(t) = W^{sign(a)}(t - log|a|/lambda1) on the snapshot overlap.
 
     The shift log|a|/lambda1 is not commensurate with the snapshot lattice,
-    so the nearest reference snapshot is advanced by the fractional offset
-    with a single Strang micro-step M of the same discrete flow (local error
-    O(offset^3), far below the comparison tolerance), balanced at T(bQ) as
-    the legs are: (M(x) - M(T(bQ))) + T(bQ).  Returns the max relative Hdot1
-    mismatch over the overlap.
+    so the nearest reference snapshot is carried over the fractional offset
+    by ``run_batch`` with the legs' own map: ceil(|offset| / dt) equal steps,
+    dt the reference leg's step, balanced at T(bQ).  What is left is the
+    legs' own time-step error.  Returns the max relative Hdot1 mismatch over
+    the overlap.
     """
-    prop = RadialPropagator(bundle.grid, bundle.kappa)
-    tq = bundle.t_q
-
-    def micro(state, offset):
-        state = linear_propagator(state, offset / 2, prop)
-        state = nonlinear_substep(state, offset, "transformed")
-        return linear_propagator(state, offset / 2, prop)
-
-    lam = shot_ref.lambda1
-    shift = math.log(abs(shot_scaled.a)) / lam
+    dt = shot_ref.record.min_dt
+    shift = math.log(abs(shot_scaled.a)) / shot_ref.lambda1
     ref_times = np.array(sorted(shot_ref.state_at.keys()))
     worst = 0.0
     count = 0
@@ -510,7 +501,11 @@ def time_translation_mismatch(shot_ref: SpecialTrajectory, shot_scaled: SpecialT
             continue
         ref_state = shot_ref.state_at[t_near]
         if abs(offset) > 1e-12:
-            ref_state = (micro(ref_state, offset) - micro(tq, offset)) + tq
+            steps = math.ceil(abs(offset) / dt)
+            cfg = EvolutionConfig(dt=abs(offset) / steps, t_end=t_ref, system="transformed",
+                                  monitor_stride=steps)
+            ref_state = run_batch([ref_state], cfg, t0=t_near,
+                                  fixed_point=bundle.t_q)[0].final_state
         diff = h1dot_norm(state - ref_state)
         scale = max(h1dot_norm(ref_state), 1e-300)
         worst = max(worst, diff / scale)

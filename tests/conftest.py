@@ -1,8 +1,10 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
+from qnls6.evolution import RadialPropagator, _rk4
 from qnls6.grid import RadialGrid, pair_from_arrays
 from qnls6.groundstate import build_bundle
 
@@ -65,3 +67,21 @@ def random_pair(grid, kappa, rng, scale=1.0, real=False):
             u += cu * r ** p * np.exp(-s * r * r)
             v += cv * r ** p * np.exp(-s * r * r)
     return pair_from_arrays(grid, scale * u, scale * v, kappa)
+
+
+def linear_propagator(u, dt, prop=None):
+    """Discrete free flow (e^{i dt Delta_h} u, e^{i kappa dt Delta_h} v) in
+    ceil(|dt| / 1e-3) equal Pade steps: one Pade step is accurate only for
+    small |c dt|."""
+    if prop is None:
+        prop = RadialPropagator(u.grid, u.kappa)
+    steps = math.ceil(abs(dt) / 1e-3)
+    un, vn = u.u, u.v
+    for _ in range(steps):
+        un, vn = prop.apply_linear(un, vn, dt / steps)
+    return u.with_values(un, vn)
+
+
+def nonlinear_substep(u, dt, system="original"):
+    """RK4 step of the pointwise ODE i u_t = -c1 conj(u) v, i v_t = -u^2."""
+    return u.with_values(*_rk4(u.u, u.v, dt, 2.0 if system == "transformed" else 1.0))

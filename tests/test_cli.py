@@ -285,6 +285,24 @@ kappa = 0.5
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize("name,text,named", [
+        ("cfg.json", '{"scenario": "evolve", "physics": {"kappa": 0.5}, '
+                     '"sweep": {"recipe": ["qscale:1"], "junk": 3}}', "'recipe'"),
+        ("cfg.json", '{"scenario": "evolve", "physics": {"kappa": 0.5}, '
+                     '"sweep": {"recipes": ["qscale:1"], "junk": 3}}', "'junk'"),
+        ("cfg.ini", "scenario = evolve\n[physics]\nkappa = 0.5\n[sweep]\nwrong = 1\n",
+         "'wrong'"),
+    ], ids=["json-recipe-misspelt", "json-extra-key", "text"])
+    def test_sweep_refuses_unknown_keys(self, tmp_path, capsys, name, text, named):
+        # a misspelt sweep key must not leave the scenario to its default recipes
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err and "[sweep]" in err and not out.exists()
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_is_one_config_error_line(self, tmp_path, capsys, where):
         seed = "seed = -20\n" if where == "config" else ""
@@ -928,6 +946,18 @@ n_snapshots = 24
         assert summary["translation_overlap"] >= 10
         rows = np.loadtxt(out / "shot_a+1.csv", delimiter=",", skiprows=2)
         assert rows[-1, 0] < 0.5 * 50 * 0.01
+
+    def test_special_translation_check_steps_with_the_legs_map(self, tmp_path):
+        # the nearest W^1 snapshot is carried over the fractional offset by
+        # run_batch with the legs' own dt and balancing, so the mismatch is
+        # the legs' time-step error, well inside criterion 14's bound
+        cfg = self._write(tmp_path, "scenario = special\n[physics]\nkappa = 0.5\n"
+                                    "[special]\nn = 64\ndt = 0.01\ndata_eps = 0.05\n"
+                                    "a_values = 1, 2\nn_snapshots = 30\n")
+        out = tmp_path / "spc"
+        assert main(["special", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "special.summary.json").read_text())
+        assert 0 < summary["translation_mismatch"] <= 1e-3
 
 
 class TestSpectrumSideBySide:

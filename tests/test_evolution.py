@@ -8,14 +8,13 @@ from scipy.linalg import eigh_tridiagonal
 from qnls6.evolution import (FACTOR_CACHE_SIZE, L4_BALL_RADIUS, PADE_POLES,
                              THRESHOLD_E_BAND, EvolutionConfig, RadialPropagator,
                              TrajectoryRecord, _shifted_factors, check_virial_identity,
-                             dynamical_verdict, l4_decay_ratio, linear_propagator,
-                             nonlinear_substep, read_checkpoint, reconcile, run, run_batch,
-                             side_by_side, variational_prediction, vr_identity_defect,
-                             write_checkpoint)
+                             dynamical_verdict, l4_decay_ratio, read_checkpoint, reconcile,
+                             run, run_batch, side_by_side, variational_prediction,
+                             vr_identity_defect, write_checkpoint)
 from qnls6.evolution import _make_cn_stepper, _rk4
 from qnls6.grid import GridError, RadialGrid, h1dot_norm, pair_from_arrays
 from qnls6.groundstate import apply_symmetry, build_bundle
-from conftest import random_pair
+from conftest import linear_propagator, nonlinear_substep, random_pair
 
 
 @pytest.fixture(scope="module")
@@ -769,6 +768,24 @@ class TestAdaptiveGrowthCheck:
         assert (rec.termination, rec.min_dt) == ("completed", cfg.dt / 2)
         assert calls[5] == calls[4] / 2
         assert np.all(np.isfinite(rec.final_state.u)) and np.all(np.isfinite(rec.final_state.v))
+
+    def test_step_collapse_ends_at_a_monitor_point(self, evo_grid, evo_bundle, monkeypatch):
+        # 1.1 Q halves its step below the patched DT_MIN near t = 11.17, between
+        # two monitor points at stride 20: the record ends on the final state
+        import qnls6.evolution as evolution
+        monkeypatch.setattr(evolution, "DT_MIN", 1.1e-3)
+        prop = RadialPropagator(evo_grid, evo_bundle.kappa)
+        recs = [run(1.1 * evo_bundle.q_vec,
+                    EvolutionConfig(dt=4e-3, t_end=40.0, adapt=True, blowup_H_factor=1e12,
+                                    monitor_stride=stride))
+                for stride in (1, 20)]
+        for rec in recs:
+            assert (rec.termination, rec.diagnostic) == ("blowup", "step collapse")
+            f = rec.final_state
+            assert rec.H[-1] == prop.discrete_H(f.u, f.v)
+            assert rec.times[-1] == rec.final_time and np.all(np.diff(rec.times) > 0)
+        assert recs[0].final_time == recs[1].final_time
+        assert recs[0].steps == recs[1].steps
 
 
 def assert_no_child_left():

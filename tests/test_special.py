@@ -6,12 +6,12 @@ import pytest
 from qnls6.grid import RadialGrid, h1dot_norm
 from qnls6.groundstate import build_bundle, transform_T
 from qnls6.spectrum import eigenpair_e
-from qnls6.evolution import (EvolutionConfig, RadialPropagator, linear_propagator,
-                             nonlinear_substep, run_batch)
+from qnls6.evolution import EvolutionConfig, RadialPropagator, run_batch
 from qnls6.special import (LEG_MONITOR_STRIDE, ApproxSolution, ShootingError, approx_profiles,
                            construct_g, default_fit_window, leg_snapshot_times, leg_start,
                            leg_vs_series, profile_series, residual_eps_k, series_samples,
                            shoot_legs, tq_step_defect)
+from conftest import linear_propagator, nonlinear_substep
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ class TestBatchedLegs:
 
     def test_legs_report_the_balancing_defect(self, shot_setup):
         # the first element of shoot_legs is ||S_h T(bQ) - T(bQ)|| / (dt ||T(bQ)||),
-        # S_h one Strang step of the legs (h = -dt; at dt = 1e-3 the public
+        # S_h one Strang step of the legs (h = -dt; at dt = 1e-3 the conftest
         # substeps take one Pade step per half, as run_batch does)
         bundle, spectral = shot_setup
         t_far = math.log(1.0 / 5e-2) / spectral.lambda1
@@ -238,6 +238,14 @@ class TestSeries:
         assert abs(gm.E_value - gm.E_Q) / gm.E_Q < 5e-3
         for pair in (gp, gm):
             assert pair.delta_rate == pytest.approx(spectral.lambda1, rel=0.15)
+
+    def test_leg_that_ends_early_is_a_shooting_error(self, shot_setup, series):
+        # W^8 shot from x = 1 to t = 0 passes x = 8, beyond the backward
+        # blow-up of W^1 near x = 7: the leg turns non-finite on the way
+        bundle, spectral = shot_setup
+        t1 = leg_start(spectral.lambda1, 8.0, 1.0)
+        with pytest.raises(ShootingError, match="shooting leg terminated early: instability"):
+            shoot_legs(bundle, spectral, [series.scaled(8.0)], t1, 0.01, 10)
 
 
 class TestStoppedLegs:
