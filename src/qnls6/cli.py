@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, SpecialBlock, parse_a_values, parse_config,
                      parse_radii, parse_recipe)
-from .grid import GridError, RadialGrid, h1dot_norm, pair_from_arrays
+from .grid import FieldPair, GridError, RadialGrid, h1dot_norm
 from .groundstate import (GroundStateBundle, apply_symmetry, build_bundle,
                           bundle_to_rows, elliptic_residual, refine_discrete,
                           transform_T, _interp_component)
@@ -36,8 +36,8 @@ from .functionals import energy, hamiltonian, variational_constants
 from .linops import build_block_E
 from .spectrum import (SpectralResult, coercivity_sample, dense_cross_check, eigenpair_e,
                        lambda1_inverse_iteration, shifted_solve_conditioning)
-from .special import (HN_GAP_WINDOW, default_fit_window, leg_start, leg_vs_series,
-                      profile_series, residual_eps_k, series_pair, shoot_legs,
+from .special import (HN_GAP_WINDOW, default_fit_window, leg_snapshot_times, leg_start,
+                      leg_vs_series, profile_series, residual_eps_k, series_pair, shoot_legs,
                       time_translation_mismatch, wa_at_zero)
 from .evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict,
                         l4_decay_ratio, read_checkpoint, reconcile, run_batch, side_by_side,
@@ -117,7 +117,7 @@ def load_profile_csv(path: str, grid: RadialGrid, kappa: float):
                                  grid.nodes).T.copy()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return pair_from_arrays(grid, u, v, kappa)
+    return FieldPair(grid, u, v, kappa)
 
 
 def export_profile_csv(path: str, pair) -> None:
@@ -159,12 +159,12 @@ def scenario_ground_state(cfg: ScenarioConfig, outdir: str) -> dict:
     grid = _mkgrid(cfg)
     bundle = build_bundle(grid, cfg.physics.kappa)
     consts = variational_constants(bundle)
-    q3_grid = float(np.sum(grid.quad_weights * bundle.q.values.real ** 3))
+    q3_grid = float(np.sum(grid.quad_weights * bundle.q.real ** 3))
     q3_exact = math.pi ** 3 * 24.0 ** 3 / 60.0
     summary = {
         "scenario": "ground-state",
-        "elliptic_residual": elliptic_residual(bundle.q),
-        "elliptic_residual_order2": elliptic_residual(bundle.q, order=2),
+        "elliptic_residual": elliptic_residual(grid, bundle.q),
+        "elliptic_residual_order2": elliptic_residual(grid, bundle.q, order=2),
         "pohozaev_ratio": consts["pohozaev_ratio"],
         "C_GN": consts["C_GN"],
         "C_kappa": consts["C_kappa"],
@@ -282,7 +282,8 @@ def scenario_special(cfg: ScenarioConfig, outdir: str) -> dict:
     # translation check compares W^2 with W^1 further down
     x_stop = 1.0 if {1.0, 2.0} <= set(a_values) else max(spc.window_hi, spc.window1_hi,
                                                           HN_GAP_WINDOW[1])
-    defect, legs = shoot_legs(bundle, spectral, sols, t_far, spc.dt, spc.n_snapshots, x_stop)
+    defect, legs = shoot_legs(bundle, spectral, sols, t_far, spc.dt,
+                              leg_snapshot_times(t_far, spc.n_snapshots), x_stop)
     shots = {sol.a: (sol, leg) for sol, leg in zip(sols, legs)}
     summary = {"scenario": "special", "lambda1": lam, "t_far": t_far, "k": spc.order,
                "tq_step_defect": defect, "series_order": series.k,
@@ -327,7 +328,9 @@ def _prepare_recipe(text: str, cfg: ScenarioConfig, grid: RadialGrid) -> tuple[d
     or chk: recipe on ``grid``, else None.
 
     Raises ConfigError naming the recipe, before anything is built, for one the
-    scenario cannot use: a leg ``_check_leg_sampling`` refuses, a qscale off
+    scenario cannot use: a G+- whose [special] sampling ``_check_leg_sampling``
+    refuses, a wa: amplitude that is zero or not finite (W^a(0) reads no
+    [special] sampling: it is summed, or shot from x = 1), a qscale off
     0 < lambda < inf or with a non-finite scale or theta, an unreadable
     profile, or a checkpoint that is unreadable or of another grid or kappa.
     """
@@ -347,8 +350,13 @@ def _prepare_recipe(text: str, cfg: ScenarioConfig, grid: RadialGrid) -> tuple[d
             return rec, state
         if kind not in ("gplus", "gminus", "wa"):
             return rec, None
-        a = {"gplus": 1.0, "gminus": -1.0}.get(kind, rec.get("a"))
-        _check_leg_sampling(cfg.special, a, () if kind == "wa" else (_HN_WINDOW,))
+        if kind == "wa":
+            if not 0 < abs(rec["a"]) < math.inf:
+                raise ConfigError(f"a = {rec['a']:g} must be finite and nonzero, "
+                                  "as every amplitude of [special] a_values")
+            return rec, rec["a"]
+        a = 1.0 if kind == "gplus" else -1.0
+        _check_leg_sampling(cfg.special, a, (_HN_WINDOW,))
         return rec, a
     except (OSError, ValueError) as exc:   # ConfigError, GridError of a checkpoint
         raise ConfigError(f"recipe {text!r}: {exc}") from None
@@ -393,8 +401,7 @@ def _evolve_recipes(cfg: ScenarioConfig, recipes, **evo_overrides) -> list:
         bundle_d, spectral = _spectral_pipeline(cfg, grid, background="discrete")
         series = profile_series(bundle_d, spectral)
         w_zero = wa_at_zero(bundle_d, spectral, series,
-                            [a for rec, a in prepared if rec["kind"] == "wa"], spc.dt,
-                            spc.n_snapshots)
+                            [a for rec, a in prepared if rec["kind"] == "wa"], spc.dt)
         threshold = bundle_d, series, w_zero, spc
     built = [_initial_from_recipe(rec, given, bundle, threshold) for rec, given in prepared]
     records = run_batch([initial for initial, _ in built], evo,

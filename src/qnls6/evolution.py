@@ -29,6 +29,10 @@ expansions were rejected because ||dt Delta_h|| is 27 at n = 512 and 431 at
 n = 2048 (dt = 1e-3), hundreds of products per step; the Cayley transform
 (Pade [1/1]) because it is second order: on a 2-unit Strang run (n = 512,
 dt = 5e-4) it is 3.8e-2 off the exact-linear run in Hdot1, [2/2] 2.6e-10.
+The step (``linear_step``) and the discrete functionals (``discrete_H``,
+``discrete_P``, ``discrete_mass``) are functions of the grid and the arrays
+u, v of shape (n,) or (B, n); a ``FieldPair`` is made only where a state
+leaves the loop, as a snapshot or a final state.
 
 Batches: ``run_batch`` advances B trajectories on one grid, under either
 scheme, as the rows of a C-order (B, n) array per component.  The transpose
@@ -100,7 +104,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .grid import FieldPair, GridError, RadialGrid, pair_from_arrays
+from .grid import FieldPair, GridError, RadialGrid
 from .functionals import VirialWeight, virial_monitors
 from .groundstate import Q_SCALE2
 
@@ -237,46 +241,40 @@ def _shifted_solve(grid: RadialGrid, s: float, pole: complex, b: np.ndarray) -> 
     return x.T
 
 
-class RadialPropagator:
-    """Linear flow and discrete functionals of the radial Laplacian on one grid."""
+def _pade(grid: RadialGrid, x: np.ndarray, s: float) -> np.ndarray:
+    for p in PADE_POLES:
+        x = x + _shifted_solve(grid, s, p, x)
+    return x
 
-    def __init__(self, grid: RadialGrid, kappa: float):
-        self.grid = grid
-        self.kappa = kappa
-        self.w_op = grid.op_weights
 
-    # -- linear flow ------------------------------------------------------
+def linear_step(grid: RadialGrid, kappa: float, u: np.ndarray, v: np.ndarray, dt: float):
+    """One Pade [2/2] step of (e^{i dt Delta_h} u, e^{i kappa dt Delta_h} v).
 
-    def _pade(self, x: np.ndarray, s: float) -> np.ndarray:
-        for p in PADE_POLES:
-            x = x + _shifted_solve(self.grid, s, p, x)
-        return x
+    u, v of shape (n,), or (B, n) to step B states with one solve per
+    pole and component.
+    """
+    return _pade(grid, u, dt), _pade(grid, v, kappa * dt)
 
-    def apply_linear(self, u: np.ndarray, v: np.ndarray, dt: float):
-        """One Pade [2/2] step of (e^{i dt Delta_h} u, e^{i kappa dt Delta_h} v).
 
-        u, v of shape (n,), or (B, n) to step B states with one solve per
-        pole and component.
-        """
-        return self._pade(u, dt), self._pade(v, self.kappa * dt)
+# The discrete functionals <-Delta_h u, u> etc. with the cell-mass weights: u,
+# v of shape (n,) give a float, of shape (B, n) one value per row; a row's
+# value equals the float of that row alone bit for bit (numpy sums each
+# contiguous row pairwise, as it sums a 1-D array).
 
-    # -- discrete functionals ----------------------------------------------
-    # u, v of shape (n,) give a float, of shape (B, n) one value per row; a
-    # row's value equals the float of that row alone bit for bit (numpy sums
-    # each contiguous row pairwise, as it sums a 1-D array).
+def discrete_H(grid: RadialGrid, kappa: float, u, v, system: str):
+    cv = kappa if system == "transformed" else 0.5 * kappa
+    w, lap = grid.op_weights, grid.apply_laplacian
+    t1 = -np.real(np.sum(w * np.conj(u) * lap(u), axis=-1))
+    t2 = -np.real(np.sum(w * np.conj(v) * lap(v), axis=-1))
+    return _per_row(t1 + cv * t2)
 
-    def discrete_H(self, u, v, system: str = "original"):
-        cv = self.kappa if system == "transformed" else 0.5 * self.kappa
-        lap = self.grid.apply_laplacian
-        t1 = -np.real(np.sum(self.w_op * np.conj(u) * lap(u), axis=-1))
-        t2 = -np.real(np.sum(self.w_op * np.conj(v) * lap(v), axis=-1))
-        return _per_row(t1 + cv * t2)
 
-    def discrete_P(self, u, v):
-        return _per_row(np.real(np.sum(self.w_op * u * u * np.conj(v), axis=-1)))
+def discrete_P(grid: RadialGrid, u, v):
+    return _per_row(np.real(np.sum(grid.op_weights * u * u * np.conj(v), axis=-1)))
 
-    def discrete_mass(self, u, v):
-        return _per_row(np.sum(self.w_op * (np.abs(u) ** 2 + np.abs(v) ** 2), axis=-1))
+
+def discrete_mass(grid: RadialGrid, u, v):
+    return _per_row(np.sum(grid.op_weights * (np.abs(u) ** 2 + np.abs(v) ** 2), axis=-1))
 
 
 def _per_row(x):
@@ -354,10 +352,9 @@ def fixed_point_images(T: FieldPair, h: float, system: str):
     step at T is N_h L_h Y* - Y*, that of a payment L_{h/2} Y* - T, which is
     S_h T - T for the full Strang step S_h.
     """
-    prop = RadialPropagator(T.grid, T.kappa)
-    c1 = _c1(system)
-    y = _rk4(*prop.apply_linear(T.u[None], T.v[None], h / 2), h, c1)
-    return y, _rk4(*prop.apply_linear(*y, h), h, c1), prop.apply_linear(*y, h / 2)
+    grid, kappa, c1 = T.grid, T.kappa, _c1(system)
+    y = _rk4(*linear_step(grid, kappa, T.u[None], T.v[None], h / 2), h, c1)
+    return y, _rk4(*linear_step(grid, kappa, *y, h), h, c1), linear_step(grid, kappa, *y, h / 2)
 
 
 def _snapshot_due(t: float, requested: float, sgn: float, reach: float) -> bool:
@@ -552,18 +549,17 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
         return [run(u0, cfg, ref, t0) for u0, ref in zip(u0s, refs)]
     grid, kappa = u0s[0].grid, u0s[0].kappa
     duration = cfg.t_end - t0
-    prop = RadialPropagator(grid, kappa)
     sgn = 1.0 if duration > 0 else -1.0
     dt = sgn * cfg.dt
     c1 = _c1(cfg.system)
     if fixed_point is not None:
         carried, stepped, paid = fixed_point_images(fixed_point, dt, cfg.system)
-    cn = _make_cn_stepper(prop, c1) if cfg.scheme == "crank-nicolson" else None
+    cn = _make_cn_stepper(grid, kappa, c1) if cfg.scheme == "crank-nicolson" else None
     sponge = _sponge_profile(grid, cfg) if cfg.sponge else None
     damping = lru_cache(maxsize=1)(lambda h: np.exp(-sponge * abs(h)))
 
     m_l4 = int(np.searchsorted(grid.nodes, L4_BALL_RADIUS))
-    w_l4 = prop.w_op[:m_l4]
+    w_l4 = grid.op_weights[:m_l4]
     weights = {R: VirialWeight.build(grid, R) for R in cfg.virial_radii}
 
     series = [_Series(weights) for _ in u0s]
@@ -581,10 +577,10 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
         t_end.
         """
         nonlocal snap_idx, n_points
-        H = prop.discrete_H(U, V, cfg.system)
-        P = prop.discrete_P(U, V)
+        H = discrete_H(grid, kappa, U, V, cfg.system)
+        P = discrete_P(grid, U, V)
         E = _energy(H, P, cfg.system)
-        mass = prop.discrete_mass(U, V)
+        mass = discrete_mass(grid, U, V)
         l4 = np.sum(w_l4 * (np.abs(U[:, :m_l4]) ** 4 + np.abs(V[:, :m_l4]) ** 4), axis=-1)
         want_snap = bool(cfg.snapshot_stride) and n_points % cfg.snapshot_stride == 0
         reach = (0.5 if final else 0.25) * cfg.dt
@@ -606,7 +602,7 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
                 for name, x in zip(("I_R", "F_R", "V_R"), values):
                     s.virial[name][R].append(float(x[j]))
             if want_snap:
-                s.snapshots.append((t, pair_from_arrays(grid, U[j], V[j], kappa)))
+                s.snapshots.append((t, FieldPair(grid, U[j], V[j], kappa)))
         return H
 
     def end(mask, termination, diagnostic, steps, min_dt):
@@ -619,7 +615,7 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
         for j in np.flatnonzero(mask):
             s = series[rows[j]]
             u, v = s.last if termination == "instability" else (U[j], V[j])
-            records[rows[j]] = s.finish(pair_from_arrays(grid, u, v, kappa), termination,
+            records[rows[j]] = s.finish(FieldPair(grid, u, v, kappa), termination,
                                         diagnostic, steps, min_dt)
         if np.any(mask):
             keep = ~mask
@@ -650,7 +646,7 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
     # carried step or a payment subtracts its defect at T.  x - (s - y) is
     # written (x - s) + y, which is y bit for bit when x = s.
     def pay(U, V, owed):
-        U, V = prop.apply_linear(U, V, owed)
+        U, V = linear_step(grid, kappa, U, V, owed)
         if fixed_point is not None:
             U -= paid[0]; U += fixed_point.u
             V -= paid[1]; V += fixed_point.v
@@ -667,7 +663,7 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
         # a member that overflows ends as "instability" at its next monitor point
         with np.errstate(over="ignore", invalid="ignore"):
             if cn is None:
-                Un, Vn = _rk4(*prop.apply_linear(U, V, owed + h / 2), h, c1)
+                Un, Vn = _rk4(*linear_step(grid, kappa, U, V, owed + h / 2), h, c1)
                 if fixed_point is not None and owed:
                     Un -= stepped[0]; Un += carried[0]
                     Vn -= stepped[1]; Vn += carried[1]
@@ -711,20 +707,19 @@ def _step_members(u0s, refs, cfg: EvolutionConfig, t0: float,
     return records
 
 
-def _make_cn_stepper(prop: RadialPropagator, c1: float):
+def _make_cn_stepper(grid: RadialGrid, kappa: float, c1: float):
     """Crank-Nicolson with fixed-point nonlinear midpoint.
 
     (1 - i s Delta_h / 2) x = b is M x = -b / 2 with M = (i s Delta_h - 2) / 4,
     the cached factors of pole 2 (the Cayley transform (2 + z) / (2 - z)).
     """
-    grid = prop.grid
 
     def solve(s, b):
         return _shifted_solve(grid, s, 2.0, -0.5 * b)
 
     def stepper(u, v, dt):
         rhs_u0 = u + 0.5j * dt * grid.apply_laplacian(u)
-        rhs_v0 = v + 0.5j * dt * prop.kappa * grid.apply_laplacian(v)
+        rhs_v0 = v + 0.5j * dt * kappa * grid.apply_laplacian(v)
         un, vn = u, v
         for _ in range(3):
             um = 0.5 * (u + un)
@@ -732,7 +727,7 @@ def _make_cn_stepper(prop: RadialPropagator, c1: float):
             fu = 1j * c1 * np.conj(um) * vm
             fv = 1j * um * um
             un = solve(dt, rhs_u0 + dt * fu)
-            vn = solve(prop.kappa * dt, rhs_v0 + dt * fv)
+            vn = solve(kappa * dt, rhs_v0 + dt * fv)
         return un, vn
 
     return stepper
@@ -854,4 +849,4 @@ def read_checkpoint(path: str, grid: RadialGrid) -> tuple[FieldPair, float]:
     if saved != grid:
         raise GridError(f"checkpoint grid {saved} does not match {grid}")
     buf = np.frombuffer(data, dtype="<f8", count=4 * n, offset=_HEADER.size).reshape(2, n, 2)
-    return pair_from_arrays(grid, *(buf[..., 0] + 1j * buf[..., 1]), kappa), t
+    return FieldPair(grid, *(buf[..., 0] + 1j * buf[..., 1]), kappa), t

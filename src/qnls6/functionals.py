@@ -209,16 +209,6 @@ class VirialWeight:
         return cls(grid=grid, R=float(R), w=w, dw=dw, d2w=d2w, lap_w=lap_w, bilap_w=bilap)
 
 
-def virial_I(u: FieldPair, weight: VirialWeight) -> float:
-    """I_R = 2 kappa Im int grad(w_R) . (2 grad u conj u + grad v conj v) dx."""
-    return float(virial_monitors(u.grid, u.kappa, u.u, u.v, [weight])[weight.R][0])
-
-
-def virial_F(u: FieldPair, weight: VirialWeight) -> float:
-    """Time derivative of I_R; closed form 8 kappa (2H - 3P) at R = infinity."""
-    return float(virial_monitors(u.grid, u.kappa, u.u, u.v, [weight])[weight.R][1])
-
-
 def mass_type_vr(u: FieldPair, weight: VirialWeight,
                  component_weights: tuple[float, float] | None = None) -> float:
     """Weighted mass V_R = int w_R (a |u|^2 + b |v|^2) dx.

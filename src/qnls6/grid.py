@@ -26,6 +26,11 @@ Outer boundary rules: ``dirichlet`` (ghost value 0 past r_max) or ``decay4``
 (ghost extrapolated by an A r^-4 + B r^-6 tail fit, appropriate for fields
 with the ground state's power tail).  The inner boundary is always the exact
 zero-flux / even-extension regularity condition at r = 0.
+
+The operators act on sample arrays: ``laplacian_matrix(rule, order) @ x``,
+``apply_laplacian(x)`` and ``ddr(grid, x)``.  A state of the system is a
+``FieldPair``: the grid, the complex samples u and v and kappa, checked once
+when the pair is made.
 """
 
 from __future__ import annotations
@@ -210,7 +215,7 @@ class RadialGrid:
 
     @cached_property
     def derivative_weights(self):
-        """Coefficients of ``radial_derivative``: (a, b, c, first, last).
+        """Coefficients of ``ddr``: (a, b, c, first, last).
 
         Interior rows are (a (f[i+1] - f[i]) + b (f[i] - f[i-1])) / c; the end
         rows are the weight triples ``first`` @ f[:3] and ``last`` @ f[-3:].
@@ -307,50 +312,28 @@ def _tail_ghost_coeffs(r1: float, r2: float, rg: float):
 
 
 @dataclass(frozen=True)
-class RadialField:
-    """Complex samples of a radial function at the grid nodes."""
+class FieldPair:
+    """State (u, v) of the two-component system on one grid, with coupling
+    constant kappa: u and v are complex samples at the grid nodes, shape (n,)."""
 
     grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n,):
-            raise GridError(f"field length {v.shape} does not match grid n={self.grid.n}")
-        if not np.all(np.isfinite(v)):
-            raise GridError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class FieldPair:
-    """State (u, v) of the two-component system, with coupling constant kappa."""
-
-    first: RadialField
-    second: RadialField
+    u: np.ndarray
+    v: np.ndarray
     kappa: float
 
     def __post_init__(self):
-        if self.first.grid != self.second.grid:
-            raise GridError("components live on different grids")
+        for name in ("u", "v"):
+            x = np.asarray(getattr(self, name), dtype=complex)
+            if x.shape != (self.grid.n,):
+                raise GridError(f"field length {x.shape} does not match grid n={self.grid.n}")
+            if not np.all(np.isfinite(x)):
+                raise GridError("field contains non-finite values")
+            object.__setattr__(self, name, x)
         if self.kappa <= 0:
             raise GridError("kappa must be positive")
 
-    @property
-    def grid(self) -> RadialGrid:
-        return self.first.grid
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.first.values
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.second.values
-
     def with_values(self, u: np.ndarray, v: np.ndarray) -> "FieldPair":
-        g = self.grid
-        return FieldPair(RadialField(g, u), RadialField(g, v), self.kappa)
+        return FieldPair(self.grid, u, v, self.kappa)
 
     def __add__(self, other):
         return self.with_values(self.u + other.u, self.v + other.v)
@@ -365,25 +348,10 @@ class FieldPair:
         return self.with_values(np.conj(self.u), np.conj(self.v))
 
 
-def pair_from_arrays(grid: RadialGrid, u, v, kappa: float) -> FieldPair:
-    return FieldPair(RadialField(grid, np.asarray(u, dtype=complex)),
-                     RadialField(grid, np.asarray(v, dtype=complex)), kappa)
-
-
-def laplacian6(f: RadialField, boundary: str = "dirichlet", order: int = 2) -> RadialField:
-    """Discrete Delta f = f'' + (5/r) f' with the configured boundary rule."""
-    mat = f.grid.laplacian_matrix(boundary, order)
-    return RadialField(f.grid, mat @ f.values)
-
-
-def radial_derivative(f: RadialField) -> RadialField:
-    """Centered d/dr (second order on the smooth mapped grid, one-sided ends)."""
-    return RadialField(f.grid, ddr(f.grid, f.values))
-
-
 def ddr(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
-    """d/dr of v of shape (n,), or (B, n) for B fields at once (a row's
-    value equals its 1-D value bit for bit)."""
+    """Centered d/dr of v of shape (n,), or (B, n) for B fields at once (a
+    row's value equals its 1-D value bit for bit): second order on the
+    smooth mapped grid, one-sided at both ends."""
     a, b, c, first, last = grid.derivative_weights
     out = np.empty_like(v)
     out[..., 1:-1] = (a * (v[..., 2:] - v[..., 1:-1]) + b * (v[..., 1:-1] - v[..., :-2])) / c
@@ -391,11 +359,6 @@ def ddr(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     out[..., 0] = (v[..., None, :3] @ first)[..., 0]
     out[..., -1] = (v[..., None, -3:] @ last)[..., 0]
     return out
-
-
-def integrate6_samples(grid: RadialGrid, samples: np.ndarray):
-    """Quadrature for int_{R^6} f dx of the samples of f; returns a complex scalar."""
-    return complex(np.sum(grid.quad_weights * samples))
 
 
 def h1dot_inner(f: FieldPair, g: FieldPair) -> float:

@@ -33,8 +33,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
-from .grid import (GRID_CACHE_SIZE, FieldPair, RadialField, RadialGrid,
-                   laplacian6, pair_from_arrays, radial_derivative)
+from .grid import GRID_CACHE_SIZE, FieldPair, RadialGrid, ddr
 
 
 # The r^2 scale of Q(r) = (1 + r^2/Q_SCALE2)^{-2}; sqrt(Q_SCALE2) is the
@@ -84,10 +83,9 @@ def ode_ground_state(r_eval: np.ndarray, q0: float = 1.0, rtol: float = 1e-11) -
     return sol.y[0]
 
 
-def lambda_profile(f: RadialField) -> RadialField:
-    """Scaling generator Lambda f = 2 f + r f'."""
-    df = radial_derivative(f)
-    return RadialField(f.grid, 2.0 * f.values + f.grid.nodes * df.values)
+def lambda_profile(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:
+    """Scaling generator Lambda f = 2 f + r f' of the samples of f."""
+    return 2.0 * samples + grid.nodes * ddr(grid, samples)
 
 
 REFINE_MAX_ITER = 30
@@ -173,16 +171,18 @@ class GroundStateBundle:
 
     ``q`` holds closed-form samples; ``q_bg`` the Q of ``background``: the
     same samples, or for "discrete" the refined stationary profile of the
-    discrete Laplacian (used by time integration).  The vector objects are
-    built from ``q_bg``.  ``ops`` holds the operator pairs of
-    ``linops.form_ops``, assembled on first use and shared by every caller.
+    discrete Laplacian (used by time integration).  Both are complex arrays
+    of real values (d/dr of a complex array can differ in the last bit from
+    d/dr of its real part).  The vector objects are built from ``q_bg``.
+    ``ops`` holds the operator pairs of ``linops.form_ops``, assembled on
+    first use and shared by every caller.
     """
 
     grid: RadialGrid
     kappa: float
-    q: RadialField
+    q: np.ndarray
     background: str            # "closed-form" or "discrete"
-    q_bg: RadialField
+    q_bg: np.ndarray
     q_vec: FieldPair           # (sqrt(k) Q, Q)
     q1_vec: FieldPair          # (sqrt(k) Q, 2Q)
     lambda_q: FieldPair        # (sqrt(k) Lambda Q, Lambda Q)
@@ -198,32 +198,32 @@ def build_bundle(grid: RadialGrid, kappa: float, background: str = "closed-form"
         raise ValueError("kappa must be positive")
     if background not in ("closed-form", "discrete"):
         raise ValueError(f"unknown background {background!r}")
-    qcf = RadialField(grid, q_closed_form(grid.nodes))
-    base = RadialField(grid, refine_discrete(grid)[0]) if background == "discrete" else qcf
+    qcf = q_closed_form(grid.nodes).astype(complex)
+    base = refine_discrete(grid)[0].astype(complex) if background == "discrete" else qcf
     sk = np.sqrt(kappa)
-    qv = base.values.real
+    qv = base.real
     if background == "discrete":
-        lam_q = lambda_profile(base).values.real
+        lam_q = lambda_profile(grid, base).real
     else:
         # exact scaling generator of the closed form avoids differencing error
         lam_q = 2.0 * qv + grid.nodes * q_derivative_closed_form(grid.nodes)
-    q_vec = pair_from_arrays(grid, sk * qv, qv, kappa)
-    q1_vec = pair_from_arrays(grid, sk * qv, 2.0 * qv, kappa)
-    lambda_q = pair_from_arrays(grid, sk * lam_q, lam_q, kappa)
+    q_vec = FieldPair(grid, sk * qv, qv, kappa)
+    q1_vec = FieldPair(grid, sk * qv, 2.0 * qv, kappa)
+    lambda_q = FieldPair(grid, sk * lam_q, lam_q, kappa)
     return GroundStateBundle(
         grid=grid, kappa=kappa, q=qcf, background=background, q_bg=base,
         q_vec=q_vec, q1_vec=q1_vec, lambda_q=lambda_q,
         t_q=transform_T(q_vec), t_q1=transform_T(q1_vec), t_lambda_q=transform_T(lambda_q))
 
 
-def elliptic_residual(qf: RadialField, order: int = 4, boundary: str = "decay4") -> float:
-    """Relative residual ||Delta Q + Q^2||_2 / ||Q^2||_2 of the samples qf."""
-    q = qf.values.real
-    grid = qf.grid
+def elliptic_residual(grid: RadialGrid, samples: np.ndarray, order: int = 4,
+                      boundary: str = "decay4") -> float:
+    """Relative residual ||Delta Q + Q^2||_2 / ||Q^2||_2 of the samples of Q (their real part)."""
+    q = np.real(samples)
     nrm2 = np.sum(grid.quad_weights * q ** 4)
     if nrm2 == 0.0:
         return 0.0
-    res = laplacian6(RadialField(grid, q), boundary=boundary, order=order).values.real + q * q
+    res = grid.laplacian_matrix(boundary, order) @ q + q * q
     return float(np.sqrt(np.sum(grid.quad_weights * res ** 2) / nrm2))
 
 
@@ -340,6 +340,6 @@ def build_directions(bundle: GroundStateBundle) -> dict:
 
 def bundle_to_rows(bundle: GroundStateBundle) -> Iterable[tuple]:
     """(r, Q, Lambda Q) rows for the CSV snapshot."""
-    lam_q = lambda_profile(bundle.q).values.real
-    for r, qv, lv in zip(bundle.grid.nodes, bundle.q.values.real, lam_q):
+    lam_q = lambda_profile(bundle.grid, bundle.q).real
+    for r, qv, lv in zip(bundle.grid.nodes, bundle.q.real, lam_q):
         yield (r, qv, lv)

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .grid import FieldPair, RadialGrid, pair_from_arrays
+from .grid import FieldPair, RadialGrid
 from .groundstate import GroundStateBundle
 
 
@@ -81,7 +81,7 @@ def _assemble(bundle: GroundStateBundle, label: str, family: tuple, boundary: st
               order: int) -> PairOperator:
     if label not in family:
         raise ValueError(f"which must be {family[0]} or {family[1]}, got {label!r}")
-    grid, kappa, qvals = bundle.grid, bundle.kappa, bundle.q_bg.values.real
+    grid, kappa, qvals = bundle.grid, bundle.kappa, bundle.q_bg.real
     # second kinetic weight and squared coupling: (k/2, k) for L, (k, 2k) for E
     kin2, c2 = (0.5 * kappa, kappa) if label.startswith("L_") else (kappa, 2.0 * kappa)
     sign = -1.0 if label.endswith("_R") else 1.0
@@ -212,16 +212,6 @@ class BlockOperatorE:
         perm = (np.arange(4) * n + np.arange(n)[:, None]).ravel()
         return GeneratorBand(ab=ab, kl=kl, ku=ku, perm=perm, d=np.repeat(sm, 4))
 
-    def shifted_inverse(self, s: float) -> ShiftedFactor:
-        """(script_E - s)^{-1} on the layout of ``sparse_real``, from one band LU
-        of the symmetrized generator (``band``); ``rmatvec`` solves with its
-        transpose."""
-        return self.band().factor(s)
-
-    def solve_shifted(self, s: float, b: np.ndarray) -> np.ndarray:
-        """(script_E - s)^{-1} b for a complex stacked pair b = (h; g)."""
-        return unpack_real(self.shifted_inverse(s).matvec(pack_real(b)))
-
     def kernel_residuals(self, bundle: GroundStateBundle) -> dict:
         """Relative residuals of script_E on T(i bQ1) and T(Lambda bQ)."""
         out = {}
@@ -243,7 +233,7 @@ def stack_pair(p: FieldPair) -> np.ndarray:
 
 def unstack_pair(grid: RadialGrid, z: np.ndarray, kappa: float) -> FieldPair:
     """The pair of a stacked (u; v) of shape (2n,), the inverse of ``stack_pair``."""
-    return pair_from_arrays(grid, z[:grid.n], z[grid.n:], kappa)
+    return FieldPair(grid, z[:grid.n], z[grid.n:], kappa)
 
 
 def pack_real(z: np.ndarray) -> np.ndarray:

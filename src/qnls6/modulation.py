@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldPair, h1dot_inner, h1dot_norm, radial_derivative
+from .grid import FieldPair, ddr, h1dot_inner, h1dot_norm
 from .groundstate import GroundStateBundle, apply_symmetry, build_directions, lambda_profile
 from .functionals import hamiltonian, gap_delta
 from .linops import form_ops, quad_form
@@ -64,7 +64,7 @@ class ModulationFrame:
     @staticmethod
     def _half_radius(u: FieldPair) -> float:
         """The node below which the first component holds half its kinetic energy."""
-        cum = np.cumsum(u.grid.quad_weights * np.abs(radial_derivative(u.first).values) ** 2)
+        cum = np.cumsum(u.grid.quad_weights * np.abs(ddr(u.grid, u.u)) ** 2)
         idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
         return float(u.grid.nodes[min(idx, u.grid.n - 1)])
 
@@ -73,8 +73,8 @@ class ModulationFrame:
 
     def theta_guess(self, u: FieldPair, lam0: float) -> float:
         qs = apply_symmetry(self.bundle.q_vec, 0.0, lam0)
-        du = radial_derivative(u.first).values
-        dq = radial_derivative(qs.first).values
+        du = ddr(u.grid, u.u)
+        dq = ddr(qs.grid, qs.u)
         z = np.sum(u.grid.quad_weights * du * np.conj(dq))
         return float(np.angle(z))
 
@@ -113,8 +113,8 @@ def decompose(u: FieldPair, frame: ModulationFrame,
             converged = True
             break
         d_theta = moved.with_values(1j * moved.u, 2j * moved.v)
-        d_lam = -(1.0 / ln) * moved.with_values(lambda_profile(moved.first).values,
-                                                lambda_profile(moved.second).values)
+        d_lam = -(1.0 / ln) * moved.with_values(lambda_profile(moved.grid, moved.u),
+                                                lambda_profile(moved.grid, moved.v))
         J = np.array([
             [h1dot_inner(d_theta, i_q1), h1dot_inner(d_lam, i_q1)],
             [h1dot_inner(d_theta, lam_q), h1dot_inner(d_lam, lam_q)],

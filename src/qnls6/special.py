@@ -59,7 +59,7 @@ from .functionals import energy, hamiltonian
 from .linops import (bilinear_N, build_block_E, pack_real, stack_pair, unpack_real, unstack_pair,
                      weighted_norm)
 from .spectrum import SpectralResult
-from .evolution import (EvolutionConfig, RadialPropagator, TrajectoryRecord,
+from .evolution import (EvolutionConfig, TrajectoryRecord, discrete_H, discrete_mass,
                         fixed_point_images, run_batch, snapshot_step)
 
 
@@ -315,13 +315,14 @@ def leg_snapshot_times(t_far: float, n_snapshots: int) -> tuple:
 
 
 def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far: float,
-               dt: float, n_snapshots: int, x_stop: float = 1.0):
+               dt: float, snap_times, x_stop: float = 1.0):
     """Backward shooting of W^a for the profile set of every a in sols, as one batch.
 
     Each leg starts from W_k^a(t_far) = T(bQ) + U_k^a(t_far) and runs toward
     0 with the step map balanced at T(bQ): the legs share grid, dt, t_far and
     the snapshot times, and every one is measured against reference_H =
-    H_N(T(bQ)).  The legs take the ``leg_snapshot_times`` with
+    H_N(T(bQ)).  Of ``snap_times`` (decreasing to 0, as ``leg_snapshot_times``
+    gives them), the legs take those with
     x = e^{-lambda1 t} <= x_stop and end at the monitor point of the last of
     them, a whole number of LEG_MONITOR_STRIDE strides from t_far, or at 0 if
     that point lies beyond it; every step and snapshot up to there is the
@@ -331,15 +332,13 @@ def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far:
     """
     if any(sol.a == 0.0 for sol in sols):
         raise ValueError("a = 0 gives U_k = 0: a leg that stays at T(bQ) has nothing to fit")
-    snap_times = tuple(t for t in leg_snapshot_times(t_far, n_snapshots)
-                       if math.exp(-spectral.lambda1 * t) <= x_stop)
+    snap_times = tuple(t for t in snap_times if math.exp(-spectral.lambda1 * t) <= x_stop)
     if not snap_times:
         raise ValueError(f"x_stop = {x_stop:g} is below every snapshot of the leg")
     steps = snapshot_step(t_far, -dt, LEG_MONITOR_STRIDE, snap_times[-1])
     t_end = t_far - steps * dt if steps < round(t_far / dt) else 0.0
     tq = bundle.t_q
-    prop = RadialPropagator(bundle.grid, bundle.kappa)
-    h_tq = prop.discrete_H(tq.u, tq.v, "transformed")
+    h_tq = discrete_H(bundle.grid, bundle.kappa, tq.u, tq.v, "transformed")
     cfg = EvolutionConfig(dt=dt, t_end=t_end, system="transformed",
                           monitor_stride=LEG_MONITOR_STRIDE, snapshot_times=snap_times,
                           blowup_H_factor=1e6)
@@ -351,19 +350,17 @@ def shoot_legs(bundle: GroundStateBundle, spectral: SpectralResult, sols, t_far:
 
 def tq_step_defect(bundle: GroundStateBundle, dt: float) -> float:
     """||S_h T(bQ) - T(bQ)|| / (dt ||T(bQ)||), cell-mass norm, S_h the legs' Strang step (h = -dt)."""
-    tq = bundle.t_q
-    prop = RadialPropagator(bundle.grid, bundle.kappa)
+    tq, grid = bundle.t_q, bundle.grid
     _, _, (su, sv) = fixed_point_images(tq, -dt, "transformed")
-    return math.sqrt(prop.discrete_mass(su[0] - tq.u, sv[0] - tq.v)
-                     / prop.discrete_mass(tq.u, tq.v)) / dt
+    return math.sqrt(discrete_mass(grid, su[0] - tq.u, sv[0] - tq.v)
+                     / discrete_mass(grid, tq.u, tq.v)) / dt
 
 
 def _hn_gaps(bundle: GroundStateBundle, states) -> np.ndarray:
     """H_N(W) - H_N(T(bQ)), discrete H, of each W in ``states``."""
-    tq = bundle.t_q
-    prop = RadialPropagator(bundle.grid, bundle.kappa)
-    h_tq = prop.discrete_H(tq.u, tq.v, "transformed")
-    return np.array([prop.discrete_H(w.u, w.v, "transformed") - h_tq for w in states])
+    tq, grid, kappa = bundle.t_q, bundle.grid, bundle.kappa
+    h_tq = discrete_H(grid, kappa, tq.u, tq.v, "transformed")
+    return np.array([discrete_H(grid, kappa, w.u, w.v, "transformed") - h_tq for w in states])
 
 
 def _trajectory(bundle: GroundStateBundle, spectral: SpectralResult, sol: ApproxSolution,
@@ -458,11 +455,13 @@ def series_pair(bundle: GroundStateBundle, series: ApproxSolution, a: float,
 
 
 def wa_at_zero(bundle: GroundStateBundle, spectral: SpectralResult, series: ApproxSolution,
-               amplitudes, dt: float, n_snapshots: int) -> dict:
+               amplitudes, dt: float) -> dict:
     """{a: W^a(0)} (transformed frame) over the distinct amplitudes, from the
     profile series of a = 1: T(bQ) + U^a(0) for |a| <= 1, where the series'
     last term is below roundoff; for |a| > 1, W^a(t1) = T(bQ) + U^a(t1) at
-    x = 1, t1 = ln|a| / lambda1, stepped to 0 by one ``shoot_legs`` batch per t1.
+    x = 1, t1 = ln|a| / lambda1, stepped to 0 by one ``shoot_legs`` batch per
+    t1, whose legs ask for the snapshot at 0 alone: only their final states
+    are read.
     """
     out, groups = {}, {}
     for a in dict.fromkeys(amplitudes):
@@ -471,7 +470,7 @@ def wa_at_zero(bundle: GroundStateBundle, spectral: SpectralResult, series: Appr
         else:
             groups.setdefault(leg_start(series.lambda1, a, 1.0), []).append(series.scaled(a))
     for t1, sols in groups.items():
-        _, legs = shoot_legs(bundle, spectral, sols, t1, dt, n_snapshots)
+        _, legs = shoot_legs(bundle, spectral, sols, t1, dt, (0.0,))
         out.update((sol.a, leg.record.final_state) for sol, leg in zip(sols, legs))
     return out
 

@@ -103,6 +103,9 @@ NEGATIVE_GAP = 0.5
 DENSE_TOL = 1e-4
 # Seed of numpy's global RNG for each onenormest of shifted_solve_conditioning.
 ONENORM_SEED = 0
+# The orders j of the profile recursion whose shifted solves (script_E - j
+# lambda1) shifted_solve_conditioning estimates.
+CONDITIONING_ORDERS = (2, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +440,9 @@ def _dense_counts(ev: np.ndarray) -> dict:
             "spectral_scale": float(np.max(np.abs(ev)))}
 
 
-def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
-                               j_values: tuple[int, ...] = (2, 3, 4)) -> dict:
-    """Estimate ||(script_E - j lam1)^{-1}|| to confirm j lam1 stays off the spectrum.
+def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float) -> dict:
+    """Estimate ||(script_E - j lam1)^{-1}|| for j in CONDITIONING_ORDERS, to
+    confirm that j lam1 stays off the spectrum.
 
     ``onenormest`` draws its +-1 start columns from numpy's global RNG; each
     estimate runs from ONENORM_SEED and the caller's RNG state is restored,
@@ -452,7 +455,7 @@ def shifted_solve_conditioning(bundle: GroundStateBundle, lam1: float,
     out = {}
     state = np.random.get_state()
     try:
-        for j in j_values:
+        for j in CONDITIONING_ORDERS:
             lu = band.factor(j * lam1)
             op = spla.LinearOperator((n4, n4), matvec=lu.matvec, rmatvec=lu.rmatvec,
                                      dtype=float)

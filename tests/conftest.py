@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from qnls6.evolution import RadialPropagator, _rk4
-from qnls6.grid import RadialGrid, pair_from_arrays
+from qnls6.evolution import _rk4, linear_step
+from qnls6.grid import FieldPair, RadialGrid
 from qnls6.groundstate import build_bundle
 
 
@@ -66,19 +66,17 @@ def random_pair(grid, kappa, rng, scale=1.0, real=False):
             cv = rng.standard_normal() + (0 if real else 1j * rng.standard_normal())
             u += cu * r ** p * np.exp(-s * r * r)
             v += cv * r ** p * np.exp(-s * r * r)
-    return pair_from_arrays(grid, scale * u, scale * v, kappa)
+    return FieldPair(grid, scale * u, scale * v, kappa)
 
 
-def linear_propagator(u, dt, prop=None):
+def linear_propagator(u, dt):
     """Discrete free flow (e^{i dt Delta_h} u, e^{i kappa dt Delta_h} v) in
     ceil(|dt| / 1e-3) equal Pade steps: one Pade step is accurate only for
     small |c dt|."""
-    if prop is None:
-        prop = RadialPropagator(u.grid, u.kappa)
     steps = math.ceil(abs(dt) / 1e-3)
     un, vn = u.u, u.v
     for _ in range(steps):
-        un, vn = prop.apply_linear(un, vn, dt / steps)
+        un, vn = linear_step(u.grid, u.kappa, un, vn, dt / steps)
     return u.with_values(un, vn)
 
 

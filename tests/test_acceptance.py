@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qnls6.grid import RadialGrid, h1dot_norm, integrate6_samples, pair_from_arrays
+from qnls6.grid import FieldPair, RadialGrid, h1dot_norm
 from qnls6.groundstate import build_bundle, elliptic_residual, q_closed_form, transform_T
 from qnls6.functionals import energy, hamiltonian, interaction, variational_constants
 from qnls6.linops import assemble_E, assemble_L, build_block_E, form_ops, quad_form
 from qnls6.spectrum import (coercivity_sample, dense_cross_check, eigenpair_e,
                             lambda1_inverse_iteration)
 from qnls6.special import (approx_profiles, construct_g, default_fit_window,
-                           residual_eps_k, shoot_legs, time_translation_mismatch)
+                           leg_snapshot_times, residual_eps_k, shoot_legs,
+                           time_translation_mismatch)
 from qnls6.evolution import (EvolutionConfig, check_virial_identity, dynamical_verdict, run,
                              vr_identity_defect)
 
@@ -72,7 +73,7 @@ def shot_pipeline():
     t_far = math.log(1.0 / 1e-2) / lam
     sols = [approx_profiles(bundle, spectral, a, 3) for a in (1.0, -1.0, 2.0)]
     t0 = time.time()
-    _, legs = shoot_legs(bundle, spectral, sols, t_far, 1e-3, 60)
+    _, legs = shoot_legs(bundle, spectral, sols, t_far, 1e-3, leg_snapshot_times(t_far, 60))
     runtime = time.time() - t0
     return bundle, spectral, {sol.a: leg for sol, leg in zip(sols, legs)}, runtime
 
@@ -89,7 +90,7 @@ def evo_512():
 
 def test_criterion_1_elliptic_residual(bundle_2048):
     t0 = time.time()
-    res = elliptic_residual(bundle_2048.q)
+    res = elliptic_residual(bundle_2048.grid, bundle_2048.q)
     elapsed = time.time() - t0
     ok = res <= 1e-6 and elapsed < 1.0
     report(1, ok, f"elliptic residual {res:.3e} (<= 1e-6), runtime {elapsed:.2f}s (< 1s)")
@@ -118,8 +119,7 @@ def test_criterion_4_integral_oracle(bundle_2048):
     oracle = np.pi ** 3 * quad(lambda r: q_closed_form(r) ** 3 * r ** 5, 0, np.inf)[0]
     closed = np.pi ** 3 * 24.0 ** 3 / 60.0
     assert abs(oracle - closed) / closed < 1e-10
-    grid_val = float(np.real(integrate6_samples(bundle_2048.grid,
-                                                bundle_2048.q.values.real ** 3)))
+    grid_val = float(np.sum(bundle_2048.grid.quad_weights * bundle_2048.q.real ** 3))
     rel = abs(grid_val - closed) / closed
     report(4, rel <= 1e-5,
            f"int Q^3 = {grid_val:.9e} vs pi^3 24^3/60, rel err {rel:.3e} (<= 1e-5)")
@@ -254,8 +254,8 @@ def test_criterion_11_conservation(evo_512):
     bundle = evo_512
     grid = bundle.grid
     r = grid.nodes
-    smooth = pair_from_arrays(grid, 0.8 * np.exp(-r * r),
-                              0.5 * np.exp(-r * r / 2), KAPPA)
+    smooth = FieldPair(grid, 0.8 * np.exp(-r * r),
+                       0.5 * np.exp(-r * r / 2), KAPPA)
     cfg = EvolutionConfig(dt=5e-4, t_end=10.0, monitor_stride=200)
     rec = run(smooth, cfg)
     drift = rec.drift()
@@ -275,8 +275,8 @@ def test_criterion_12_virial_identity():
     for kappa, n in ((0.5, 2048), (1.0, 1024)):
         grid = RadialGrid(n=n, r_max=200.0, stretch=29.0)
         r = grid.nodes
-        u = pair_from_arrays(grid, 0.8 * np.exp(-r * r),
-                             0.5 * np.exp(1j * 0.4) * np.exp(-r * r / 2), kappa)
+        u = FieldPair(grid, 0.8 * np.exp(-r * r),
+                      0.5 * np.exp(1j * 0.4) * np.exp(-r * r / 2), kappa)
         cfg = EvolutionConfig(dt=5e-4, t_end=1.5, monitor_stride=10,
                               virial_radii=(5.0, math.inf))
         rec = run(u, cfg)

@@ -354,10 +354,7 @@ kappa = 0.5
         ("evolve", "[evolution]\nn = 64\n[sweep]\nrecipe = wa:0\n"),
         ("special", "[special]\nn = 64\ndata_eps = 1\n"),
         ("special", "[special]\nn = 64\ndata_eps = 2\n"),
-        ("evolve", "[evolution]\nn = 64\n[special]\ndata_eps = 0.05\n"
-                   "[sweep]\nrecipe = wa:0.01\n"),
-    ], ids=["special-a-zero", "recipe-wa-zero", "special-data-eps-1", "special-data-eps-2",
-            "recipe-amplitude-below-data-eps"])
+    ], ids=["special-a-zero", "recipe-wa-zero", "special-data-eps-1", "special-data-eps-2"])
     def test_bad_amplitude_is_one_config_error_line(self, tmp_path, capsys, scenario, body):
         # checked where the amplitudes are used, before any shooting
         cfg = self._write(tmp_path, f"scenario = {scenario}\n[physics]\nkappa = 0.5\n{body}")
@@ -365,6 +362,21 @@ kappa = 0.5
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "data_eps" in err or "a_values" in err
+
+    @pytest.mark.parametrize("body", [
+        "data_eps = 0.05\n[sweep]\nrecipe = wa:0.01\n",
+        "n_snapshots = 2\n[sweep]\nrecipe = wa:0.5\n",
+    ], ids=["amplitude-below-data-eps", "two-snapshots"])
+    def test_wa_recipe_reads_no_special_sampling(self, tmp_path, capsys, body):
+        # W^a(0) is summed from the profile series for |a| <= 1 (and shot from
+        # x = 1 for |a| > 1): no [special] data_eps or n_snapshots enters it
+        cfg = self._write(tmp_path, "scenario = evolve\n[physics]\nkappa = 0.5\n"
+                                    f"[evolution]\nn = 64\nt_end = 0.1\n[special]\n{body}")
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        runs = json.loads((out / "evolve.summary.json").read_text())["runs"]
+        assert [run["termination"] for run in runs] == ["completed"]
 
     @pytest.mark.parametrize("scenario,body", [
         ("special", "[special]\nn = 64\na_values = 1, inf\n"),

@@ -6,13 +6,14 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from qnls6.evolution import (FACTOR_CACHE_SIZE, L4_BALL_RADIUS, PADE_POLES,
-                             THRESHOLD_E_BAND, EvolutionConfig, RadialPropagator,
-                             TrajectoryRecord, _shifted_factors, check_virial_identity,
-                             dynamical_verdict, l4_decay_ratio, read_checkpoint, reconcile,
-                             run, run_batch, side_by_side, variational_prediction,
-                             vr_identity_defect, write_checkpoint)
+                             THRESHOLD_E_BAND, EvolutionConfig, TrajectoryRecord,
+                             _shifted_factors, check_virial_identity, discrete_H,
+                             discrete_mass, discrete_P, dynamical_verdict, l4_decay_ratio,
+                             linear_step, read_checkpoint, reconcile, run, run_batch,
+                             side_by_side, variational_prediction, vr_identity_defect,
+                             write_checkpoint)
 from qnls6.evolution import _make_cn_stepper, _rk4
-from qnls6.grid import GridError, RadialGrid, h1dot_norm, pair_from_arrays
+from qnls6.grid import FieldPair, GridError, RadialGrid, h1dot_norm
 from qnls6.groundstate import apply_symmetry, build_bundle
 from conftest import linear_propagator, nonlinear_substep, random_pair
 
@@ -29,7 +30,7 @@ def evo_bundle(evo_grid):
 
 def gaussian_pair(grid, kappa=0.5, amp=0.8):
     r = grid.nodes
-    return pair_from_arrays(grid, amp * np.exp(-r * r), 0.5 * amp * np.exp(-r * r / 2), kappa)
+    return FieldPair(grid, amp * np.exp(-r * r), 0.5 * amp * np.exp(-r * r / 2), kappa)
 
 
 class TestLinearPropagator:
@@ -40,17 +41,16 @@ class TestLinearPropagator:
 
     def test_discrete_mass_unitary(self, evo_grid):
         u = gaussian_pair(evo_grid)
-        prop = RadialPropagator(evo_grid, u.kappa)
-        m0 = prop.discrete_mass(u.u, u.v)
-        out = linear_propagator(u, 0.37, prop)
-        assert prop.discrete_mass(out.u, out.v) == pytest.approx(m0, rel=1e-13)
+        m0 = discrete_mass(evo_grid, u.u, u.v)
+        out = linear_propagator(u, 0.37)
+        assert discrete_mass(evo_grid, out.u, out.v) == pytest.approx(m0, rel=1e-13)
 
     def test_gaussian_free_evolution(self, evo_grid):
         # closed form on R^6: e^{it Lap} e^{-a r^2} = (1+4iat)^{-3} exp(-a r^2/(1+4iat))
         a, t = 1.0, 0.05
         kappa = 0.5
         r = evo_grid.nodes
-        u = pair_from_arrays(evo_grid, np.exp(-a * r * r), np.exp(-a * r * r), kappa)
+        u = FieldPair(evo_grid, np.exp(-a * r * r), np.exp(-a * r * r), kappa)
         out = linear_propagator(u, t)
         for comp, tau in ((out.u, t), (out.v, kappa * t)):
             z = 1.0 + 4j * a * tau
@@ -137,8 +137,7 @@ class TestLeanerStep:
 
         rng = np.random.default_rng(212)
         u = random_pair(evo_grid, 0.5, rng)
-        prop = RadialPropagator(evo_grid, u.kappa)
-        got = prop.apply_linear(u.u, u.v, dt)
+        got = linear_step(evo_grid, u.kappa, u.u, u.v, dt)
         for comp, x, c in zip(got, (u.u, u.v), (1.0, u.kappa)):
             want = symmetrized_pade(x, c * dt)
             assert np.linalg.norm(sm * (comp - want)) <= 1e-13 * np.linalg.norm(sm * want)
@@ -157,14 +156,14 @@ class TestLeanerStep:
                                  u.u + 0.5j * dt * lap @ u.u + dt * 1j * c1 * np.conj(um) * vm)
             vn = np.linalg.solve(eye - 0.5j * kappa * dt * lap,
                                  u.v + 0.5j * kappa * dt * lap @ u.v + dt * 1j * um * um)
-        got = _make_cn_stepper(RadialPropagator(grid, kappa), c1)(u.u, u.v, dt)
+        got = _make_cn_stepper(grid, kappa, c1)(u.u, u.v, dt)
         for g, w in zip(got, (un, vn)):
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
 class TestNonlinearSubstep:
     def test_zero(self, evo_grid):
-        z = pair_from_arrays(evo_grid, np.zeros(evo_grid.n), np.zeros(evo_grid.n), 0.5)
+        z = FieldPair(evo_grid, np.zeros(evo_grid.n), np.zeros(evo_grid.n), 0.5)
         out = nonlinear_substep(z, 0.1)
         assert np.all(out.u == 0)
 
@@ -288,7 +287,7 @@ class TestLocalL4Density:
     def test_ignores_state_far_outside_ball(self, evo_grid):
         r = evo_grid.nodes
         shell = np.exp(-(r - 40.0) ** 2 / 4.0)
-        u = pair_from_arrays(evo_grid, shell, 0.5 * shell, 0.5)
+        u = FieldPair(evo_grid, shell, 0.5 * shell, 0.5)
         box = np.sum(self._cell_l4(evo_grid, u))
         assert box > 1.0
         assert self._density(u) < 1e-12 * box
@@ -297,7 +296,7 @@ class TestLocalL4Density:
 def synthetic_record(grid, l4, termination="completed", delta=None, diagnostic=""):
     nt = len(l4)
     z = np.zeros(nt)
-    zero = pair_from_arrays(grid, np.zeros(grid.n), np.zeros(grid.n), 0.5)
+    zero = FieldPair(grid, np.zeros(grid.n), np.zeros(grid.n), 0.5)
     return TrajectoryRecord(
         times=np.arange(nt, dtype=float), H=z, P=z, E=z, mass=z,
         delta=np.full(nt, math.nan) if delta is None else np.asarray(delta, float),
@@ -447,8 +446,8 @@ class TestVirialMonitors:
         r = virial_grid.nodes
         devs = {}
         for kappa in (0.5, 1.0):
-            u = pair_from_arrays(virial_grid, 0.8 * np.exp(-r * r),
-                                 0.5 * np.exp(1j * np.pi / 3) * np.exp(-r * r / 2), kappa)
+            u = FieldPair(virial_grid, 0.8 * np.exp(-r * r),
+                          0.5 * np.exp(1j * np.pi / 3) * np.exp(-r * r / 2), kappa)
             cfg = EvolutionConfig(dt=5e-4, t_end=0.6, monitor_stride=10, virial_radii=(5.0,))
             devs[kappa] = vr_identity_defect(run(u, cfg), 5.0)
         assert devs[0.5] < 8e-3
@@ -615,15 +614,16 @@ class TestBatch:
     def test_batched_functionals_equal_single_ones(self, evo_grid):
         rng = np.random.default_rng(206)
         pairs = [random_pair(evo_grid, 0.5, rng) for _ in range(3)]
-        prop = RadialPropagator(evo_grid, 0.5)
         U = np.array([p.u for p in pairs])
         V = np.array([p.v for p in pairs])
-        for name in ("discrete_H", "discrete_P", "discrete_mass"):
-            rows = getattr(prop, name)(U, V)
-            assert np.array_equal(rows, [getattr(prop, name)(p.u, p.v) for p in pairs]), name
-        Ub, Vb = prop.apply_linear(U, V, 1e-3)
+        for name, fn in (("discrete_H", lambda u, v: discrete_H(evo_grid, 0.5, u, v, "original")),
+                         ("discrete_P", lambda u, v: discrete_P(evo_grid, u, v)),
+                         ("discrete_mass", lambda u, v: discrete_mass(evo_grid, u, v))):
+            rows = fn(U, V)
+            assert np.array_equal(rows, [fn(p.u, p.v) for p in pairs]), name
+        Ub, Vb = linear_step(evo_grid, 0.5, U, V, 1e-3)
         for j, p in enumerate(pairs):
-            u1, v1 = prop.apply_linear(p.u, p.v, 1e-3)
+            u1, v1 = linear_step(evo_grid, 0.5, p.u, p.v, 1e-3)
             assert np.array_equal(Ub[j], u1) and np.array_equal(Vb[j], v1)
 
 
@@ -675,14 +675,13 @@ class TestOneLoop:
         grid = RadialGrid(n=128, r_max=20.0)
         r = grid.nodes
         pulse = np.exp(-(r - 12.0) ** 2)
-        u = pair_from_arrays(grid, 0.1 * pulse, 0.1 * pulse, 0.5)
-        prop = RadialPropagator(grid, 0.5)
-        m0 = prop.discrete_mass(u.u, u.v)
+        u = FieldPair(grid, 0.1 * pulse, 0.1 * pulse, 0.5)
+        m0 = discrete_mass(grid, u.u, u.v)
         loss = {}
         for scheme in ("strang-split", "crank-nicolson"):
             f = run(u, EvolutionConfig(dt=1e-3, t_end=1.0, scheme=scheme, sponge=True,
                                        sponge_strength=5.0)).final_state
-            loss[scheme] = (m0 - prop.discrete_mass(f.u, f.v)) / m0
+            loss[scheme] = (m0 - discrete_mass(grid, f.u, f.v)) / m0
         assert loss["strang-split"] > 1e-6
         assert 1 / 3 < loss["crank-nicolson"] / loss["strang-split"] < 3
 
@@ -774,7 +773,6 @@ class TestAdaptiveGrowthCheck:
         # two monitor points at stride 20: the record ends on the final state
         import qnls6.evolution as evolution
         monkeypatch.setattr(evolution, "DT_MIN", 1.1e-3)
-        prop = RadialPropagator(evo_grid, evo_bundle.kappa)
         recs = [run(1.1 * evo_bundle.q_vec,
                     EvolutionConfig(dt=4e-3, t_end=40.0, adapt=True, blowup_H_factor=1e12,
                                     monitor_stride=stride))
@@ -782,7 +780,7 @@ class TestAdaptiveGrowthCheck:
         for rec in recs:
             assert (rec.termination, rec.diagnostic) == ("blowup", "step collapse")
             f = rec.final_state
-            assert rec.H[-1] == prop.discrete_H(f.u, f.v)
+            assert rec.H[-1] == discrete_H(evo_grid, evo_bundle.kappa, f.u, f.v, "original")
             assert rec.times[-1] == rec.final_time and np.all(np.diff(rec.times) > 0)
         assert recs[0].final_time == recs[1].final_time
         assert recs[0].steps == recs[1].steps
@@ -823,14 +821,14 @@ class TestProcessSplit:
 
     def test_balanced_legs_of_shoot_legs(self, forks, monkeypatch, bundle_mid_discrete,
                                          spectral_mid_discrete):
-        from qnls6.special import approx_profiles, shoot_legs
+        from qnls6.special import approx_profiles, leg_snapshot_times, shoot_legs
         bundle, spectral = bundle_mid_discrete, spectral_mid_discrete
         sols = [approx_profiles(bundle, spectral, a, 3) for a in (1.0, -1.0)]
         t_far = math.log(1.0 / 0.1) / spectral.lambda1
-        _, split = shoot_legs(bundle, spectral, sols, t_far, 1e-2, 12)
+        _, split = shoot_legs(bundle, spectral, sols, t_far, 1e-2, leg_snapshot_times(t_far, 12))
         assert len(forks) == 1
         _, alone = self.in_one_process(monkeypatch, shoot_legs, bundle, spectral, sols,
-                                       t_far, 1e-2, 12)
+                                       t_far, 1e-2, leg_snapshot_times(t_far, 12))
         assert len(forks) == 1
         for a, b in zip(split, alone):
             assert_same_record(a.record, b.record)

@@ -8,15 +8,20 @@ from scipy.optimize import brentq
 from qnls6.functionals import (VirialWeight, check_inequalities, energy, f_infinity_gap,
                                gap_delta, hamiltonian, hamiltonian_n, interaction,
                                mass_type_vr, phi_profile, variational_constants,
-                               virial_F, virial_I)
-from qnls6.grid import pair_from_arrays, radial_derivative
+                               virial_monitors)
+from qnls6.grid import FieldPair, ddr
 from qnls6.groundstate import apply_symmetry, q_closed_form
 from conftest import random_pair
 
 
 def zero_pair(grid, kappa=0.5):
     z = np.zeros(grid.n)
-    return pair_from_arrays(grid, z, z, kappa)
+    return FieldPair(grid, z, z, kappa)
+
+
+def virial_of(u, w):
+    """(I_R, F_R, V_R) of the state u at the weight w."""
+    return virial_monitors(u.grid, u.kappa, u.u, u.v, [w])[w.R]
 
 
 class TestConserved:
@@ -40,7 +45,7 @@ class TestConserved:
 
     def test_imaginary_second_component(self, mid_grid):
         r = mid_grid.nodes
-        u = pair_from_arrays(mid_grid, np.exp(-r * r), 1j * np.exp(-r * r), 0.5)
+        u = FieldPair(mid_grid, np.exp(-r * r), 1j * np.exp(-r * r), 0.5)
         assert abs(interaction(u)) < 1e-14
 
     def test_energy_second_implementation(self, mid_grid):
@@ -48,8 +53,8 @@ class TestConserved:
         u = random_pair(mid_grid, 0.5, rng)
         # independent recomputation from raw samples
         w = mid_grid.quad_weights
-        du = radial_derivative(u.first).values
-        dv = radial_derivative(u.second).values
+        du = ddr(mid_grid, u.u)
+        dv = ddr(mid_grid, u.v)
         H = np.sum(w * np.abs(du) ** 2) + 0.25 * np.sum(w * np.abs(dv) ** 2)
         P = np.real(np.sum(w * u.u ** 2 * np.conj(u.v)))
         assert energy(u) == pytest.approx(0.5 * H - 0.5 * P, rel=1e-12)
@@ -155,43 +160,43 @@ class TestVirialFunctionals:
         w = VirialWeight.build(bundle_mid.grid, 5.0)
         for theta, lam in ((0.0, 1.0), (0.8, 1.3)):
             moved = apply_symmetry(bundle_mid.q_vec, theta, lam)
-            assert abs(virial_I(moved, w)) < 1e-8
+            assert abs(virial_of(moved, w)[0]) < 1e-8
 
     def test_i_vanishes_on_real_pairs(self, mid_grid):
         rng = np.random.default_rng(19)
         u = random_pair(mid_grid, 0.5, rng, real=True)
         w = VirialWeight.build(mid_grid, 5.0)
-        assert virial_I(u, w) == 0.0
+        assert virial_of(u, w)[0] == 0.0
 
     def test_i_gaussian_quadratic_phase(self, mid_grid):
         # closed-form oracle for u = e^{-r^2 + i b r^2}, v = 0, w = r^2 branch
         b = 0.35
         r = mid_grid.nodes
-        u = pair_from_arrays(mid_grid, np.exp(-(1 - 1j * b) * r * r), np.zeros(mid_grid.n), 0.5)
+        u = FieldPair(mid_grid, np.exp(-(1 - 1j * b) * r * r), np.zeros(mid_grid.n), 0.5)
         w = VirialWeight.build(mid_grid, math.inf)
         # I = 2k Im int 2r * 2 u' conj(u) r^5 dr * pi^3; u'conj(u) = -2r(1-ib)e^{-2r^2}
         oracle = 2 * 0.5 * np.pi ** 3 * quad(
             lambda x: 2 * x * 2 * (2 * x * b) * np.exp(-2 * x * x) * x ** 5, 0, np.inf)[0]
-        assert virial_I(u, w) == pytest.approx(oracle, rel=5e-3)
+        assert virial_of(u, w)[0] == pytest.approx(oracle, rel=5e-3)
 
     def test_f_infinity_at_q(self, bundle_mid):
         w = VirialWeight.build(bundle_mid.grid, math.inf)
         HQ = hamiltonian(bundle_mid.q_vec)
-        assert abs(virial_F(bundle_mid.q_vec, w)) < 2e-2 * HQ  # 2H = 3P at Q
+        assert abs(virial_of(bundle_mid.q_vec, w)[1]) < 2e-2 * HQ  # 2H = 3P at Q
 
     def test_f_infinity_definition(self, mid_grid):
         rng = np.random.default_rng(23)
         u = random_pair(mid_grid, 0.5, rng)
         w = VirialWeight.build(mid_grid, math.inf)
         expected = 8 * 0.5 * (2 * hamiltonian(u) - 3 * interaction(u))
-        assert virial_F(u, w) == pytest.approx(expected, rel=1e-12)
+        assert virial_of(u, w)[1] == pytest.approx(expected, rel=1e-12)
 
     def test_f_r_matches_f_infinity_for_localized_data(self, mid_grid):
         rng = np.random.default_rng(29)
         u = random_pair(mid_grid, 0.5, rng)  # gaussian envelope: supported in r <~ 6
-        f_inf = virial_F(u, VirialWeight.build(mid_grid, math.inf))
+        f_inf = virial_of(u, VirialWeight.build(mid_grid, math.inf))[1]
         for R, tol in ((8.0, 1e-8), (20.0, 1e-10)):
-            f_r = virial_F(u, VirialWeight.build(mid_grid, R))
+            f_r = virial_of(u, VirialWeight.build(mid_grid, R))[1]
             assert abs(f_r - f_inf) <= tol * max(abs(f_inf), 1.0)
 
     def test_signed_gap_on_threshold_states(self, bundle_mid):
@@ -212,9 +217,9 @@ class TestVirialFunctionals:
         w = VirialWeight.build(bundle_mid.grid, math.inf)
         # exact algebra: F_inf = 8k (6E - H) and E(u) = E(Q) by construction
         EQ_form = 8 * u.kappa * (6 * EQ - hamiltonian(u))
-        assert virial_F(u, w) == pytest.approx(EQ_form, rel=1e-9)
+        assert virial_of(u, w)[1] == pytest.approx(EQ_form, rel=1e-9)
         # the H(Q)-gap form inherits the discrete Pohozaev error (~1e-3 at n=256)
-        assert virial_F(u, w) == pytest.approx(f_infinity_gap(u, bundle_mid), rel=1e-2)
+        assert virial_of(u, w)[1] == pytest.approx(f_infinity_gap(u, bundle_mid), rel=1e-2)
 
     def test_mass_type_weights(self, bundle_mid):
         # at kappa = 1/2 the default weights (2k, 1) coincide with (1, 1)

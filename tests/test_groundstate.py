@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from qnls6.grid import RadialField, RadialGrid, h1dot_inner, h1dot_norm
+from qnls6.grid import RadialGrid, h1dot_inner, h1dot_norm
 from qnls6.functionals import energy, energy_n, hamiltonian, interaction
 from qnls6.groundstate import (_bordered_tridiag_solve, _interp_component, _pchip,
                                apply_symmetry, build_bundle, build_directions,
@@ -41,25 +41,24 @@ class TestClosedForm:
 
 class TestElliptic:
     def test_residual_small(self, bundle_mid):
-        assert elliptic_residual(bundle_mid.q) < 1e-5
+        assert elliptic_residual(bundle_mid.grid, bundle_mid.q) < 1e-5
 
     def test_zero_field_convention(self, mid_grid):
-        z = RadialField(mid_grid, np.zeros(mid_grid.n))
-        assert elliptic_residual(z) == 0.0
+        assert elliptic_residual(mid_grid, np.zeros(mid_grid.n)) == 0.0
 
     def test_perturbation_scaling(self, mid_grid):
         out = []
         for eps in (1e-3, 1e-4):
             q = q_closed_form(mid_grid.nodes) + eps * np.exp(-mid_grid.nodes ** 2)
-            out.append(elliptic_residual(RadialField(mid_grid, q)))
+            out.append(elliptic_residual(mid_grid, q))
         # residual is Theta(eps): one decade apart
         assert 5 < out[0] / out[1] < 20
 
     def test_refined_profile_beats_sampled(self, mid_grid):
         q, kres = refine_discrete(mid_grid)
-        sampled = elliptic_residual(RadialField(mid_grid, q_closed_form(mid_grid.nodes)),
+        sampled = elliptic_residual(mid_grid, q_closed_form(mid_grid.nodes),
                                     order=2, boundary="dirichlet")
-        refined = elliptic_residual(RadialField(mid_grid, q), order=2, boundary="dirichlet")
+        refined = elliptic_residual(mid_grid, q, order=2, boundary="dirichlet")
         assert refined < 0.2 * sampled
         assert kres < 1e-4
 
@@ -104,7 +103,7 @@ class TestBorderedSolve:
 
 class TestBundle:
     def test_invariants(self, bundle_mid):
-        q = bundle_mid.q.values.real
+        q = bundle_mid.q.real
         assert q[0] == pytest.approx(1.0, rel=1e-3)
         assert np.all(q > 0)
         H = hamiltonian(bundle_mid.q_vec)
@@ -113,8 +112,8 @@ class TestBundle:
 
     def test_q1_componentwise(self, bundle_mid):
         k = bundle_mid.kappa
-        assert np.allclose(bundle_mid.q1_vec.u, np.sqrt(k) * bundle_mid.q.values)
-        assert np.allclose(bundle_mid.q1_vec.v, 2.0 * bundle_mid.q.values)
+        assert np.allclose(bundle_mid.q1_vec.u, np.sqrt(k) * bundle_mid.q)
+        assert np.allclose(bundle_mid.q1_vec.v, 2.0 * bundle_mid.q)
 
     def test_lambda_q_orthogonal(self, bundle_mid):
         ip = h1dot_inner(bundle_mid.q_vec, bundle_mid.lambda_q)
@@ -247,11 +246,10 @@ class TestTransform:
 
     def test_tq_stationary_in_transformed_system(self, bundle_mid):
         # Delta u + 2 conj(u) v and kappa Delta v + u^2 vanish at T(bQ)
-        from qnls6.grid import laplacian6
         tq = bundle_mid.t_q
         g = bundle_mid.grid
-        lap_u = laplacian6(RadialField(g, tq.u), boundary="decay4", order=4).values
-        lap_v = laplacian6(RadialField(g, tq.v), boundary="decay4", order=4).values
+        lap_u = g.laplacian_matrix("decay4", 4) @ tq.u
+        lap_v = g.laplacian_matrix("decay4", 4) @ tq.v
         r1 = lap_u + 2.0 * np.conj(tq.u) * tq.v
         r2 = bundle_mid.kappa * lap_v + tq.u ** 2
         w = g.quad_weights
@@ -272,8 +270,8 @@ class TestDirections:
 
     def test_lambda_profile_matches_hand_formula(self, bundle_mid):
         g = bundle_mid.grid
-        f = RadialField(g, g.nodes ** 2 * np.exp(-g.nodes ** 2))
-        lam = lambda_profile(f).values.real
+        f = (g.nodes ** 2 * np.exp(-g.nodes ** 2)).astype(complex)
+        lam = lambda_profile(g, f).real
         r = g.nodes
         exact = 2 * r ** 2 * np.exp(-r ** 2) + r * (2 * r - 2 * r ** 3) * np.exp(-r ** 2)
         assert np.max(np.abs(lam - exact)) < 5e-3
@@ -289,5 +287,5 @@ class TestBundleBackground:
 
     def test_discrete_bundle_holds_the_refined_q(self, bundle_mid_discrete):
         q, _ = refine_discrete(bundle_mid_discrete.grid)
-        assert np.array_equal(bundle_mid_discrete.q_bg.values, q)
+        assert np.array_equal(bundle_mid_discrete.q_bg, q)
         assert np.array_equal(bundle_mid_discrete.q_vec.v, q)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qnls6.grid import laplacian6, pair_from_arrays, RadialField, RadialGrid
+from qnls6.grid import FieldPair, RadialGrid
 from qnls6.functionals import energy, hamiltonian, interaction
 from qnls6.groundstate import build_bundle, build_directions, transform_T
 from qnls6.linops import (assemble_E, assemble_L, bilinear_N, build_block_E, form_ops,
-                          quad_form, stack_pair, unstack_pair)
+                          pack_real, quad_form, stack_pair, unpack_real, unstack_pair)
 from conftest import random_pair
 
 
@@ -54,11 +54,11 @@ class TestBlocks:
         # L_R (0, g) = (-sqrt(k) Q g, -(k/2) Delta g)
         g = bundle_mid.grid
         gv = np.exp(-g.nodes ** 2)
-        vec = pair_from_arrays(g, np.zeros(g.n), gv, bundle_mid.kappa)
+        vec = FieldPair(g, np.zeros(g.n), gv, bundle_mid.kappa)
         op = assemble_L(bundle_mid, "L_R")
         out = op.mat @ stacked(vec).real
         k = bundle_mid.kappa
-        expected_first = -np.sqrt(k) * bundle_mid.q.values.real * gv
+        expected_first = -np.sqrt(k) * bundle_mid.q.real * gv
         lap = g.laplacian_matrix("dirichlet", 2)
         expected_second = -(k / 2) * (lap @ gv)
         assert np.max(np.abs(out[:g.n] - expected_first)) < 1e-12
@@ -178,7 +178,7 @@ class TestDiagonalizationTrick:
         rng = np.random.default_rng(73)
         v = random_pair(g, k, rng, real=True)
         lap = g.laplacian_matrix("dirichlet", 2)
-        q = bundle.q.values.real
+        q = bundle.q.real
         w_q = np.pi ** 3 * g.cell_masses  # the operator pairing's weights
         g1 = v.u.real
         g2 = np.sqrt(k) / np.sqrt(2.0) * v.v.real   # Gamma^{-1} second component
@@ -205,7 +205,7 @@ class TestPairLayouts:
         block = build_block_E(bundle)
         b = stack_pair(random_pair(grid, 0.5, np.random.default_rng(8)))
         s = 0.37
-        z = block.solve_shifted(s, b)
+        z = unpack_real(block.band().factor(s).matvec(pack_real(b)))
         A = block.sparse_real().toarray() - s * np.eye(4 * grid.n)
         x = np.linalg.solve(A, np.concatenate([b.real, b.imag]))
         expect = x[:2 * grid.n] + 1j * x[2 * grid.n:]
@@ -221,7 +221,7 @@ class TestPairLayouts:
         block = build_block_E(build_bundle(grid, 0.5, background=background))
         b = np.random.default_rng(9).standard_normal(4 * grid.n)
         s = 0.37
-        x = block.shifted_inverse(s).rmatvec(b)
+        x = block.band().factor(s).rmatvec(b)
         A = block.sparse_real().toarray() - s * np.eye(4 * grid.n)
         expect = np.linalg.solve(A.T, b)
         assert np.max(np.abs(x - expect)) <= 1e-12 * np.max(np.abs(expect))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qnls6.config import (SCENARIOS, EvolutionBlock, GridBlock, PhysicsBlock, ScenarioConfig,
                           SpecialBlock, SpectrumBlock, SweepBlock, parse_config, print_config)
 from qnls6.evolution import read_checkpoint, write_checkpoint
-from qnls6.grid import GridError, RadialGrid, pair_from_arrays
+from qnls6.grid import FieldPair, GridError, RadialGrid
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -95,7 +95,7 @@ def test_checkpoint_round_trip(grid, data):
     kappa, t = data.draw(positive), data.draw(finite)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.chk")
-        write_checkpoint(path, pair_from_arrays(grid, u, v, kappa), t)
+        write_checkpoint(path, FieldPair(grid, u, v, kappa), t)
         loaded, t_read = read_checkpoint(path, grid)
         assert np.array_equal(loaded.u, u) and np.array_equal(loaded.v, v)
         assert loaded.kappa == kappa and t_read == t

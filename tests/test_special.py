@@ -6,7 +6,7 @@ import pytest
 from qnls6.grid import RadialGrid, h1dot_norm
 from qnls6.groundstate import build_bundle, transform_T
 from qnls6.spectrum import eigenpair_e
-from qnls6.evolution import EvolutionConfig, RadialPropagator, run_batch
+from qnls6.evolution import EvolutionConfig, discrete_mass, run_batch
 from qnls6.special import (LEG_MONITOR_STRIDE, ApproxSolution, ShootingError, approx_profiles,
                            construct_g, default_fit_window, leg_snapshot_times, leg_start,
                            leg_vs_series, profile_series, residual_eps_k, series_samples,
@@ -83,7 +83,8 @@ class TestShooting:
         lam = spectral.lambda1
         t_far = math.log(1.0 / 2e-2) / lam
         sols = [approx_profiles(bundle, spectral, a, 3) for a in (1.0, -1.0)]
-        _, (plus, minus) = shoot_legs(bundle, spectral, sols, t_far, 2e-3, 40)
+        _, (plus, minus) = shoot_legs(bundle, spectral, sols, t_far, 2e-3,
+                                      leg_snapshot_times(t_far, 40))
         return bundle, spectral, plus, minus
 
     def test_leg_completes(self, shots):
@@ -144,8 +145,9 @@ class TestBatchedLegs:
         bundle, spectral = shot_setup
         t_far = math.log(1.0 / 5e-2) / spectral.lambda1
         sols = [approx_profiles(bundle, spectral, a, 2) for a in (1.0, -1.0)]
-        alone = [shoot_legs(bundle, spectral, [s], t_far, 4e-3, 12) for s in sols]
-        _, batched = shoot_legs(bundle, spectral, sols, t_far, 4e-3, 12)
+        alone = [shoot_legs(bundle, spectral, [s], t_far, 4e-3,
+                            leg_snapshot_times(t_far, 12)) for s in sols]
+        _, batched = shoot_legs(bundle, spectral, sols, t_far, 4e-3, leg_snapshot_times(t_far, 12))
         for (_, [one]), many in zip(alone, batched):
             for name in ("times", "dev_wk", "dev_first", "hn_gap"):
                 assert np.array_equal(getattr(one, name), getattr(many, name)), name
@@ -157,7 +159,7 @@ class TestBatchedLegs:
         bundle, spectral = shot_setup
         sol = approx_profiles(bundle, spectral, a=0.0, k=2)
         with pytest.raises(ValueError, match="nothing to fit"):
-            shoot_legs(bundle, spectral, [sol], 1.0, 1e-3, 10)
+            shoot_legs(bundle, spectral, [sol], 1.0, 1e-3, leg_snapshot_times(1.0, 10))
 
     def test_legs_report_the_balancing_defect(self, shot_setup):
         # the first element of shoot_legs is ||S_h T(bQ) - T(bQ)|| / (dt ||T(bQ)||),
@@ -166,14 +168,13 @@ class TestBatchedLegs:
         bundle, spectral = shot_setup
         t_far = math.log(1.0 / 5e-2) / spectral.lambda1
         sol = approx_profiles(bundle, spectral, 1.0, 2)
-        defect, _ = shoot_legs(bundle, spectral, [sol], t_far, 4e-3, 12)
+        defect, _ = shoot_legs(bundle, spectral, [sol], t_far, 4e-3, leg_snapshot_times(t_far, 12))
         assert defect == tq_step_defect(bundle, 4e-3)
         tq, h = bundle.t_q, -1e-3
         step = linear_propagator(nonlinear_substep(linear_propagator(tq, h / 2), h,
                                                    "transformed"), h / 2) - tq
-        prop = RadialPropagator(bundle.grid, bundle.kappa)
-        expected = math.sqrt(prop.discrete_mass(step.u, step.v)
-                             / prop.discrete_mass(tq.u, tq.v)) / abs(h)
+        expected = math.sqrt(discrete_mass(bundle.grid, step.u, step.v)
+                             / discrete_mass(bundle.grid, tq.u, tq.v)) / abs(h)
         assert expected > 0
         assert tq_step_defect(bundle, abs(h)) == pytest.approx(expected, rel=1e-4)
 
@@ -217,7 +218,7 @@ class TestSeries:
         sols = [series.scaled(a, 3) for a in (1.0, -1.0)]
         diffs = []
         for dt in (8e-3, 4e-3, 2e-3):
-            _, legs = shoot_legs(bundle, spectral, sols, t_far, dt, 40)
+            _, legs = shoot_legs(bundle, spectral, sols, t_far, dt, leg_snapshot_times(t_far, 40))
             row = []
             for leg in legs:
                 pair = construct_g(leg, bundle)
@@ -245,7 +246,8 @@ class TestSeries:
         bundle, spectral = shot_setup
         t1 = leg_start(spectral.lambda1, 8.0, 1.0)
         with pytest.raises(ShootingError, match="shooting leg terminated early: instability"):
-            shoot_legs(bundle, spectral, [series.scaled(8.0)], t1, 0.01, 10)
+            shoot_legs(bundle, spectral, [series.scaled(8.0)], t1, 0.01,
+                       leg_snapshot_times(t1, 10))
 
 
 class TestStoppedLegs:
@@ -254,8 +256,9 @@ class TestStoppedLegs:
         bundle, spectral = shot_setup
         t_far = math.log(1.0 / 5e-2) / spectral.lambda1
         sols = [approx_profiles(bundle, spectral, a, 3) for a in (1.0, -1.0)]
-        _, full = shoot_legs(bundle, spectral, sols, t_far, 4e-3, 40)
-        _, stopped = shoot_legs(bundle, spectral, sols, t_far, 4e-3, 40, x_stop=0.3)
+        _, full = shoot_legs(bundle, spectral, sols, t_far, 4e-3, leg_snapshot_times(t_far, 40))
+        _, stopped = shoot_legs(bundle, spectral, sols, t_far, 4e-3,
+                                leg_snapshot_times(t_far, 40), x_stop=0.3)
         return spectral, t_far, full, stopped
 
     def test_stopped_leg_is_the_full_leg_cut_short(self, pair_of_runs):
@@ -310,7 +313,8 @@ class TestStoppedLegs:
         bundle, spectral = shot_setup
         sol = approx_profiles(bundle, spectral, 1.0, 2)
         with pytest.raises(ValueError, match="x_stop"):
-            shoot_legs(bundle, spectral, [sol], 10.0, 4e-3, 12, x_stop=1e-3)
+            shoot_legs(bundle, spectral, [sol], 10.0, 4e-3,
+                       leg_snapshot_times(10.0, 12), x_stop=1e-3)
 
 
 class TestForcing:
